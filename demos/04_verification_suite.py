@@ -10,7 +10,7 @@ from loophom import (
     Field,
     check_collapse,
     check_dichotomy,
-    check_mod2_oracle,
+    check_oracle,
     check_periodicity,
     hol_to_loop_inclusion,
     unit_check,
@@ -25,8 +25,9 @@ for n, p in ((1, 2), (2, 2), (1, 3), (2, 3), (3, 2)):
     reports.append(check_dichotomy(n, p, range(-3, 4), cutoff=CUTOFF))
     if (p * (n + 1)) % p == 0:
         reports.append(unit_check(n, p, p, cutoff=CUTOFF))
-for n in (2, 4):
-    reports.append(check_mod2_oracle(n, range(-2, 3), cutoff=16))
+for n in (1, 2, 3, 4):
+    for field in ("q", 2, 3, 5):
+        reports.append(check_oracle(n, field, range(-2, 3), cutoff=16))
 
 for report in reports:
     print(report)

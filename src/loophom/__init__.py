@@ -11,13 +11,13 @@ from .analysis import (
     PoincareSeries,
     SpaceSpec,
     VerificationReport,
+    betti_oracle,
     betti_table,
     check_collapse,
     check_dichotomy,
-    check_mod2_oracle,
+    check_oracle,
     check_periodicity,
     collapse_predicted,
-    mod2_betti_oracle,
     poincare_series,
     unit_check,
 )
@@ -43,7 +43,6 @@ from .errors import (
     LoophomError,
     NotAChainMap,
     NotSquareZero,
-    OddN,
     ParityViolation,
     UnknownGenerator,
     WrongBidegree,

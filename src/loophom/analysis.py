@@ -24,9 +24,8 @@ from dataclasses import dataclass
 from typing import Iterable, Union
 
 from .dga import DgaPage, _check_horizon, differential_matrix, homology_dimensions
-from .errors import OddN
 from .linalg import rank_of_columns
-from .scalars import GF2, Field, make_field
+from .scalars import Field, make_field
 from .spaces import HOL, LOOP, e2_page
 
 DEFAULT_CUTOFF = 30
@@ -172,14 +171,11 @@ def collapse_predicted(n: int, p: int, k: int, variant: str) -> bool:
     """Whether the page of component k is predicted to have no nonzero
     differential mod p.
 
-    Collapse holds iff p divides n+1, or p = 2 with n odd (the same
-    condition), or p is odd and divides k. The degree-0 holomorphic
-    component is constants only, where the differential has nothing to
-    act on, so it collapses unconditionally.
+    Collapse holds iff p divides n+1, or p is odd and divides k. The
+    degree-0 holomorphic component is constants only, where the
+    differential has nothing to act on, so it collapses unconditionally.
     """
     if (n + 1) % p == 0:
-        return True
-    if p == 2 and n % 2 == 1:
         return True
     if p % 2 == 1 and k % p == 0:
         return True
@@ -325,89 +321,93 @@ def unit_check(n: int, p: int, k: int, cutoff: int = DEFAULT_CUTOFF) -> Verifica
     )
 
 
-def check_mod2_oracle(
-    n: int, components: Iterable[int], cutoff: int = DEFAULT_CUTOFF
-) -> VerificationReport:
-    """Engine Betti numbers of the mod-2 loop page agree with the
-    independent monomial count of `mod2_betti_oracle`, at every ordinary
-    degree through the cutoff. Even n only."""
-    if n % 2:
-        raise OddN(f"the mod-2 count needs even n, got {n}")
+def betti_oracle(
+    space: SpaceSpec, components: Iterable[int], cutoff: int = DEFAULT_CUTOFF
+) -> BettiTable:
+    """Homology dimensions in the ordinary grading, by counting monomials
+    with integers only: the route independent of `betti_table`.
+
+    d sends iota^a u^b R c^j (R a monomial in the operation family) to
+    a(n+1) iota^(a-1) u^(b+1) R c^(j+n), and distinct monomials go to
+    distinct monomials. So the rank of d out of a spot is the number of
+    its monomials with j = 0, u^(b+1) != 0 and a(n+1) != 0 in the field;
+    the holomorphic variant only has a >= 0. The operation family is
+    rebuilt here from its degree formulas.
+    """
+    n, p = space.n, space.field.characteristic
+    if space.variant not in (LOOP, HOL) or not isinstance(n, int) or n < 1:
+        raise ValueError(f"not a mapping space: {space}")
     comps = sorted(set(components))
-    params = {"n": n, "components": comps, "cutoff": cutoff}
-    table = betti_table(SpaceSpec(LOOP, n, GF2), comps, cutoff, grading="ordinary")
+    if space.variant == HOL and any(k < 0 for k in comps):
+        raise ValueError("holomorphic components have nonnegative degree")
+    # (degree, weight, exterior) of u, then of the operation family; a
+    # monomial of ordinary degree <= cutoff has Pontrjagin degree <= cutoff
+    gens = [(2 * n - 1, 1, p != 2)]
+    i = 1
+    while p and 2 * p**i * n - 2 <= cutoff:
+        if p == 2:
+            gens.append((2 ** (i + 1) * n - 1, 2**i, False))
+        else:
+            gens += [(2 * p**i * n - 1, p**i, True), (2 * p**i * n - 2, p**i, False)]
+        i += 1
+    # (Pontrjagin degree, weight, exponent of u) -> number of monomials u^b R
+    counts = {(0, 0, 0): 1}
+    for index, (degree, weight, exterior) in enumerate(gens):
+        grown: dict = {}
+        for (pd, w, b), c in counts.items():
+            top = (cutoff - pd) // degree
+            for e in range(min(top, 1) + 1 if exterior else top + 1):
+                key = (pd + e * degree, w + e * weight, b if index else e)
+                grown[key] = grown.get(key, 0) + c
+        counts = grown
+    entries = {}
+    for k in comps:
+        dims: dict = {}
+        sources: dict = {}
+        for (pd, w, b), c in counts.items():
+            if space.variant == HOL and w > k:
+                continue
+            for j in range(n + 1):
+                dims[pd - 2 * j] = dims.get(pd - 2 * j, 0) + c
+            coefficient = (k - w) * (n + 1)
+            if (p == 2 or b == 0) and (coefficient % p if p else coefficient):
+                sources[pd] = sources.get(pd, 0) + c
+        for d in range(-2 * n, cutoff - 2 * n + 1):
+            betti = dims.get(d, 0) - sources.get(d, 0) - sources.get(d + 1, 0)
+            if betti:
+                entries[(k, d + 2 * n)] = betti
+    return BettiTable(space, "ordinary", cutoff, entries)
+
+
+def check_oracle(
+    n: int,
+    field: Union[Field, str, int],
+    components: Iterable[int],
+    cutoff: int = DEFAULT_CUTOFF,
+) -> VerificationReport:
+    """Engine Betti numbers agree with the count of `betti_oracle` at every
+    ordinary degree through the cutoff, for the loop components and the
+    nonnegative holomorphic ones."""
+    field = _coerce_field(field)
+    comps = sorted(set(components))
+    params = {"n": n, "field": field, "components": comps, "cutoff": cutoff}
     mismatches = []
     checked = 0
-    for k in comps:
-        col = table.column(k)
-        for degree in range(cutoff + 1):
-            want = mod2_betti_oracle(n, degree, k, cutoff)
-            got = col.get(degree, 0)
-            checked += 1
-            if want != got:
+    for variant in (LOOP, HOL):
+        want = [k for k in comps if variant == LOOP or k >= 0]
+        if not want:
+            continue
+        spec = SpaceSpec(variant, n, field)
+        engine = betti_table(spec, want, cutoff).entries
+        oracle = betti_oracle(spec, want, cutoff).entries
+        checked += len(want) * (cutoff + 1)
+        for k, degree in sorted(engine.keys() | oracle.keys()):
+            got, count = engine.get((k, degree), 0), oracle.get((k, degree), 0)
+            if got != count:
                 mismatches.append(
-                    {"k": k, "degree": degree, "engine": got, "oracle": want}
+                    {"variant": variant, "k": k, "degree": degree,
+                     "engine": got, "oracle": count}
                 )
     if mismatches:
-        return VerificationReport("mod2-oracle", params, "Fail", mismatches)
-    return VerificationReport("mod2-oracle", params, "Pass", {"cells": checked})
-
-
-def mod2_betti_oracle(n: int, degree: int, weight: int, cutoff: int = DEFAULT_CUTOFF) -> int:
-    """Independent count of the mod-2 loop homology dimension for even n,
-    at one (ordinary degree, component) spot.
-
-    For even n the mod-2 differential sends iota^a u^b Q c^j to
-    iota^(a-1) u^(b+1) Q c^(j+n), nonzero exactly when a is odd and j = 0
-    (Q stands for any monomial in the operation family). Surviving
-    monomials are counted block by block in the c-exponent j:
-
-    * j = 0: iota-exponent even (the kernel of the only nonzero block);
-    * 0 < j < n: everything survives;
-    * j = n: iota-exponent odd, plus the u-free monomials with even
-      iota-exponent (those are never hit, since every boundary carries at
-      least one u factor).
-
-    Pure integer arithmetic; shares nothing with the homology engine.
-    """
-    if n % 2:
-        raise OddN(f"the mod-2 count needs even n, got {n}")
-    if degree < 0:
-        return 0
-    if degree > cutoff:
-        raise ValueError(f"degree {degree} past cutoff {cutoff}")
-    d_int = degree - 2 * n
-    qgens = []
-    i = 1
-    while 2 ** (i + 1) * n - 1 <= cutoff:
-        qgens.append((2 ** (i + 1) * n - 1, 2**i))
-        i += 1
-    qmons = [(0, 0)]
-    for dg, wt in qgens:
-        grown = []
-        for D, W in qmons:
-            e = 0
-            while D + e * dg <= degree:
-                grown.append((D + e * dg, W + e * wt))
-                e += 1
-        qmons = grown
-    count = 0
-    for j in range(n + 1):
-        pontrjagin_degree = d_int + 2 * j
-        if pontrjagin_degree < 0:
-            continue
-        for dq, wq in qmons:
-            rem = pontrjagin_degree - dq
-            if rem < 0 or rem % (2 * n - 1):
-                continue
-            b = rem // (2 * n - 1)
-            a = weight - b - wq
-            if j == 0:
-                ok = a % 2 == 0
-            elif j < n:
-                ok = True
-            else:
-                ok = a % 2 == 1 or (b == 0 and a % 2 == 0)
-            if ok:
-                count += 1
-    return count
+        return VerificationReport("oracle", params, "Fail", mismatches)
+    return VerificationReport("oracle", params, "Pass", {"cells": checked})

@@ -9,27 +9,22 @@ Subcommands:
 Field specs are ``q`` for the rationals or ``f<p>`` for a prime p.
 Component ranges are written ``a..b`` (inclusive). Exit codes: 0 success
 (and no Fail verdict), 1 a check Failed, 2 bad configuration, 3 a cutoff
-or finiteness error, 4 an I/O error. Output is deterministic; set
-LOOPHOM_WORKERS to allow that many parallel component computations.
+or finiteness error, 4 an I/O error. Output is deterministic.
+
+``verify --check oracle`` compares the engine with the independent
+monomial count of `analysis.betti_oracle`, for any field and any n.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from typing import Optional
 
 from . import analysis
 from .analysis import SpaceSpec, VerificationReport
-from .errors import (
-    CompositeCharacteristic,
-    CutoffTooTight,
-    InfiniteBasis,
-    OddN,
-)
+from .errors import CompositeCharacteristic, CutoffTooTight, InfiniteBasis
 from .scalars import Field, make_field
 from .spaces import HOL, LOOP
 
@@ -39,7 +34,7 @@ EXIT_CONFIG = 2
 EXIT_CUTOFF = 3
 EXIT_IO = 4
 
-CHECKS = ("collapse", "periodicity", "dichotomy", "unit", "mod2-oracle", "all")
+CHECKS = ("collapse", "periodicity", "dichotomy", "unit", "oracle", "all")
 
 
 class ConfigError(Exception):
@@ -85,28 +80,13 @@ def _field_name(field: Field) -> str:
     return "Q" if field.characteristic == 0 else f"F{field.characteristic}"
 
 
-def _workers() -> int:
-    raw = os.environ.get("LOOPHOM_WORKERS", "1")
-    try:
-        w = int(raw)
-    except ValueError:
-        raise ConfigError(f"LOOPHOM_WORKERS={raw!r} is not an integer") from None
-    return max(1, w)
-
-
 def _columns(space: SpaceSpec, components, cutoff: int, grading: str) -> dict:
-    """Betti columns per component, computed with at most LOOPHOM_WORKERS
-    concurrent component jobs; results are merged in component order."""
-    analysis._page(space.n, space.field, space.variant, cutoff + 1)
-    def one(k: int) -> dict:
-        return analysis.betti_table(space, [k], cutoff, grading).column(k)
-
-    w = min(_workers(), max(len(components), 1))
-    if w == 1:
-        return {k: one(k) for k in components}
-    with ThreadPoolExecutor(max_workers=w) as pool:
-        futures = {k: pool.submit(one, k) for k in components}
-        return {k: futures[k].result() for k in components}
+    """Betti columns per component, one component at a time, so only one
+    component's rank profiles are held at once."""
+    return {
+        k: analysis.betti_table(space, [k], cutoff, grading).column(k)
+        for k in components
+    }
 
 
 def _render_text(space, cutoff, grading, columns) -> str:
@@ -195,7 +175,7 @@ def _validate_cutoff(cutoff: int) -> None:
         raise ConfigError(f"cutoff must be nonnegative, got {cutoff}")
 
 
-def _cmd_compute(args, to_file_required: bool = False) -> int:
+def _cmd_compute(args) -> int:
     field = _parse_field(args.field)
     components = _parse_components(args.component, args.components)
     _validate_cutoff(args.cutoff)
@@ -227,9 +207,7 @@ def _cmd_verify(args) -> int:
     if args.n < 1:
         raise ConfigError(f"n must be positive, got {args.n}")
     reports: list[VerificationReport] = []
-    selected = [args.check] if args.check != "all" else [
-        "collapse", "periodicity", "dichotomy", "unit", "mod2-oracle"
-    ]
+    selected = [args.check] if args.check != "all" else list(CHECKS[:-1])
     running_all = args.check == "all"
     for check in selected:
         if check == "collapse":
@@ -260,17 +238,9 @@ def _cmd_verify(args) -> int:
             if args.k < 1:
                 raise ConfigError("unit needs a positive --k")
             reports.append(analysis.unit_check(args.n, p, args.k, args.cutoff))
-        else:  # mod2-oracle
-            if field.characteristic != 2:
-                if args.check == "all":
-                    continue
-                raise ConfigError("mod2-oracle needs --field f2")
-            if args.n % 2:
-                if args.check == "all":
-                    continue
-                raise ConfigError("mod2-oracle needs even n")
+        else:  # oracle
             comps = _parse_components(args.component, args.components)
-            reports.append(analysis.check_mod2_oracle(args.n, comps, args.cutoff))
+            reports.append(analysis.check_oracle(args.n, field, comps, args.cutoff))
     for report in reports:
         print(report)
     return EXIT_FAIL if any(r.failed for r in reports) else EXIT_OK
@@ -300,15 +270,13 @@ def main(argv: Optional[list] = None) -> int:
         argv = sys.argv[1:]
     args = parser.parse_args(_glue_negative_values(list(argv)))
     try:
-        if args.command == "compute":
-            return _cmd_compute(args)
-        if args.command == "export":
+        if args.command in ("compute", "export"):
             return _cmd_compute(args)
         return _cmd_verify(args)
     except (InfiniteBasis, CutoffTooTight) as exc:
         print(f"loophom: cutoff error: {exc}", file=sys.stderr)
         return EXIT_CUTOFF
-    except (ConfigError, OddN, ValueError) as exc:
+    except (ConfigError, ValueError) as exc:
         print(f"loophom: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:

@@ -19,6 +19,7 @@ from .errors import (
     InhomogeneousImage,
     NotAChainMap,
     NotSquareZero,
+    UnknownGenerator,
     WrongBidegree,
 )
 from .graded_algebra import Element, GradedAlgebra, Monomial
@@ -219,7 +220,7 @@ def _generator_translation(sub: GradedAlgebra, big: GradedAlgebra) -> dict:
     for g in sub.generators:
         try:
             h = big.generator(g.name)
-        except Exception:
+        except UnknownGenerator:
             raise NotAChainMap(f"generator {g.name!r} missing from the big algebra")
         if (g.degree, g.weight) != (h.degree, h.weight):
             raise NotAChainMap(f"generator {g.name!r} changes bidegree")

@@ -74,7 +74,3 @@ class CutoffTooTight(LoophomError, ValueError):
 
 class NotAChainMap(LoophomError, ValueError):
     """A claimed inclusion of differential algebras fails to commute."""
-
-
-class OddN(LoophomError, ValueError):
-    """A check only defined for even projective-space dimension got odd n."""

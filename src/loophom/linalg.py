@@ -124,41 +124,9 @@ def rank_sparse(matrix: Matrix) -> int:
     return rank
 
 
-def rank_dense(matrix: Matrix) -> int:
-    """Naive dense Gaussian elimination; the independent rank oracle."""
-    field = matrix.field
-    m, n = matrix.nrows, matrix.ncols
-    rows = [[field.zero] * n for _ in range(m)]
-    for (i, j), v in matrix.entries.items():
-        rows[i][j] = v
-    rank = 0
-    for col in range(n):
-        pivot = None
-        for i in range(rank, m):
-            if rows[i][col]:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = rows[rank][col].inverse()
-        rows[rank] = [v * inv for v in rows[rank]]
-        for i in range(m):
-            if i != rank and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
-        rank += 1
-        if rank == m:
-            break
-    return rank
-
-
-def kernel_basis(matrix: Matrix) -> list:
-    """A basis of the right kernel, as lists of Scalars of length ncols.
-
-    Computed from the reduced row echelon form; one vector per free
-    column, in column order, so the result is deterministic.
-    """
+def _rref(matrix: Matrix) -> tuple:
+    """Naive dense reduced row echelon form: the rows as lists of Scalars
+    and the (row, column) of every pivot, in column order."""
     field = matrix.field
     m, n = matrix.nrows, matrix.ncols
     rows = [[field.zero] * n for _ in range(m)]
@@ -167,11 +135,7 @@ def kernel_basis(matrix: Matrix) -> list:
     pivots: list[tuple[int, int]] = []
     r = 0
     for col in range(n):
-        pivot = None
-        for i in range(r, m):
-            if rows[i][col]:
-                pivot = i
-                break
+        pivot = next((i for i in range(r, m) if rows[i][col]), None)
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
@@ -183,12 +147,30 @@ def kernel_basis(matrix: Matrix) -> list:
                 rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
         pivots.append((r, col))
         r += 1
+        if r == m:
+            break
+    return rows, pivots
+
+
+def rank_dense(matrix: Matrix) -> int:
+    """Naive dense Gaussian elimination; the independent rank oracle."""
+    return len(_rref(matrix)[1])
+
+
+def kernel_basis(matrix: Matrix) -> list:
+    """A basis of the right kernel, as lists of Scalars of length ncols.
+
+    Computed from the reduced row echelon form; one vector per free
+    column, in column order, so the result is deterministic.
+    """
+    field = matrix.field
+    rows, pivots = _rref(matrix)
     pivot_cols = {c for _, c in pivots}
     basis = []
-    for free in range(n):
+    for free in range(matrix.ncols):
         if free in pivot_cols:
             continue
-        vec = [field.zero] * n
+        vec = [field.zero] * matrix.ncols
         vec[free] = field.one
         for pr, pc in pivots:
             vec[pc] = -rows[pr][free]

@@ -49,6 +49,13 @@ class Field:
 
     characteristic: int
 
+    def __post_init__(self):
+        p = self.characteristic
+        if not isinstance(p, int) or (p != 0 and not _is_prime(p)):
+            raise CompositeCharacteristic(f"{p!r} is not prime")
+        if p >= MAX_CHARACTERISTIC:
+            raise ValueError(f"characteristic {p} exceeds machine-word bound")
+
     @property
     def is_rational(self) -> bool:
         return self.characteristic == 0
@@ -88,18 +95,12 @@ def make_field(spec: Union[str, int]) -> Field:
     """Build a field from "rational"/"q"/"Q"/0, or a prime integer.
 
     Non-prime integers raise CompositeCharacteristic; primes past one
-    machine word are rejected outright.
+    machine word are rejected outright (both checked by `Field` itself).
     """
     if isinstance(spec, str):
         if spec.lower() in ("rational", "q"):
             return Field(0)
         raise CompositeCharacteristic(f"unrecognized field spec {spec!r}")
-    if spec == 0:
-        return Field(0)
-    if not isinstance(spec, int) or not _is_prime(spec):
-        raise CompositeCharacteristic(f"{spec!r} is not prime")
-    if spec >= MAX_CHARACTERISTIC:
-        raise ValueError(f"characteristic {spec} exceeds machine-word bound")
     return Field(spec)
 
 

@@ -14,7 +14,7 @@ from loophom.analysis import (
     betti_table,
     check_collapse,
     check_dichotomy,
-    check_mod2_oracle,
+    check_oracle,
     check_periodicity,
     unit_check,
 )
@@ -105,10 +105,10 @@ def test_criterion_3_non_collapse_patterns():
 
 def test_criterion_4_mod2_closed_form_oracle():
     t0 = time.monotonic()
-    rep = check_mod2_oracle(2, range(-4, 5), cutoff=30)
+    rep = check_oracle(2, GF2, range(-4, 5), cutoff=30)
     dt = time.monotonic() - t0
     ok = rep.passed and dt < 30.0
-    report(4, "mod-2 closed-form oracle", ok, dt)
+    report(4, "mod-2 counting oracle", ok, dt)
     assert rep.passed, str(rep)
     assert dt < 30.0
 

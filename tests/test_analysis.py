@@ -1,23 +1,25 @@
 """Betti tables, series, and the theorem checkers."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from loophom import analysis
 from loophom.analysis import (
     PoincareSeries,
     SpaceSpec,
     VerificationReport,
     _page,
+    betti_oracle,
     betti_table,
     check_collapse,
     check_dichotomy,
-    check_mod2_oracle,
+    check_oracle,
     check_periodicity,
     collapse_predicted,
-    mod2_betti_oracle,
     poincare_series,
     unit_check,
 )
-from loophom.errors import OddN
 from loophom.scalars import GF2, RATIONALS, Field
 from loophom.spaces import HOL, LOOP
 
@@ -209,40 +211,89 @@ def test_unit_check_noclaim_and_validation():
         unit_check(2, 2, -2, cutoff=12)
 
 
-# -- mod-2 oracle ----------------------------------------------------------------------
+# -- counting oracle ------------------------------------------------------------------
+
+FIELDS = {0: RATIONALS, 2: GF2, 3: F3, 5: Field(5), 7: Field(7)}
 
 
 def test_mod2_oracle_spot_values():
+    col = betti_oracle(SpaceSpec(LOOP, 2, GF2), [0, 1], 30).column
     # weight-1 row for n = 2, ordinary degrees 0..11
-    got = [mod2_betti_oracle(2, d, 1, 30) for d in range(12)]
-    assert got == [1, 0, 1, 0, 0, 1, 1, 2, 1, 1, 0, 1]
+    assert [col(1).get(d, 0) for d in range(12)] == [1, 0, 1, 0, 0, 1, 1, 2, 1, 1, 0, 1]
     # weight-0 row
-    got = [mod2_betti_oracle(2, d, 0, 30) for d in range(12)]
-    assert got == [1, 0, 1, 1, 1, 1, 0, 1, 1, 2, 2, 2]
+    assert [col(0).get(d, 0) for d in range(12)] == [1, 0, 1, 1, 1, 1, 0, 1, 1, 2, 2, 2]
 
 
 def test_mod2_oracle_connected_components():
-    for k in (-5, -1, 0, 2, 9):
-        assert mod2_betti_oracle(2, 0, k, 30) == 1
-        assert mod2_betti_oracle(4, 0, k, 30) == 1
+    for n in (2, 4):
+        table = betti_oracle(SpaceSpec(LOOP, n, GF2), (-5, -1, 0, 2, 9), 30)
+        assert all(table.column(k)[0] == 1 for k in (-5, -1, 0, 2, 9))
 
 
-def test_mod2_oracle_validation():
-    with pytest.raises(OddN):
-        mod2_betti_oracle(1, 3, 1, 30)
+def test_oracle_validation():
     with pytest.raises(ValueError):
-        mod2_betti_oracle(2, 31, 1, 30)
-    assert mod2_betti_oracle(2, -1, 1, 30) == 0
+        betti_oracle(SpaceSpec(HOL, 2, GF2), [-1], 10)
+    with pytest.raises(ValueError):
+        betti_oracle(SpaceSpec(LOOP, 0, GF2), [0], 10)
+    with pytest.raises(ValueError):
+        betti_oracle(SpaceSpec("disk", 1, GF2), [0], 10)
+    table = betti_oracle(SpaceSpec(LOOP, 1, F3), [0, 1], 12)
+    assert table.grading == "ordinary" and table.cutoff == 12
+    assert all(0 <= d <= 12 for _, d in table.entries)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("p", [0, 2, 3, 5])
+@pytest.mark.parametrize("variant", [LOOP, HOL])
+def test_oracle_equals_engine(variant, p, n):
+    spec = SpaceSpec(variant, n, FIELDS[p])
+    comps = range(-3, 4) if variant == LOOP else range(0, 4)
+    assert betti_oracle(spec, comps, 24).entries == betti_table(spec, comps, 24).entries
+
+
+@given(
+    st.sampled_from([LOOP, HOL]),
+    st.integers(1, 4),
+    st.sampled_from(sorted(FIELDS)),
+    st.integers(-6, 6),
+    st.integers(0, 3),
+    st.integers(0, 20),
+)
+@settings(max_examples=100, deadline=None)
+def test_oracle_equals_engine_random(variant, n, p, lo, width, cutoff):
+    if variant == HOL:
+        lo = abs(lo)
+    spec = SpaceSpec(variant, n, FIELDS[p])
+    comps = range(lo, lo + width + 1)
+    oracle = betti_oracle(spec, comps, cutoff).entries
+    assert oracle == betti_table(spec, comps, cutoff).entries
 
 
 def test_mod2_oracle_check_against_engine():
-    report = check_mod2_oracle(2, range(-2, 3), cutoff=14)
+    report = check_oracle(2, GF2, range(-2, 3), cutoff=14)
     assert report.passed
-    assert report.witness == {"cells": 5 * 15}
-    with pytest.raises(OddN):
-        check_mod2_oracle(1, [0], cutoff=10)
+    # five loop and three holomorphic components, degrees 0..14
+    assert report.witness == {"cells": 8 * 15}
+    assert check_oracle(1, GF2, [0], cutoff=10).passed
 
 
 def test_mod2_oracle_check_larger_n():
-    report = check_mod2_oracle(4, [0, 1], cutoff=12)
+    report = check_oracle(4, GF2, [0, 1], cutoff=12)
     assert report.passed
+
+
+def test_oracle_check_reports_differing_cells(monkeypatch):
+    real = analysis.betti_oracle
+
+    def off_by_one(space, components, cutoff):
+        table = real(space, components, cutoff)
+        if space.variant == HOL:
+            table.entries[(1, 3)] = table.entries.get((1, 3), 0) + 1
+        return table
+
+    monkeypatch.setattr(analysis, "betti_oracle", off_by_one)
+    report = check_oracle(2, "q", [-1, 1], cutoff=6)
+    assert report.failed
+    assert report.witness == [
+        {"variant": HOL, "k": 1, "degree": 3, "engine": 0, "oracle": 1}
+    ]

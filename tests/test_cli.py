@@ -76,25 +76,6 @@ def test_compute_regraded_shift(capsys):
     assert {str(int(d) - 4): v for d, v in o.items()} == r
 
 
-def test_workers_do_not_change_output(capsys, monkeypatch):
-    argv = ["compute", "--space", "loop", "--n", "1", "--field", "f2",
-            "--components", "0..3", "--cutoff", "10", "--format", "json"]
-    _, serial, _ = run(argv, capsys)
-    monkeypatch.setenv("LOOPHOM_WORKERS", "4")
-    _, parallel, _ = run(argv, capsys)
-    assert serial == parallel
-
-
-def test_workers_must_be_integer(capsys, monkeypatch):
-    monkeypatch.setenv("LOOPHOM_WORKERS", "lots")
-    code, _, err = run(
-        ["compute", "--space", "loop", "--n", "1", "--field", "q",
-         "--component", "0", "--cutoff", "6"],
-        capsys,
-    )
-    assert code == EXIT_CONFIG and "LOOPHOM_WORKERS" in err
-
-
 # -- export -------------------------------------------------------------------
 
 
@@ -156,7 +137,7 @@ def test_verify_all_runs_every_applicable_check(capsys):
     )
     assert code == EXIT_OK
     names = [line.split(" ")[0] for line in out.strip().splitlines()]
-    assert names == ["collapse", "periodicity", "dichotomy", "unit", "mod2-oracle"]
+    assert names == ["collapse", "periodicity", "dichotomy", "unit", "oracle"]
 
 
 def test_verify_all_rational_skips_prime_checks(capsys):
@@ -167,7 +148,7 @@ def test_verify_all_rational_skips_prime_checks(capsys):
     )
     assert code == EXIT_OK
     names = [line.split(" ")[0] for line in out.strip().splitlines()]
-    assert names == ["dichotomy"]
+    assert names == ["dichotomy", "oracle"]
 
 
 def test_verify_fail_exits_one(capsys, monkeypatch):
@@ -200,6 +181,25 @@ def test_verify_noclaim_is_success(capsys):
     assert code == EXIT_OK and "NoClaim" in out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--check", "oracle", "--n", "2", "--field", "f3",
+         "--components", "0..1"],
+        ["verify", "--check", "oracle", "--n", "1", "--field", "f2",
+         "--components", "0..1"],
+        ["verify", "--check", "oracle", "--n", "1", "--field", "f3",
+         "--components", "-3..3", "--cutoff", "20"],
+        ["verify", "--check", "oracle", "--n", "2", "--field", "q",
+         "--components", "-3..3", "--cutoff", "20"],
+    ],
+)
+def test_verify_oracle_any_field_and_n(argv, capsys):
+    code, out, _ = run(argv, capsys)
+    assert code == EXIT_OK
+    assert out.startswith("oracle [") and out.strip().endswith("Pass")
+
+
 # -- config errors ---------------------------------------------------------------
 
 
@@ -228,10 +228,10 @@ def test_verify_noclaim_is_success(capsys):
           "--components", "0..1"], "needs --k"),
         (["verify", "--check", "unit", "--n", "1", "--field", "f2",
           "--k", "-1"], "positive --k"),
-        (["verify", "--check", "mod2-oracle", "--n", "2", "--field", "f3",
-          "--components", "0..1"], "needs --field f2"),
-        (["verify", "--check", "mod2-oracle", "--n", "1", "--field", "f2",
-          "--components", "0..1"], "even n"),
+        (["verify", "--check", "oracle", "--n", "0", "--field", "f2",
+          "--components", "0..1"], "positive"),
+        (["verify", "--check", "oracle", "--n", "2", "--field", "f2"],
+         "selection is required"),
         (["verify", "--check", "collapse", "--n", "2", "--field", "q",
           "--components", "0..1"], "prime field"),
     ],

@@ -28,6 +28,12 @@ def test_make_field_rejects_nonprime(bad):
         make_field(bad)
 
 
+@pytest.mark.parametrize("bad", [4, 1, -3])
+def test_field_constructor_rejects_nonprime(bad):
+    with pytest.raises(CompositeCharacteristic):
+        Field(bad)
+
+
 def test_make_field_rejects_huge_prime():
     # 2^89 - 1 is a Mersenne prime but past the machine-word cap
     with pytest.raises(ValueError):
