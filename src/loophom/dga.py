@@ -72,37 +72,49 @@ class Derivation:
 
         For a block g^e the derivation contributes e * g^(e-1) * d(g),
         valid for negative (laurent) e as well; the sign is the parity of
-        the degree of everything to the left of the block.
+        the degree of everything to the left of the block. Each term
+        L * d(g) * R equals (-1)^(|d(g)| |R|) (L R) * d(g), one product of
+        monomials. d has bidegree (-1, 0), so every term lands in degree
+        m.degree - 1 and weight m.weight.
         """
         alg = self.algebra
-        out = alg.zero()
+        out: dict = {}
         if not self.images:
-            return out
+            return Element(alg, out)
         char2 = alg.field.characteristic == 2
-        prefix_parity = 0
+        prefix_degree = 0
         blocks = m.exps
         for idx, (gid, e) in enumerate(blocks):
             g = alg.generators[gid]
             img = self.images.get(gid)
+            block_degree = g.degree * e
             if img is not None:
                 coeff = alg.field.scalar(e)
-                if not char2 and (prefix_parity & 1):
+                if not char2 and (prefix_degree & 1):
                     coeff = -coeff
                 if coeff:
-                    left_exps = blocks[:idx] + (((gid, e - 1),) if e != 1 else ())
-                    right_exps = blocks[idx + 1 :]
-                    ldeg = sum(alg.generators[i].degree * x for i, x in left_exps)
-                    lwt = sum(alg.generators[i].weight * x for i, x in left_exps)
-                    rdeg = sum(alg.generators[i].degree * x for i, x in right_exps)
-                    rwt = sum(alg.generators[i].weight * x for i, x in right_exps)
-                    term = (
-                        alg.monomial_element(Monomial(left_exps, ldeg, lwt))
-                        * img
-                        * alg.monomial_element(Monomial(right_exps, rdeg, rwt))
+                    lowered = ((gid, e - 1),) if e != 1 else ()
+                    rest = Monomial(
+                        blocks[:idx] + lowered + blocks[idx + 1 :],
+                        m.degree - g.degree,
+                        m.weight - g.weight,
                     )
-                    out = out + term.scale(coeff)
-            prefix_parity += g.degree * e
-        return out
+                    right_odd = not char2 and (m.degree - prefix_degree - block_degree) & 1
+                    for im, c in img.terms.items():
+                        sign, target = alg.multiply_monomials(rest, im)
+                        if target is None:
+                            continue
+                        if right_odd and im.degree & 1:
+                            sign = -sign
+                        c = coeff * c if sign > 0 else -(coeff * c)
+                        s = out.get(target)
+                        s = c if s is None else s + c
+                        if s:
+                            out[target] = s
+                        else:
+                            out.pop(target, None)
+            prefix_degree += block_degree
+        return Element(alg, out)
 
     def __call__(self, x: Element) -> Element:
         if x.algebra is not self.algebra:

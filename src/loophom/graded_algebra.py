@@ -19,6 +19,7 @@ such pair, provided a finiteness certificate holds (see its docstring).
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -110,6 +111,9 @@ class GradedAlgebra:
         self.generators: list[Generator] = []
         self._by_name: dict[str, Generator] = {}
         self.complete_through_degree = complete_through_degree
+        # enumeration state, rebuilt lazily after every declare_generator
+        self._plan: Optional[tuple] = None
+        self._by_degree: dict[int, list[Monomial]] = {}
 
     # -- construction -----------------------------------------------------
 
@@ -140,6 +144,8 @@ class GradedAlgebra:
         gen = Generator(len(self.generators), name, degree, weight, kind, truncation)
         self.generators.append(gen)
         self._by_name[name] = gen
+        self._plan = None
+        self._by_degree.clear()
         return gen
 
     def generator(self, key: Union[int, str]) -> Generator:
@@ -285,65 +291,115 @@ class GradedAlgebra:
                         f"degree-0 generator {g.name!r} alongside a laurent generator"
                     )
 
-    def enumerate_basis(self, degree: int, weight: int) -> list[Monomial]:
-        """All basis monomials of the given (degree, weight), sorted
-        lexicographically on full exponent vectors.
+    def _enumeration_plan(self) -> tuple:
+        """(free, steps), built once per generator set.
 
-        Exterior and truncated generators range over their finite exponent
-        sets; positive-degree generators are bounded by the remaining
-        degree budget; degree-0 polynomial generators by the remaining
-        weight; the laurent exponent, if any, is solved from the weight
-        equation. The certificate in `_certificate` guarantees this
-        terminates with the complete list.
+        `free` holds the degree-0 polynomial and laurent generators, whose
+        exponents are solved from the weight. `steps` has one entry
+        (g, top, low, high) for every other generator g, in gid order: its
+        largest exponent (None for polynomial generators, whose degree is
+        positive) and the lowest and highest degree that the generators
+        after it can reach together.
         """
-        self._certificate()
-        bounded = [g for g in self.generators if g.kind in ("truncated", "exterior")]
-        positive = [g for g in self.generators if g.kind == "polynomial" and g.degree > 0]
-        zero_deg = [g for g in self.generators if g.kind == "polynomial" and g.degree == 0]
-        laurent = next((g for g in self.generators if g.kind == "laurent"), None)
-        order = bounded + positive + zero_deg
+        if self._plan is None:
+            self._certificate()
+            free = [
+                g for g in self.generators
+                if g.degree == 0 and g.kind in ("polynomial", "laurent")
+            ]
+            steps = []
+            low = high = 0
+            for g in reversed(self.generators):
+                if g in free:
+                    continue
+                top = {"polynomial": None, "exterior": 1}.get(g.kind, g.truncation)
+                steps.append((g, top, low, high))
+                if top is None:
+                    high = math.inf
+                else:
+                    low += min(g.degree * top, 0)
+                    high += max(g.degree * top, 0)
+            self._plan = (free, steps[::-1])
+        return self._plan
+
+    def _graded_monomials(self, degree: int) -> list[Monomial]:
+        """Monomials of the given degree, over every weight, in the
+        generators outside the plan's `free` ones."""
+        steps = self._enumeration_plan()[1]
         found: list[Monomial] = []
 
-        def emit(acc):
-            exps = tuple(sorted((gid, e) for gid, e in acc))
-            found.append(Monomial(exps, degree, weight))
-
-        def rec(i, rem_deg, rem_wt, acc):
-            if i == len(order):
-                if laurent is None:
-                    if rem_deg == 0 and rem_wt == 0:
-                        emit(acc)
-                    return
-                if rem_deg != 0:
-                    return
-                q, r = divmod(rem_wt, laurent.weight)
-                if r == 0:
-                    emit(acc + [(laurent.gid, q)] if q else acc)
+        def rec(i, rem, weight, acc):
+            if i == len(steps):
+                if rem == 0:
+                    found.append(Monomial(acc, degree, weight))
                 return
-            g = order[i]
-            if g.kind == "truncated":
-                top = g.truncation
-            elif g.kind == "exterior":
-                top = 1
-            elif g.degree > 0:
-                if rem_deg < 0:
-                    return
-                top = rem_deg // g.degree
-            else:
-                if rem_deg != 0 or rem_wt < 0:
-                    return
-                top = rem_wt // g.weight
+            g, top, low, high = steps[i]
+            if top is None:
+                top = (rem - low) // g.degree
             for e in range(top + 1):
-                nacc = acc + [(g.gid, e)] if e else acc
-                rec(i + 1, rem_deg - e * g.degree, rem_wt - e * g.weight, nacc)
+                left = rem - e * g.degree
+                if low <= left <= high:
+                    rec(i + 1, left, weight + e * g.weight, acc + ((g.gid, e),) if e else acc)
 
-        rec(0, degree, weight, [])
+        rec(0, degree, 0, ())
+        return found
+
+    def enumerate_basis(self, degree: int, weight: int) -> list[Monomial]:
+        """All basis monomials of the given (degree, weight), sorted
+        lexicographically on full exponent vectors, in a fresh list.
+
+        Degree-0 polynomial and laurent generators are the only ones
+        unbounded within a degree. The monomials in all other generators
+        are enumerated once per degree, over every weight, and cached on
+        the algebra until the next `declare_generator`: a recursion over
+        the generators in gid order that tries only the exponents which
+        leave the remaining degree between the lowest and highest degree
+        the later generators can reach. Each call then solves the degree-0
+        exponents from the weight equation: the laurent exponent by a
+        division by its weight, degree-0 polynomial exponents by splitting
+        the remaining weight among them. The certificate in `_certificate`,
+        checked once per generator set, guarantees the lists are finite
+        and complete.
+        """
+        free = self._enumeration_plan()[0]
+        graded = self._by_degree.get(degree)
+        if graded is None:
+            graded = self._by_degree[degree] = self._graded_monomials(degree)
+        solutions: dict = {}
+        found: list[Monomial] = []
+        for m in graded:
+            rest = weight - m.weight
+            blocks = solutions.get(rest)
+            if blocks is None:
+                blocks = solutions[rest] = _free_exponents(free, rest)
+            for block in blocks:
+                if block:
+                    exps = tuple(sorted(m.exps + block))
+                    found.append(Monomial(exps, degree, weight))
+                else:
+                    found.append(m)
         found.sort(key=self.exponent_vector)
         return found
 
     def __repr__(self):
         names = ", ".join(g.name for g in self.generators)
         return f"GradedAlgebra({self.field}; {names})"
+
+
+def _free_exponents(free: list, weight: int) -> list:
+    """Every exponent block ((gid, e), ...) of the degree-0 generators
+    `free` with total weight `weight`, blocks in gid order."""
+    if not free:
+        return [()] if weight == 0 else []
+    g, later = free[0], free[1:]
+    if g.kind == "laurent":  # the certificate makes it the only free generator
+        q, r = divmod(weight, g.weight)
+        return [] if r else [((g.gid, q),) if q else ()]
+    out = []
+    for e in range(weight // g.weight + 1):
+        head = ((g.gid, e),) if e else ()
+        out += [head + tail for tail in _free_exponents(later, weight - e * g.weight)]
+    return out
 
 
 def generator_horizon(family_degrees: Callable[[int], int], cutoff: int) -> int:

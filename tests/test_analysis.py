@@ -20,6 +20,7 @@ from loophom.analysis import (
     poincare_series,
     unit_check,
 )
+from loophom.errors import LoophomError
 from loophom.scalars import GF2, RATIONALS, Field
 from loophom.spaces import HOL, LOOP
 
@@ -60,6 +61,15 @@ def test_betti_table_rejects_negative_hol_component():
         betti_table(SpaceSpec(HOL, 1, RATIONALS), [-1], cutoff=10)
     with pytest.raises(ValueError):
         betti_table(SpaceSpec(LOOP, 1, RATIONALS), [0], cutoff=10, grading="weird")
+
+
+def test_space_spec_validates_itself():
+    with pytest.raises(ValueError):
+        SpaceSpec("disk", 1, GF2)
+    with pytest.raises(ValueError):
+        SpaceSpec(LOOP, 0, GF2)
+    with pytest.raises(TypeError):
+        SpaceSpec(LOOP, 1, 2)
 
 
 def test_page_cache_reuses_objects():
@@ -143,10 +153,34 @@ def test_collapse_odd_p_dichotomy_in_k():
     assert w[(LOOP, 1)] == "non-collapse" and w[(LOOP, 2)] == "non-collapse"
 
 
+@pytest.mark.parametrize("cutoff,verdict", [(1, "NoClaim"), (5, "NoClaim"), (6, "Pass")])
+def test_collapse_noclaim_below_first_differential(cutoff, verdict):
+    # n = 2, p = 2, k = 0: the first source of d is iota^-1 u in degree 7
+    report = check_collapse(2, 2, [0], cutoff=cutoff)
+    assert report.verdict == verdict
+    if verdict == "NoClaim":
+        assert report.witness == [{"variant": LOOP, "k": 0}]
+
+
 def test_collapse_hol_filters_negative_components():
     report = check_collapse(2, 2, [-2, -1], cutoff=16)
     assert report.passed
     assert all(variant == LOOP for variant, _ in report.witness)
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda: check_collapse(1, 0, [1]),
+        lambda: check_periodicity(1, 0, 2, [0]),
+        lambda: unit_check(1, 0, 2),
+    ],
+    ids=["collapse", "periodicity", "unit"],
+)
+def test_prime_checks_refuse_characteristic_zero(check):
+    with pytest.raises(LoophomError) as info:
+        check()
+    assert isinstance(info.value, ValueError)
 
 
 # -- periodicity -------------------------------------------------------------------
@@ -275,6 +309,15 @@ def test_mod2_oracle_check_against_engine():
     # five loop and three holomorphic components, degrees 0..14
     assert report.witness == {"cells": 8 * 15}
     assert check_oracle(1, GF2, [0], cutoff=10).passed
+
+
+@pytest.mark.parametrize(
+    "n,field,comps",
+    [(2, GF2, range(-4, 5)), (1, F3, range(-3, 4))],
+    ids=["n2-f2", "n1-f3"],
+)
+def test_oracle_check_at_depth(n, field, comps):
+    assert check_oracle(n, field, comps, 100).passed
 
 
 def test_mod2_oracle_check_larger_n():

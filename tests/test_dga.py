@@ -147,6 +147,33 @@ def test_laurent_power_rule():
     assert not d(alg.one())
 
 
+@pytest.mark.parametrize(
+    "n,field,variant", [(1, F3, LOOP), (1, F3, HOL), (1, RATIONALS, LOOP), (2, GF2, LOOP)]
+)
+def test_differential_closed_form_on_pages(n, field, variant):
+    # d(iota^a R c^j) = a(n+1) iota^(a-1) u R c^(j+n) with sign +1, where R
+    # holds every other block: u has the smallest gid of the odd generators,
+    # so u R is already in canonical order. Over F3, R may hold odd Q1u.
+    page = e2_page(n, field, variant, cutoff=24)
+    alg, d = page.algebra, page.differential
+    iota, u, c = (alg.generator(name).gid for name in ("iota", "u", "c"))
+    checked = 0
+    for deg in range(-2 * n, 16):
+        for w in range(0, 4):
+            for m in alg.enumerate_basis(deg, w):
+                exps = dict(m.exps)
+                a = exps.pop(iota, 0)
+                expected = alg.zero()
+                if a:
+                    exps[iota] = a - 1
+                    exps[u] = exps.get(u, 0) + 1
+                    exps[c] = exps.get(c, 0) + n
+                    expected = alg.monomial_element(alg.monomial(exps), a * (n + 1))
+                assert d.apply_monomial(m) == expected, m.format(alg)
+                checked += bool(expected)
+    assert checked
+
+
 # -- matrices and homology ------------------------------------------------------
 
 

@@ -3,6 +3,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from loophom.errors import (
     DuplicateName,
@@ -261,6 +263,77 @@ def test_enumerate_sorted_lexicographically():
         vecs = [alg.exponent_vector(m) for m in basis]
         assert vecs == sorted(vecs)
         assert len(set(vecs)) == len(vecs)
+
+
+@st.composite
+def certified_algebras(draw):
+    """Small algebras that pass the finiteness certificate, in a random
+    declaration order: at most one positive-degree polynomial generator,
+    up to two exterior or truncated generators of degree -2..2, and either
+    a laurent generator of weight 2 or up to two degree-0 polynomial ones.
+    The sizes keep every exponent of a basis monomial with |degree| and
+    |weight| <= 4 inside the brute-force box."""
+    rows = []
+    if draw(st.booleans()):
+        rows.append((draw(st.integers(1, 3)), draw(st.integers(0, 1)), "polynomial", None))
+    for _ in range(draw(st.integers(0, 2))):
+        degree = draw(st.integers(-2, 2))
+        weight = draw(st.integers(-1, 1)) or (1 if degree == 0 else 0)
+        truncation = draw(st.integers(1, 2))
+        if truncation == 1 and draw(st.booleans()):
+            rows.append((degree, weight, "exterior", None))
+        else:
+            rows.append((degree, weight, "truncated", truncation))
+    if draw(st.booleans()):
+        rows.append((0, 2, "laurent", None))
+    else:
+        for _ in range(draw(st.integers(0, 2))):
+            rows.append((0, draw(st.integers(1, 3)), "polynomial", None))
+    alg = GradedAlgebra(GF2)
+    for i, (degree, weight, kind, truncation) in enumerate(draw(st.permutations(rows))):
+        alg.declare_generator(f"g{i}", degree, weight, kind, truncation)
+    return alg
+
+
+@given(certified_algebras(), st.integers(-4, 4), st.integers(-4, 4))
+@settings(max_examples=150, deadline=None)
+def test_enumerate_matches_brute_force_random(alg, degree, weight):
+    basis = alg.enumerate_basis(degree, weight)
+    vecs = [alg.exponent_vector(m) for m in basis]
+    assert vecs == sorted(set(vecs))
+    assert all((m.degree, m.weight) == (degree, weight) for m in basis)
+    assert {m.exps for m in basis} == brute_force_basis(alg, degree, weight)
+
+
+def test_enumerate_sees_later_declarations():
+    alg = GradedAlgebra(GF2)
+    alg.declare_generator("u", 1, 1, "polynomial")
+    assert [m.format(alg) for m in alg.enumerate_basis(2, 2)] == ["u^2"]
+    alg.declare_generator("v", 2, 2, "polynomial")
+    assert [m.format(alg) for m in alg.enumerate_basis(2, 2)] == ["v", "u^2"]
+    alg.declare_generator("s", 0, 1, "laurent")
+    assert [m.format(alg) for m in alg.enumerate_basis(2, 1)] == [
+        "v*s^-1", "u^2*s^-1",
+    ]
+    # the certificate is checked again for the grown generator set
+    alg.declare_generator("t", 0, 2, "laurent")
+    with pytest.raises(InfiniteBasis):
+        alg.enumerate_basis(2, 2)
+
+
+@pytest.mark.parametrize("with_laurent", [True, False])
+def test_enumerate_returns_fresh_lists(with_laurent):
+    alg = loop_like_algebra()
+    if not with_laurent:
+        alg = GradedAlgebra(GF2)
+        alg.declare_generator("u", 1, 1, "polynomial")
+        alg.declare_generator("c", -2, 0, "truncated", truncation=1)
+    first = alg.enumerate_basis(3, 3)
+    expected = list(first)
+    first.clear()
+    first.append(alg.unit_monomial)
+    assert alg.enumerate_basis(3, 3) == expected
+    assert alg.enumerate_basis(3, 3) is not alg.enumerate_basis(3, 3)
 
 
 def test_enumerate_negative_weight_through_laurent():
