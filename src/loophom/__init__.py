@@ -41,6 +41,7 @@ from .errors import (
     InhomogeneousImage,
     LaurentNonzeroDegree,
     LoophomError,
+    NegativeCutoff,
     NotAChainMap,
     NotSquareZero,
     ParityViolation,

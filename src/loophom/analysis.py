@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Iterable, Union
 
 from .dga import DgaPage, _check_horizon, differential_matrix, homology_dimensions
-from .errors import CompositeCharacteristic
+from .errors import CompositeCharacteristic, NegativeCutoff
 from .linalg import rank_of_columns
 from .scalars import Field, make_field
 from .spaces import HOL, LOOP, _check_args, e2_page
@@ -43,6 +43,12 @@ def _page(n: int, field: Field, variant: str, cutoff: int) -> DgaPage:
 
 def _coerce_field(field: Union[Field, str, int]) -> Field:
     return field if isinstance(field, Field) else make_field(field)
+
+
+def validate_cutoff(cutoff: int) -> None:
+    """Refuse a negative cutoff before any work."""
+    if cutoff < 0:
+        raise NegativeCutoff(f"cutoff must be nonnegative, got {cutoff}")
 
 
 def _prime_field(p: int) -> Field:
@@ -103,6 +109,7 @@ def betti_table(
     grading: str = "ordinary",
 ) -> BettiTable:
     """Homology dimensions of the chosen components through the cutoff."""
+    validate_cutoff(cutoff)
     if grading not in ("ordinary", "regraded"):
         raise ValueError(f"unknown grading {grading!r}")
     comps = sorted(set(components))
@@ -211,6 +218,12 @@ def _noncollapse_visible_from(n: int, p: int, k: int) -> int:
     return 2 * n - 1
 
 
+def _first_visible_differential(n: int, p: int, components: list) -> int:
+    """Smallest cutoff at which any of the components can show a
+    differential (0 for no components); p = 0 for the rationals."""
+    return min((_noncollapse_visible_from(n, p, k) for k in components), default=0)
+
+
 def check_collapse(
     n: int, p: int, components: Iterable[int], cutoff: int = DEFAULT_CUTOFF
 ) -> VerificationReport:
@@ -223,6 +236,7 @@ def check_collapse(
     verdict NoClaim (unless another component Fails), with those
     components as the witness.
     """
+    validate_cutoff(cutoff)
     field = _prime_field(p)
     comps = sorted(set(components))
     params = {"n": n, "p": p, "components": comps, "cutoff": cutoff}
@@ -258,14 +272,25 @@ def check_periodicity(
     n: int, p: int, k: int, component_range: Iterable[int], cutoff: int = DEFAULT_CUTOFF
 ) -> VerificationReport:
     """Components i and i+k have equal homology after regrading, whenever
-    p divides k(n+1); multiplication by iota^k is the underlying map."""
+    p divides k(n+1); multiplication by iota^k is the underlying map.
+
+    NoClaim when p does not divide k(n+1), or when the cutoff is below
+    every compared component's first differential (witness: the first
+    cutoff at which one can show), since then no two components differ.
+    """
+    validate_cutoff(cutoff)
     field = _prime_field(p)
     comps = sorted(set(component_range))
     params = {"n": n, "p": p, "k": k, "components": comps, "cutoff": cutoff}
     if (k * (n + 1)) % p != 0:
         return VerificationReport("periodicity", params, "NoClaim")
-    spec = SpaceSpec(LOOP, n, field)
     needed = sorted(set(comps) | {i + k for i in comps})
+    visible = _first_visible_differential(n, p, needed)
+    if cutoff < visible:
+        return VerificationReport(
+            "periodicity", params, "NoClaim", {"visible_from": visible}
+        )
+    spec = SpaceSpec(LOOP, n, field)
     table = betti_table(spec, needed, cutoff, grading="regraded")
     for i in comps:
         a, b = table.column(i), table.column(i + k)
@@ -284,12 +309,22 @@ def check_dichotomy(
     cutoff: int = DEFAULT_CUTOFF,
 ) -> VerificationReport:
     """Every component's homology matches component 0's or component 1's
-    (after regrading)."""
+    (after regrading).
+
+    NoClaim, as in `check_periodicity`, when the cutoff is below every
+    compared component's first differential.
+    """
+    validate_cutoff(cutoff)
     field = _coerce_field(field)
     comps = sorted(set(component_range))
     params = {"n": n, "field": field, "components": comps, "cutoff": cutoff}
-    spec = SpaceSpec(LOOP, n, field)
     needed = sorted(set(comps) | {0, 1})
+    visible = _first_visible_differential(n, field.characteristic, needed)
+    if cutoff < visible:
+        return VerificationReport(
+            "dichotomy", params, "NoClaim", {"visible_from": visible}
+        )
+    spec = SpaceSpec(LOOP, n, field)
     table = betti_table(spec, needed, cutoff, grading="regraded")
     col0, col1 = table.column(0), table.column(1)
     assignment = {}
@@ -312,6 +347,7 @@ def unit_check(n: int, p: int, k: int, cutoff: int = DEFAULT_CUTOFF) -> Verifica
     their product is exactly the unit monomial, and the unit is not a
     boundary either.
     """
+    validate_cutoff(cutoff)
     field = _prime_field(p)
     params = {"n": n, "p": p, "k": k, "cutoff": cutoff}
     if k < 1:
@@ -369,6 +405,7 @@ def betti_oracle(
     the holomorphic variant only has a >= 0. The operation family is
     rebuilt here from its degree formulas.
     """
+    validate_cutoff(cutoff)
     n, p = space.n, space.field.characteristic
     comps = sorted(set(components))
     if space.variant == HOL and any(k < 0 for k in comps):
@@ -421,6 +458,7 @@ def check_oracle(
     """Engine Betti numbers agree with the count of `betti_oracle` at every
     ordinary degree through the cutoff, for the loop components and the
     nonnegative holomorphic ones."""
+    validate_cutoff(cutoff)
     field = _coerce_field(field)
     comps = sorted(set(components))
     params = {"n": n, "field": field, "components": comps, "cutoff": cutoff}

@@ -170,15 +170,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _validate_cutoff(cutoff: int) -> None:
-    if cutoff < 0:
-        raise ConfigError(f"cutoff must be nonnegative, got {cutoff}")
-
-
 def _cmd_compute(args) -> int:
     field = _parse_field(args.field)
     components = _parse_components(args.component, args.components)
-    _validate_cutoff(args.cutoff)
+    analysis.validate_cutoff(args.cutoff)
     if args.n < 1:
         raise ConfigError(f"n must be positive, got {args.n}")
     if args.space == HOL and any(k < 0 for k in components):
@@ -203,7 +198,7 @@ def _prime_of(field: Field, what: str) -> int:
 
 def _cmd_verify(args) -> int:
     field = _parse_field(args.field)
-    _validate_cutoff(args.cutoff)
+    analysis.validate_cutoff(args.cutoff)
     if args.n < 1:
         raise ConfigError(f"n must be positive, got {args.n}")
     reports: list[VerificationReport] = []

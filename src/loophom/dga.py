@@ -173,29 +173,46 @@ def _check_horizon(alg: GradedAlgebra, top_degree: int) -> None:
         )
 
 
+_EMPTY = RankProfile(0, 0, 0)
+
+
+def _dims_and_ranks(page: DgaPage, degrees: list, weight: int) -> dict:
+    """degree -> (dim, rank of d out of that degree) at one weight.
+
+    A degree outside the algebra's degree reach has an empty basis, so it
+    gets (0, 0) without a matrix; every other degree builds its matrix
+    once.
+    """
+    low, high = page.algebra.degree_reach()
+    out = {}
+    for d in degrees:
+        if low <= d <= high:
+            mat = differential_matrix(page, d, weight)
+            out[d] = (mat.ncols, mat.rank())
+        else:
+            out[d] = (0, 0)
+    return out
+
+
 def homology_dimensions(
     page: DgaPage, degrees: Iterable[int], weights: Iterable[int]
 ) -> dict:
     """RankProfile for every requested (degree, weight).
 
     One extra degree above the requested top is enumerated silently so the
-    incoming rank is exact there.
+    incoming rank is exact there. Spots of dimension 0 share one profile.
     """
     degs = sorted(set(degrees))
     if not degs:
         return {}
     _check_horizon(page.algebra, degs[-1])
+    needed = sorted(set(degs) | {d + 1 for d in degs})
     out = {}
     for w in sorted(set(weights)):
-        needed = sorted(set(degs) | {d + 1 for d in degs})
-        ranks = {}
-        dims = {}
-        for d in needed:
-            mat = differential_matrix(page, d, w)
-            ranks[d] = mat.rank()
-            dims[d] = mat.ncols
+        ranks = _dims_and_ranks(page, needed, w)
         for d in degs:
-            out[(d, w)] = RankProfile(dims[d], ranks[d], ranks[d + 1])
+            dim, here = ranks[d]
+            out[(d, w)] = RankProfile(dim, here, ranks[d + 1][1]) if dim else _EMPTY
     return out
 
 
@@ -262,7 +279,8 @@ def induced_map_on_homology(
     same name. It must commute with the differentials; checking that on
     generators suffices since both sides are derivations along an algebra
     map. The rank of the induced map at a spot is
-    rank(image-of-cycles + boundaries) - rank(boundaries).
+    rank(image-of-cycles + boundaries) - rank(boundaries); it is 0 without
+    further matrix work where the sub homology is zero.
     """
     sub, big = sub_page.algebra, big_page.algebra
     mapping = _generator_translation(sub, big)
@@ -276,18 +294,24 @@ def induced_map_on_homology(
         return InducedMapReport({})
     _check_horizon(sub, degs[-1])
     _check_horizon(big, degs[-1])
+    needed = sorted(set(degs) | {d + 1 for d in degs})
     report = {}
     for w in sorted(set(weights)):
+        sub_ranks = _dims_and_ranks(sub_page, needed, w)
+        big_ranks = _dims_and_ranks(big_page, needed, w)
         for d in degs:
-            m_sub_here = differential_matrix(sub_page, d, w)
-            m_sub_above = differential_matrix(sub_page, d + 1, w)
-            m_big_here = differential_matrix(big_page, d, w)
-            m_big_above = differential_matrix(big_page, d + 1, w)
-            betti_sub = m_sub_here.ncols - m_sub_here.rank() - m_sub_above.rank()
-            betti_big = m_big_here.ncols - m_big_here.rank() - m_big_above.rank()
+            sub_dim, sub_here = sub_ranks[d]
+            betti_sub = sub_dim - sub_here - sub_ranks[d + 1][1]
+            big_dim, big_here = big_ranks[d]
+            r_bound = big_ranks[d + 1][1]  # rank of the boundaries
+            betti_big = big_dim - big_here - r_bound
+            if not betti_sub:
+                report[(d, w)] = InducedCell(0, 0, betti_big)
+                continue
 
-            big_basis = big.enumerate_basis(d, w)
-            big_index = {m: i for i, m in enumerate(big_basis)}
+            m_sub_here = differential_matrix(sub_page, d, w)
+            m_big_above = differential_matrix(big_page, d + 1, w)
+            big_index = {m: i for i, m in enumerate(big.enumerate_basis(d, w))}
             sub_basis = sub.enumerate_basis(d, w)
             cycle_vectors = []
             for vec in kernel_basis(m_sub_here):
@@ -299,9 +323,8 @@ def induced_map_on_homology(
             boundary_vectors = [
                 m_big_above.column(j) for j in range(m_big_above.ncols)
             ]
-            r_bound = rank_of_columns(big.field, len(big_basis), boundary_vectors)
             r_total = rank_of_columns(
-                big.field, len(big_basis), boundary_vectors + cycle_vectors
+                big.field, big_dim, boundary_vectors + cycle_vectors
             )
             report[(d, w)] = InducedCell(r_total - r_bound, betti_sub, betti_big)
     return InducedMapReport(report)

@@ -72,5 +72,9 @@ class CutoffTooTight(LoophomError, ValueError):
     """
 
 
+class NegativeCutoff(LoophomError, ValueError):
+    """A cutoff, the top ordinary degree of a computation, is below 0."""
+
+
 class NotAChainMap(LoophomError, ValueError):
     """A claimed inclusion of differential algebras fails to commute."""

@@ -292,14 +292,15 @@ class GradedAlgebra:
                     )
 
     def _enumeration_plan(self) -> tuple:
-        """(free, steps), built once per generator set.
+        """(free, steps, reach), built once per generator set.
 
         `free` holds the degree-0 polynomial and laurent generators, whose
         exponents are solved from the weight. `steps` has one entry
         (g, top, low, high) for every other generator g, in gid order: its
         largest exponent (None for polynomial generators, whose degree is
         positive) and the lowest and highest degree that the generators
-        after it can reach together.
+        after it can reach together. `reach` is the same (low, high) for
+        the whole generator set.
         """
         if self._plan is None:
             self._certificate()
@@ -319,8 +320,14 @@ class GradedAlgebra:
                 else:
                     low += min(g.degree * top, 0)
                     high += max(g.degree * top, 0)
-            self._plan = (free, steps[::-1])
+            self._plan = (free, steps[::-1], (low, high))
         return self._plan
+
+    def degree_reach(self) -> tuple:
+        """(low, high): every basis monomial has a degree in low..high, and
+        both finite ends hold one. high is math.inf when there is a
+        polynomial generator of positive degree."""
+        return self._enumeration_plan()[2]
 
     def _graded_monomials(self, degree: int) -> list[Monomial]:
         """Monomials of the given degree, over every weight, in the

@@ -20,7 +20,7 @@ from loophom.analysis import (
     poincare_series,
     unit_check,
 )
-from loophom.errors import LoophomError
+from loophom.errors import LoophomError, NegativeCutoff
 from loophom.scalars import GF2, RATIONALS, Field
 from loophom.spaces import HOL, LOOP
 
@@ -183,6 +183,33 @@ def test_prime_checks_refuse_characteristic_zero(check):
     assert isinstance(info.value, ValueError)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: betti_table(SpaceSpec(LOOP, 2, GF2), [0], cutoff=-5),
+        lambda: poincare_series(SpaceSpec(HOL, 1, RATIONALS), 1, cutoff=-1),
+        lambda: betti_oracle(SpaceSpec(LOOP, 2, GF2), [0], cutoff=-1),
+        lambda: check_collapse(2, 2, [0], cutoff=-1),
+        lambda: check_periodicity(2, 2, 2, [0, 1], cutoff=-1),
+        lambda: check_dichotomy(2, GF2, [0, 1], cutoff=-1),
+        lambda: check_oracle(2, GF2, [0], cutoff=-1),
+        lambda: unit_check(2, 2, 2, cutoff=-1),
+    ],
+    ids=[
+        "betti_table", "poincare_series", "betti_oracle", "collapse",
+        "periodicity", "dichotomy", "oracle", "unit",
+    ],
+)
+def test_negative_cutoff_refused_before_any_work(call, monkeypatch):
+    def no_pages(*args):
+        raise AssertionError("a page was built")
+
+    monkeypatch.setattr(analysis, "_page", no_pages)
+    with pytest.raises(NegativeCutoff) as info:
+        call()
+    assert isinstance(info.value, LoophomError) and isinstance(info.value, ValueError)
+
+
 # -- periodicity -------------------------------------------------------------------
 
 
@@ -193,6 +220,24 @@ def test_periodicity_pass_and_noclaim():
     assert report.verdict == "NoClaim"
     # p | n+1 makes every step periodic
     assert check_periodicity(1, 2, 1, range(-2, 3), cutoff=16).passed
+
+
+@pytest.mark.parametrize(
+    "components,cutoff,verdict",
+    [
+        ([0, 1], 0, "NoClaim"),
+        ([0, 1], 2, "NoClaim"),
+        ([0, 1], 3, "Pass"),
+        # only even components at p = 2: the first differential is later
+        ([0], 5, "NoClaim"),
+        ([0], 6, "Pass"),
+    ],
+)
+def test_periodicity_noclaim_below_first_differential(components, cutoff, verdict):
+    report = check_periodicity(2, 2, 2, components, cutoff=cutoff)
+    assert report.verdict == verdict
+    if verdict == "NoClaim":
+        assert report.witness == {"visible_from": 3 if 1 in components else 6}
 
 
 def test_periodicity_witness_counts_pairs():
@@ -219,6 +264,21 @@ def test_dichotomy_mod3_assignment():
     report = check_dichotomy(1, 3, range(-3, 4), cutoff=16)
     assert report.passed
     assert report.witness == {k: (0 if k % 3 == 0 else 1) for k in range(-3, 4)}
+
+
+@pytest.mark.parametrize(
+    "field,cutoff,verdict",
+    [(GF2, 0, "NoClaim"), (GF2, 2, "NoClaim"), (GF2, 3, "Pass"),
+     (RATIONALS, 2, "NoClaim"), (RATIONALS, 3, "Pass")],
+)
+def test_dichotomy_noclaim_below_first_differential(field, cutoff, verdict):
+    report = check_dichotomy(2, field, [0, 1, 2], cutoff=cutoff)
+    assert report.verdict == verdict
+    if verdict == "NoClaim":
+        assert report.witness == {"visible_from": 3}
+    else:
+        # the window already tells components 0 and 1 apart
+        assert report.witness[1] == 1
 
 
 def test_dichotomy_collapsed_field_all_zero():

@@ -242,6 +242,16 @@ def test_config_errors_exit_two(argv, needle, capsys):
     assert needle in err
 
 
+def test_verify_negative_cutoff_exits_two(capsys):
+    code, out, err = run(
+        ["verify", "--check", "all", "--n", "2", "--field", "f2",
+         "--components", "0..1", "--k", "2", "--cutoff", "-3"],
+        capsys,
+    )
+    assert code == EXIT_CONFIG and out == ""
+    assert "cutoff must be nonnegative, got -3" in err
+
+
 def test_argparse_rejects_unknown_choice():
     with pytest.raises(SystemExit) as exc:
         main(["compute", "--space", "disk", "--n", "1", "--field", "q",

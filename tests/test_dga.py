@@ -3,10 +3,16 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from loophom.dga import (
     Derivation,
     DgaPage,
+    InducedCell,
+    RankProfile,
+    _generator_translation,
+    _translate_monomial,
     differential_matrix,
     homology_dimensions,
     induced_map_on_homology,
@@ -21,8 +27,9 @@ from loophom.errors import (
     WrongBidegree,
 )
 from loophom.graded_algebra import GradedAlgebra
+from loophom.linalg import kernel_basis, rank_dense, rank_of_columns
 from loophom.scalars import GF2, RATIONALS, Field
-from loophom.spaces import HOL, LOOP, e2_page
+from loophom.spaces import HOL, LOOP, e2_page, hol_to_loop_inclusion
 
 F3 = Field(3)
 
@@ -203,6 +210,47 @@ def test_weight_one_rational_homology_table():
     assert betti == {-4: 1, -3: 0, -2: 1, -1: 0, 0: 0, 1: 1, 2: 0, 3: 1, 4: 0}
 
 
+def dense_profiles(page, degrees, weights):
+    """RankProfile of every spot from two matrices and the dense rank."""
+    out = {}
+    for w in weights:
+        for d in degrees:
+            here = differential_matrix(page, d, w)
+            above = differential_matrix(page, d + 1, w)
+            out[(d, w)] = RankProfile(here.ncols, rank_dense(here), rank_dense(above))
+    return out
+
+
+@given(
+    st.sampled_from([LOOP, HOL]),
+    st.sampled_from([RATIONALS, GF2, F3]),
+    st.integers(1, 3),
+    st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_homology_dimensions_equal_dense_reference(variant, field, n, data):
+    cutoff = data.draw(st.integers(0, 480 if field is RATIONALS else 24))
+    lo = data.draw(st.integers(-2 * n - 3, cutoff - 2 * n))
+    hi = data.draw(st.integers(lo, min(lo + 60, cutoff - 2 * n)))
+    weights = data.draw(st.lists(st.integers(-3, 6), min_size=1, max_size=3))
+    page = e2_page(n, field, variant, cutoff + 1)
+    degrees = range(lo, hi + 1)
+    assert homology_dimensions(page, degrees, weights) == dense_profiles(
+        page, degrees, weights
+    )
+
+
+@pytest.mark.parametrize("variant", [LOOP, HOL])
+def test_homology_dimensions_equal_dense_reference_at_cutoff_480(variant):
+    # every rational n = 3 monomial has internal degree -6..5
+    page = e2_page(3, RATIONALS, variant, 481)
+    assert page.algebra.degree_reach() == (-6, 5)
+    degrees, weights = range(-8, 475), [-2, 0, 1, 7]
+    assert homology_dimensions(page, degrees, weights) == dense_profiles(
+        page, degrees, weights
+    )
+
+
 def test_circle_like_homology():
     page = circle_like_page()
     profs = homology_dimensions(page, [-1, 0], [0])
@@ -290,3 +338,52 @@ def test_induced_map_detects_noninjective_spot():
     # e is a cycle in the sub line but bounds t in the big page
     assert cell.betti_sub == 1 and cell.betti_big == 0 and cell.rank == 0
     assert not report.injective
+
+
+def four_matrix_induced(sub_page, big_page, degrees, weights):
+    """The induced map cell by cell from four differential matrices and
+    two rank computations per spot, with no reuse."""
+    sub, big = sub_page.algebra, big_page.algebra
+    mapping = _generator_translation(sub, big)
+    report = {}
+    for w in sorted(set(weights)):
+        for d in sorted(set(degrees)):
+            m_sub_here = differential_matrix(sub_page, d, w)
+            m_sub_above = differential_matrix(sub_page, d + 1, w)
+            m_big_here = differential_matrix(big_page, d, w)
+            m_big_above = differential_matrix(big_page, d + 1, w)
+            betti_sub = m_sub_here.ncols - m_sub_here.rank() - m_sub_above.rank()
+            betti_big = m_big_here.ncols - m_big_here.rank() - m_big_above.rank()
+
+            big_basis = big.enumerate_basis(d, w)
+            big_index = {m: i for i, m in enumerate(big_basis)}
+            sub_basis = sub.enumerate_basis(d, w)
+            cycle_vectors = []
+            for vec in kernel_basis(m_sub_here):
+                tv = {}
+                for j, c in enumerate(vec):
+                    if c:
+                        tv[big_index[_translate_monomial(sub_basis[j], mapping)]] = c
+                cycle_vectors.append(tv)
+            boundary_vectors = [
+                m_big_above.column(j) for j in range(m_big_above.ncols)
+            ]
+            r_bound = rank_of_columns(big.field, len(big_basis), boundary_vectors)
+            r_total = rank_of_columns(
+                big.field, len(big_basis), boundary_vectors + cycle_vectors
+            )
+            report[(d, w)] = InducedCell(r_total - r_bound, betti_sub, betti_big)
+    return report
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("field", [RATIONALS, GF2, F3], ids=["q", "f2", "f3"])
+def test_induced_map_equals_four_matrix_reference(field, n):
+    cutoff = 16
+    incl = hol_to_loop_inclusion(n, field, cutoff)
+    degrees, weights = range(-2 * n - 1, cutoff - 2 * n), range(-1, 5)
+    cells = incl.induced_homology(degrees, weights).cells
+    assert cells == four_matrix_induced(incl.sub_page, incl.big_page, degrees, weights)
+    # both kinds of spot occur: zero sub homology (no matrix work) and not
+    assert any(c.betti_sub == 0 and c.betti_big for c in cells.values())
+    assert any(c.betti_sub for c in cells.values())

@@ -1,6 +1,7 @@
 """Monomial algebra: canonical forms, signs, basis enumeration."""
 
 import itertools
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -204,8 +205,9 @@ def test_power_of_laurent_inverse():
 # -- basis enumeration --------------------------------------------------------
 
 
-def brute_force_basis(alg, degree, weight, bound=12):
-    """Box scan over exponent ranges, wide enough for small (degree, weight)."""
+def exponent_box(alg, bound):
+    """Every exponent vector with each exponent in its kind's range, and
+    polynomial (laurent) exponents within 0..bound (-bound..bound)."""
     ranges = []
     for g in alg.generators:
         if g.kind == "laurent":
@@ -216,8 +218,13 @@ def brute_force_basis(alg, degree, weight, bound=12):
             ranges.append(range(g.truncation + 1))
         else:
             ranges.append(range(bound + 1))
+    return itertools.product(*ranges)
+
+
+def brute_force_basis(alg, degree, weight, bound=12):
+    """Box scan over exponent ranges, wide enough for small (degree, weight)."""
     hits = set()
-    for combo in itertools.product(*ranges):
+    for combo in exponent_box(alg, bound):
         d = sum(e * g.degree for e, g in zip(combo, alg.generators))
         w = sum(e * g.weight for e, g in zip(combo, alg.generators))
         if d == degree and w == weight:
@@ -303,6 +310,42 @@ def test_enumerate_matches_brute_force_random(alg, degree, weight):
     assert vecs == sorted(set(vecs))
     assert all((m.degree, m.weight) == (degree, weight) for m in basis)
     assert {m.exps for m in basis} == brute_force_basis(alg, degree, weight)
+
+
+@given(certified_algebras())
+@settings(max_examples=100, deadline=None)
+def test_degree_reach_bounds_every_monomial(alg):
+    low, high = alg.degree_reach()
+    degrees = {
+        sum(e * g.degree for e, g in zip(combo, alg.generators))
+        for combo in exponent_box(alg, 4)
+    }
+    assert low <= min(degrees) and max(degrees) <= high
+    # the ends are attained: only bounded generators reach them
+    assert low in degrees
+    positive_polynomial = any(
+        g.kind == "polynomial" and g.degree > 0 for g in alg.generators
+    )
+    assert (high == math.inf) == positive_polynomial
+    if high != math.inf:
+        assert high in degrees
+    outside = [low - 2, low - 1] + ([high + 1, high + 2] if high != math.inf else [])
+    for degree in outside:
+        for weight in range(-4, 5):
+            assert alg.enumerate_basis(degree, weight) == []
+
+
+def test_degree_reach_follows_declarations():
+    alg = GradedAlgebra(RATIONALS)
+    assert alg.degree_reach() == (0, 0)
+    alg.declare_generator("c", -2, 0, "truncated", truncation=3)
+    assert alg.degree_reach() == (-6, 0)
+    alg.declare_generator("u", 5, 1, "exterior")
+    assert alg.degree_reach() == (-6, 5)
+    alg.declare_generator("iota", 0, 1, "laurent")
+    assert alg.degree_reach() == (-6, 5)
+    alg.declare_generator("x", 2, 1, "polynomial")
+    assert alg.degree_reach() == (-6, math.inf)
 
 
 def test_enumerate_sees_later_declarations():
