@@ -41,6 +41,12 @@ def _page(n: int, field: Field, variant: str, cutoff: int) -> DgaPage:
     return _PAGE_CACHE[key]
 
 
+def _degree_window(page: DgaPage, n: int, cutoff: int) -> range:
+    """Internal degrees -2n..cutoff-2n, clipped to the page's degree reach."""
+    low, high = page.algebra.degree_reach()
+    return range(max(-2 * n, low), min(cutoff - 2 * n, high) + 1)
+
+
 def _coerce_field(field: Union[Field, str, int]) -> Field:
     return field if isinstance(field, Field) else make_field(field)
 
@@ -117,8 +123,7 @@ def betti_table(
     if space.variant == HOL and any(k < 0 for k in comps):
         raise ValueError("holomorphic components have nonnegative degree")
     page = _page(n, space.field, space.variant, cutoff + 1)
-    degrees = range(-2 * n, cutoff - 2 * n + 1)
-    profiles = homology_dimensions(page, degrees, comps)
+    profiles = homology_dimensions(page, _degree_window(page, n, cutoff), comps)
     shift = 2 * n if grading == "ordinary" else 0
     entries = {}
     for (d, w), prof in profiles.items():
@@ -248,11 +253,10 @@ def check_collapse(
         if not want:
             continue
         page = _page(n, field, variant, cutoff + 1)
-        profiles = homology_dimensions(page, range(-2 * n, cutoff - 2 * n + 1), want)
+        profiles = homology_dimensions(page, _degree_window(page, n, cutoff), want)
+        moving = {w for (d, w), prof in profiles.items() if prof.betti != prof.dim}
         for k in want:
-            observed = all(
-                prof.betti == prof.dim for (d, w), prof in profiles.items() if w == k
-            )
+            observed = k not in moving
             predicted = collapse_predicted(n, p, k, variant)
             cells[(variant, k)] = "collapse" if observed else "non-collapse"
             if not predicted and cutoff < _noncollapse_visible_from(n, p, k):

@@ -177,20 +177,20 @@ _EMPTY = RankProfile(0, 0, 0)
 
 
 def _dims_and_ranks(page: DgaPage, degrees: list, weight: int) -> dict:
-    """degree -> (dim, rank of d out of that degree) at one weight.
+    """degree -> (dim, rank, matrix) of d out of that degree, at one weight.
 
     A degree outside the algebra's degree reach has an empty basis, so it
-    gets (0, 0) without a matrix; every other degree builds its matrix
-    once.
+    gets (0, 0, None) without a matrix; every other degree builds its
+    matrix once, for the caller to reuse within the weight's pass.
     """
     low, high = page.algebra.degree_reach()
     out = {}
     for d in degrees:
         if low <= d <= high:
             mat = differential_matrix(page, d, weight)
-            out[d] = (mat.ncols, mat.rank())
+            out[d] = (mat.ncols, mat.rank(), mat)
         else:
-            out[d] = (0, 0)
+            out[d] = (0, 0, None)
     return out
 
 
@@ -211,7 +211,7 @@ def homology_dimensions(
     for w in sorted(set(weights)):
         ranks = _dims_and_ranks(page, needed, w)
         for d in degs:
-            dim, here = ranks[d]
+            dim, here, _ = ranks[d]
             out[(d, w)] = RankProfile(dim, here, ranks[d + 1][1]) if dim else _EMPTY
     return out
 
@@ -300,17 +300,15 @@ def induced_map_on_homology(
         sub_ranks = _dims_and_ranks(sub_page, needed, w)
         big_ranks = _dims_and_ranks(big_page, needed, w)
         for d in degs:
-            sub_dim, sub_here = sub_ranks[d]
+            sub_dim, sub_here, m_sub_here = sub_ranks[d]
             betti_sub = sub_dim - sub_here - sub_ranks[d + 1][1]
-            big_dim, big_here = big_ranks[d]
-            r_bound = big_ranks[d + 1][1]  # rank of the boundaries
+            big_dim, big_here, _ = big_ranks[d]
+            _, r_bound, m_big_above = big_ranks[d + 1]  # the boundaries
             betti_big = big_dim - big_here - r_bound
             if not betti_sub:
                 report[(d, w)] = InducedCell(0, 0, betti_big)
                 continue
 
-            m_sub_here = differential_matrix(sub_page, d, w)
-            m_big_above = differential_matrix(big_page, d + 1, w)
             big_index = {m: i for i, m in enumerate(big.enumerate_basis(d, w))}
             sub_basis = sub.enumerate_basis(d, w)
             cycle_vectors = []
@@ -320,11 +318,9 @@ def induced_map_on_homology(
                     if c:
                         tv[big_index[_translate_monomial(sub_basis[j], mapping)]] = c
                 cycle_vectors.append(tv)
-            boundary_vectors = [
-                m_big_above.column(j) for j in range(m_big_above.ncols)
-            ]
-            r_total = rank_of_columns(
-                big.field, big_dim, boundary_vectors + cycle_vectors
-            )
+            boundary_vectors = []  # none where d + 1 is past the big page's reach
+            if m_big_above is not None:
+                boundary_vectors = [m_big_above.column(j) for j in range(m_big_above.ncols)]
+            r_total = rank_of_columns(big.field, big_dim, boundary_vectors + cycle_vectors)
             report[(d, w)] = InducedCell(r_total - r_bound, betti_sub, betti_big)
     return InducedMapReport(report)

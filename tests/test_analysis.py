@@ -25,6 +25,7 @@ from loophom.scalars import GF2, RATIONALS, Field
 from loophom.spaces import HOL, LOOP
 
 F3 = Field(3)
+F7 = Field(7)
 
 
 # -- tables ------------------------------------------------------------------
@@ -61,6 +62,41 @@ def test_betti_table_rejects_negative_hol_component():
         betti_table(SpaceSpec(HOL, 1, RATIONALS), [-1], cutoff=10)
     with pytest.raises(ValueError):
         betti_table(SpaceSpec(LOOP, 1, RATIONALS), [0], cutoff=10, grading="weird")
+
+
+def test_driver_degrees_do_not_grow_with_the_cutoff(monkeypatch):
+    requested_degrees = []
+    real = analysis.homology_dimensions
+
+    def recording(page, degrees, weights):
+        requested_degrees.append(list(degrees))
+        return real(page, degrees, weights)
+
+    monkeypatch.setattr(analysis, "homology_dimensions", recording)
+    # over Q with n = 3 every monomial has internal degree -6..5
+    spec = SpaceSpec(LOOP, 3, RATIONALS)
+    shallow = betti_table(spec, [0], 48)
+    deep = betti_table(spec, [0], 480)
+    assert requested_degrees == [list(range(-6, 6))] * 2
+    assert shallow.entries == deep.entries
+    # F7 pages get no operation generator below degree 40: the same reach
+    requested_degrees.clear()
+    check_collapse(3, 7, [0, 1], 12)
+    check_collapse(3, 7, [0, 1], 38)
+    assert requested_degrees == [list(range(-6, 6))] * 4
+
+
+@pytest.mark.parametrize("variant", [LOOP, HOL])
+def test_finite_reach_prime_page_equals_oracle(variant):
+    # n = 3 over F7 at cutoff 21: the page has a horizon but no bQ1u, so
+    # the window is clipped by the reach, not by the horizon
+    algebra = _page(3, F7, variant, 22).algebra
+    assert algebra.degree_reach() == (-6, 5)
+    assert algebra.complete_through_degree == 16
+    spec = SpaceSpec(variant, 3, F7)
+    comps = range(-3, 4) if variant == LOOP else range(0, 4)
+    table = betti_table(spec, comps, 21)
+    assert table.entries and table.entries == betti_oracle(spec, comps, 21).entries
 
 
 def test_space_spec_validates_itself():
@@ -372,12 +408,18 @@ def test_mod2_oracle_check_against_engine():
 
 
 @pytest.mark.parametrize(
-    "n,field,comps",
-    [(2, GF2, range(-4, 5)), (1, F3, range(-3, 4))],
-    ids=["n2-f2", "n1-f3"],
+    "n,field,comps,cutoff",
+    [
+        (2, GF2, range(-4, 5), 100),
+        (1, F3, range(-3, 4), 100),
+        (3, RATIONALS, range(-120, 121), 480),
+        (5, F3, range(-2, 3), 120),
+        (3, F7, range(-3, 4), 150),
+    ],
+    ids=["n2-f2", "n1-f3", "n3-q-480", "n5-f3-120", "n3-f7-150"],
 )
-def test_oracle_check_at_depth(n, field, comps):
-    assert check_oracle(n, field, comps, 100).passed
+def test_oracle_check_at_depth(n, field, comps, cutoff):
+    assert check_oracle(n, field, comps, cutoff).passed
 
 
 def test_mod2_oracle_check_larger_n():

@@ -1,11 +1,13 @@
 """Derivations, differential matrices, homology, induced maps."""
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from loophom import dga
 from loophom.dga import (
     Derivation,
     DgaPage,
@@ -387,3 +389,22 @@ def test_induced_map_equals_four_matrix_reference(field, n):
     # both kinds of spot occur: zero sub homology (no matrix work) and not
     assert any(c.betti_sub == 0 and c.betti_big for c in cells.values())
     assert any(c.betti_sub for c in cells.values())
+
+
+def test_induced_map_builds_each_matrix_once(monkeypatch):
+    builds = Counter()
+    real = dga.differential_matrix
+
+    def counting(page, degree, weight):
+        builds[(id(page), degree, weight)] += 1
+        return real(page, degree, weight)
+
+    incl = hol_to_loop_inclusion(1, RATIONALS, cutoff=8)
+    monkeypatch.setattr(dga, "differential_matrix", counting)
+    cells = incl.induced_homology(range(-2, 7), range(0, 3)).cells
+    assert builds and max(builds.values()) == 1
+    # n = 1 over Q: the loop page reaches degree 1 at most, so the spot
+    # (1, 1) has sub homology and no boundaries coming from degree 2
+    assert incl.big_page.algebra.degree_reach() == (-2, 1)
+    assert cells[(1, 1)] == InducedCell(1, 1, 1)
+    assert (id(incl.big_page), 2, 1) not in builds
