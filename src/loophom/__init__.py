@@ -55,7 +55,7 @@ from .graded_algebra import (
     Monomial,
     generator_horizon,
 )
-from .linalg import Matrix, kernel_basis, rank_dense, rank_sparse
+from .linalg import Matrix, kernel_basis, rank_sparse
 from .scalars import GF2, RATIONALS, Field, Scalar, make_field
 from .spaces import (
     HOL,

@@ -24,10 +24,10 @@ from dataclasses import dataclass
 from typing import Iterable, Union
 
 from .dga import DgaPage, _check_horizon, differential_matrix, homology_dimensions
-from .errors import CompositeCharacteristic, NegativeCutoff
+from .errors import CompositeCharacteristic
 from .linalg import rank_of_columns
 from .scalars import Field, make_field
-from .spaces import HOL, LOOP, _check_args, e2_page
+from .spaces import HOL, LOOP, _check_args, e2_page, validate_cutoff
 
 DEFAULT_CUTOFF = 30
 
@@ -49,12 +49,6 @@ def _degree_window(page: DgaPage, n: int, cutoff: int) -> range:
 
 def _coerce_field(field: Union[Field, str, int]) -> Field:
     return field if isinstance(field, Field) else make_field(field)
-
-
-def validate_cutoff(cutoff: int) -> None:
-    """Refuse a negative cutoff before any work."""
-    if cutoff < 0:
-        raise NegativeCutoff(f"cutoff must be nonnegative, got {cutoff}")
 
 
 def _prime_field(p: int) -> Field:

@@ -2,9 +2,9 @@
 
 Subcommands:
 
-* ``compute``  Betti tables for chosen components, as text, CSV, or JSON.
+* ``compute``  Betti tables for chosen components, as text, CSV, or JSON,
+  on stdout or, with ``--output``, in a file.
 * ``verify``   run one of the structural checks and report Pass/Fail.
-* ``export``   like compute but always writes a file.
 
 Field specs are ``q`` for the rationals or ``f<p>`` for a prime p.
 Component ranges are written ``a..b`` (inclusive). Exit codes: 0 success
@@ -161,12 +161,6 @@ def _build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--check", choices=CHECKS, required=True)
     common(pv, need_space=False)
     pv.add_argument("--k", type=int, help="power of iota for periodicity/unit")
-
-    pe = sub.add_parser("export", help="compute and write CSV or JSON")
-    common(pe, need_space=True)
-    pe.add_argument("--grading", choices=("ordinary", "regraded"), default="ordinary")
-    pe.add_argument("--format", choices=("csv", "json"), default="json")
-    pe.add_argument("--output", required=True)
     return parser
 
 
@@ -265,7 +259,7 @@ def main(argv: Optional[list] = None) -> int:
         argv = sys.argv[1:]
     args = parser.parse_args(_glue_negative_values(list(argv)))
     try:
-        if args.command in ("compute", "export"):
+        if args.command == "compute":
             return _cmd_compute(args)
         return _cmd_verify(args)
     except (InfiniteBasis, CutoffTooTight) as exc:

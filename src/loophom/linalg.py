@@ -1,19 +1,19 @@
-"""Exact sparse and dense linear algebra over Q and F_p.
+"""Exact sparse linear algebra over Q and F_p.
 
-Two rank routes are kept deliberately separate:
-
-* `rank_sparse` is the default: sparse elimination choosing pivots in the
-  column of smallest support. Over Q it is fraction-free: rows are scaled
-  to primitive integer vectors and updated by cross-multiplication with a
-  gcd reduction, so no Fraction arithmetic happens in the loop.
-* `rank_dense` is a naive textbook row reduction used as an independent
-  oracle in tests. Do not fold the two together.
+One elimination, `_eliminate`, serves both the rank and the kernel. It
+chooses pivots in the column of smallest support. Over Q it is
+fraction-free: rows are scaled to primitive integer vectors and updated by
+cross-multiplication with a gcd reduction, so no Fraction arithmetic
+happens in the loop. `kernel_basis` back-substitutes over its pivot rows.
+The tests compare both against a dense textbook reduction kept in
+`tests/dense_reference.py`.
 
 Matrices are stored sparsely as {(row, col): Scalar} with explicit shape.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from math import gcd, lcm
 from typing import Optional
 
@@ -24,6 +24,8 @@ class Matrix:
     __slots__ = ("field", "nrows", "ncols", "entries")
 
     def __init__(self, field: Field, nrows: int, ncols: int, entries: Optional[dict] = None):
+        if not (isinstance(nrows, int) and isinstance(ncols, int)) or nrows < 0 or ncols < 0:
+            raise ValueError(f"shape must be two nonnegative ints, got {nrows!r}x{ncols!r}")
         self.field = field
         self.nrows = nrows
         self.ncols = ncols
@@ -74,15 +76,17 @@ def _integer_rows(matrix: Matrix) -> dict:
     return rows
 
 
-def rank_sparse(matrix: Matrix) -> int:
-    """Rank by sparse elimination, pivoting in the column of least support.
+def _eliminate(matrix: Matrix) -> list:
+    """Sparse elimination, pivoting in the column of least support.
 
     Ties break to the smallest column index, then the row of least support
-    with the smallest index, so the run is deterministic.
+    with the smallest index, so the run is deterministic. Returns the pivot
+    rows as (column, {col: int}) in the order they were chosen; each has
+    no entry in any earlier pivot's column.
     """
     p = matrix.field.characteristic
     rows = _integer_rows(matrix)
-    rank = 0
+    pivots = []
     while rows:
         support: dict[int, list[int]] = {}
         for i, r in rows.items():
@@ -92,7 +96,7 @@ def rank_sparse(matrix: Matrix) -> int:
         pivot_row = min(support[col], key=lambda i: (len(rows[i]), i))
         piv = rows.pop(pivot_row)
         pv = piv[col]
-        rank += 1
+        pivots.append((col, piv))
         touched = support[col]
         for i in touched:
             if i == pivot_row:
@@ -121,59 +125,38 @@ def rank_sparse(matrix: Matrix) -> int:
                 rows[i] = new
             else:
                 del rows[i]
-    return rank
+    return pivots
 
 
-def _rref(matrix: Matrix) -> tuple:
-    """Naive dense reduced row echelon form: the rows as lists of Scalars
-    and the (row, column) of every pivot, in column order."""
-    field = matrix.field
-    m, n = matrix.nrows, matrix.ncols
-    rows = [[field.zero] * n for _ in range(m)]
-    for (i, j), v in matrix.entries.items():
-        rows[i][j] = v
-    pivots: list[tuple[int, int]] = []
-    r = 0
-    for col in range(n):
-        pivot = next((i for i in range(r, m) if rows[i][col]), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = rows[r][col].inverse()
-        rows[r] = [v * inv for v in rows[r]]
-        for i in range(m):
-            if i != r and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append((r, col))
-        r += 1
-        if r == m:
-            break
-    return rows, pivots
-
-
-def rank_dense(matrix: Matrix) -> int:
-    """Naive dense Gaussian elimination; the independent rank oracle."""
-    return len(_rref(matrix)[1])
+def rank_sparse(matrix: Matrix) -> int:
+    """Rank: the number of pivots `_eliminate` chooses."""
+    return len(_eliminate(matrix))
 
 
 def kernel_basis(matrix: Matrix) -> list:
     """A basis of the right kernel, as lists of Scalars of length ncols.
 
-    Computed from the reduced row echelon form; one vector per free
-    column, in column order, so the result is deterministic.
+    One vector per free column (a column in which `_eliminate` chose no
+    pivot), in column order: it is 1 there, 0 at the other free columns,
+    and its pivot entries come by back-substitution, last pivot first.
     """
     field = matrix.field
-    rows, pivots = _rref(matrix)
-    pivot_cols = {c for _, c in pivots}
+    p = field.characteristic
+    pivots = _eliminate(matrix)
+    pivot_cols = {c for c, _ in pivots}
     basis = []
     for free in range(matrix.ncols):
         if free in pivot_cols:
             continue
+        x = {free: 1}
+        for col, row in reversed(pivots):
+            # the row's other entries sit in free or later pivot columns
+            s = sum(v * x[c] for c, v in row.items() if c in x)
+            if s:
+                x[col] = -s * pow(row[col], -1, p) % p if p else Fraction(-s, row[col])
         vec = [field.zero] * matrix.ncols
-        vec[free] = field.one
-        for pr, pc in pivots:
-            vec[pc] = -rows[pr][free]
+        for c, v in x.items():
+            vec[c] = field.scalar(v)
         basis.append(vec)
     return basis
 

@@ -34,6 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .dga import Derivation, DgaPage, InducedMapReport, induced_map_on_homology
+from .errors import NegativeCutoff
 from .graded_algebra import GradedAlgebra, generator_horizon
 from .scalars import Field
 
@@ -51,6 +52,12 @@ def _check_args(n: int, field: Field, variant: str) -> None:
         raise TypeError(f"expected a Field, got {field!r}")
 
 
+def validate_cutoff(cutoff: int) -> None:
+    """Refuse a negative cutoff before any work."""
+    if cutoff < 0:
+        raise NegativeCutoff(f"cutoff must be nonnegative, got {cutoff}")
+
+
 def operation_degree(n: int, p: int, i: int) -> int:
     """Degree of the i-th iterated operation on u: index 0 is u itself.
 
@@ -66,9 +73,11 @@ def generator_schedule(n: int, field: Field, variant: str, cutoff: int) -> list:
     family ascending, Bocksteins interleaved at odd primes.
 
     Generators of degree above the cutoff are omitted; over the rationals
-    the ring is just iota and u and the cutoff is irrelevant.
+    the ring is just iota and u and the cutoff is irrelevant. A negative
+    cutoff raises NegativeCutoff, so no page builder accepts one.
     """
     _check_args(n, field, variant)
+    validate_cutoff(cutoff)
     iota_kind = "laurent" if variant == LOOP else "polynomial"
     rows = [("iota", 0, 1, iota_kind, None)]
     p = field.characteristic

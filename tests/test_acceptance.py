@@ -9,6 +9,7 @@ import itertools
 import random
 import time
 
+from dense_reference import rank_dense
 from loophom.analysis import (
     SpaceSpec,
     betti_table,
@@ -19,7 +20,7 @@ from loophom.analysis import (
     unit_check,
 )
 from loophom.dga import differential_matrix
-from loophom.linalg import rank_dense, rank_sparse
+from loophom.linalg import rank_sparse
 from loophom.scalars import GF2, RATIONALS, Field
 from loophom.spaces import (
     HOL,

@@ -76,12 +76,12 @@ def test_compute_regraded_shift(capsys):
     assert {str(int(d) - 4): v for d, v in o.items()} == r
 
 
-# -- export -------------------------------------------------------------------
+# -- compute --output ---------------------------------------------------------
 
 
 def test_export_byte_stable(tmp_path, capsys):
     argv = lambda name: [
-        "export", "--space", "hol", "--n", "1", "--field", "q",
+        "compute", "--space", "hol", "--n", "1", "--field", "q",
         "--component", "3", "--cutoff", "10", "--format", "json",
         "--output", str(tmp_path / name),
     ]
@@ -95,7 +95,7 @@ def test_export_byte_stable(tmp_path, capsys):
 def test_export_csv_file(tmp_path, capsys):
     out = tmp_path / "t.csv"
     code, _, _ = run(
-        ["export", "--space", "loop", "--n", "1", "--field", "f3",
+        ["compute", "--space", "loop", "--n", "1", "--field", "f3",
          "--components", "0..1", "--cutoff", "8", "--format", "csv",
          "--output", str(out)],
         capsys,
@@ -108,8 +108,8 @@ def test_export_csv_file(tmp_path, capsys):
 
 def test_export_unwritable_path(tmp_path, capsys):
     code, _, err = run(
-        ["export", "--space", "hol", "--n", "1", "--field", "q",
-         "--component", "0", "--cutoff", "6",
+        ["compute", "--space", "hol", "--n", "1", "--field", "q",
+         "--component", "0", "--cutoff", "6", "--format", "json",
          "--output", str(tmp_path / "missing" / "out.json")],
         capsys,
     )

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dense_reference import rank_dense
 from loophom import dga
 from loophom.dga import (
     Derivation,
@@ -29,7 +30,7 @@ from loophom.errors import (
     WrongBidegree,
 )
 from loophom.graded_algebra import GradedAlgebra
-from loophom.linalg import kernel_basis, rank_dense, rank_of_columns
+from loophom.linalg import kernel_basis, rank_of_columns
 from loophom.scalars import GF2, RATIONALS, Field
 from loophom.spaces import HOL, LOOP, e2_page, hol_to_loop_inclusion
 

@@ -4,8 +4,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from loophom.linalg import Matrix, _integer_rows, kernel_basis, rank_dense, rank_of_columns, rank_sparse
+from dense_reference import rank_dense
+from loophom.linalg import Matrix, _integer_rows, kernel_basis, rank_of_columns, rank_sparse
 from loophom.scalars import GF2, RATIONALS, Field
 
 F5 = Field(5)
@@ -73,17 +76,25 @@ def test_rank_bounds_and_rank_factorization():
         assert r + len(kernel_basis(m)) == m.ncols
 
 
-def test_kernel_vectors_are_killed_and_independent():
-    rng = random.Random(99)
-    for trial in range(40):
-        field = rng.choice(FIELDS)
-        m = random_matrix(rng, field, rng.randint(1, 7), rng.randint(1, 7))
-        basis = kernel_basis(m)
-        for vec in basis:
-            assert all(not x for x in matvec(m, vec))
-        if basis:
-            cols = [{i: v for i, v in enumerate(vec) if v} for vec in basis]
-            assert rank_of_columns(field, m.ncols, cols) == len(basis)
+@settings(max_examples=200, deadline=None)
+@given(
+    field=st.sampled_from(FIELDS),
+    nrows=st.integers(0, 10),
+    ncols=st.integers(0, 10),
+    density=st.floats(0.0, 0.9),
+    rng=st.randoms(use_true_random=False),
+)
+def test_kernel_vectors_are_killed_and_independent(field, nrows, ncols, density, rng):
+    # dense draws make back-substitution run through several pivot rows
+    # whose entries filled in during the elimination
+    m = random_matrix(rng, field, nrows, ncols, density)
+    basis = kernel_basis(m)
+    assert len(basis) == m.ncols - rank_dense(m)
+    for vec in basis:
+        assert len(vec) == m.ncols
+        assert all(not x for x in matvec(m, vec))
+    cols = [{i: v for i, v in enumerate(vec) if v} for vec in basis]
+    assert rank_dense(Matrix.from_columns(field, m.ncols, cols)) == len(basis)
 
 
 def test_kernel_deterministic():
@@ -123,6 +134,13 @@ def test_duplicate_and_scaled_columns_do_not_inflate_rank():
     col = {0: RATIONALS(2), 2: RATIONALS(-3)}
     scaled = {0: RATIONALS(Fraction(2, 7)), 2: RATIONALS(Fraction(-3, 7))}
     assert rank_of_columns(RATIONALS, 3, [col, col, scaled]) == 1
+
+
+def test_matrix_refuses_negative_shape():
+    for shape in ((-1, 3), (3, -1), (-2, -2), (2.5, 3), (3, "3")):
+        with pytest.raises(ValueError, match="nonnegative ints"):
+            Matrix(GF2, *shape)
+    assert Matrix(GF2, 0, 0).rank() == 0
 
 
 def test_fraction_heavy_matrix_exact():

@@ -2,8 +2,9 @@
 
 import pytest
 
+from loophom import analysis, spaces
 from loophom.dga import homology_dimensions
-from loophom.errors import CutoffTooTight
+from loophom.errors import CutoffTooTight, NegativeCutoff
 from loophom.scalars import GF2, RATIONALS, Field
 from loophom.spaces import (
     HOL,
@@ -22,6 +23,26 @@ F5 = Field(5)
 
 
 # -- degree schedule ------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda c: generator_schedule(2, GF2, LOOP, c),
+        lambda c: pontrjagin_algebra(2, GF2, LOOP, c),
+        lambda c: e2_page(2, F3, HOL, c),
+        lambda c: hol_to_loop_inclusion(2, GF2, cutoff=c),
+    ],
+    ids=["schedule", "pontrjagin", "e2_page", "inclusion"],
+)
+def test_builders_refuse_negative_cutoff(build):
+    with pytest.raises(NegativeCutoff):
+        build(-1)
+    assert build(0) is not None
+
+
+def test_validate_cutoff_is_shared_with_analysis():
+    assert analysis.validate_cutoff is spaces.validate_cutoff
 
 
 def test_operation_degree_closed_form_matches_recursion():
