@@ -168,10 +168,6 @@ def _cmd_compute(args) -> int:
     field = _parse_field(args.field)
     components = _parse_components(args.component, args.components)
     analysis.validate_cutoff(args.cutoff)
-    if args.n < 1:
-        raise ConfigError(f"n must be positive, got {args.n}")
-    if args.space == HOL and any(k < 0 for k in components):
-        raise ConfigError("holomorphic components must be nonnegative")
     space = SpaceSpec(args.space, args.n, field)
     columns = _columns(space, components, args.cutoff, args.grading)
     if args.format == "text":
@@ -193,8 +189,6 @@ def _prime_of(field: Field, what: str) -> int:
 def _cmd_verify(args) -> int:
     field = _parse_field(args.field)
     analysis.validate_cutoff(args.cutoff)
-    if args.n < 1:
-        raise ConfigError(f"n must be positive, got {args.n}")
     reports: list[VerificationReport] = []
     selected = [args.check] if args.check != "all" else list(CHECKS[:-1])
     running_all = args.check == "all"

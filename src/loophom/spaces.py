@@ -131,11 +131,9 @@ def e2_page(n: int, field: Field, variant: str, cutoff: int = 30) -> DgaPage:
     degree cutoff - 2n, and the algebra records that horizon (None over
     the rationals, where the generator list is not truncated).
     """
-    rows = generator_schedule(n, field, variant, cutoff)
-    horizon = None if field.characteristic == 0 else cutoff - 2 * n
-    alg = GradedAlgebra(field, complete_through_degree=horizon)
-    for name, degree, weight, kind, truncation in rows:
-        alg.declare_generator(name, degree, weight, kind, truncation)
+    alg = pontrjagin_algebra(n, field, variant, cutoff)
+    if field.characteristic:
+        alg.complete_through_degree = cutoff - 2 * n
     alg.declare_generator("c", -2, 0, "truncated", truncation=n)
     image = alg.monomial_element(alg.monomial({"u": 1, "c": n}), n + 1)
     differential = Derivation.from_generator_images(alg, {"iota": image})

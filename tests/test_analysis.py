@@ -21,6 +21,7 @@ from loophom.analysis import (
     unit_check,
 )
 from loophom.errors import LoophomError, NegativeCutoff
+from loophom.linalg import Matrix
 from loophom.scalars import GF2, RATIONALS, Field
 from loophom.spaces import HOL, LOOP
 
@@ -246,6 +247,27 @@ def test_negative_cutoff_refused_before_any_work(call, monkeypatch):
     assert isinstance(info.value, LoophomError) and isinstance(info.value, ValueError)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: check_collapse(0, 3, []),
+        lambda: check_periodicity(0, 3, 1, [0]),
+        lambda: check_dichotomy(0, GF2, [0, 1]),
+        lambda: check_oracle(0, GF2, []),
+        lambda: unit_check(0, 3, 1),
+    ],
+    ids=["collapse", "periodicity", "dichotomy", "oracle", "unit"],
+)
+def test_checks_refuse_nonpositive_n_before_any_work(call, monkeypatch):
+    # each call could finish without a page, so only an up-front check refuses it
+    def no_pages(*args):
+        raise AssertionError("a page was built")
+
+    monkeypatch.setattr(analysis, "_page", no_pages)
+    with pytest.raises(ValueError, match="positive"):
+        call()
+
+
 # -- periodicity -------------------------------------------------------------------
 
 
@@ -339,6 +361,22 @@ def test_unit_check_noclaim_and_validation():
         unit_check(2, 2, 0, cutoff=12)
     with pytest.raises(ValueError):
         unit_check(2, 2, -2, cutoff=12)
+
+
+def test_unit_check_fails_on_boundaries(monkeypatch):
+    # d out of degree 1 replaced by the identity onto the degree-0 basis,
+    # so every degree-0 monomial, the unit among them, is a boundary
+    def onto_degree_zero(page, degree, weight):
+        assert degree == 1
+        size = len(page.algebra.enumerate_basis(0, weight))
+        return Matrix(page.algebra.field, size, size, {(i, i): 1 for i in range(size)})
+
+    monkeypatch.setattr(analysis, "differential_matrix", onto_degree_zero)
+    report = unit_check(2, 3, 1, cutoff=16)
+    assert report.failed
+    assert report.witness == [
+        "iota^k is a boundary", "iota^-k is a boundary", "1 is a boundary",
+    ]
 
 
 # -- counting oracle ------------------------------------------------------------------

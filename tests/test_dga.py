@@ -342,6 +342,26 @@ def test_induced_map_detects_noninjective_spot():
     assert cell.betti_sub == 1 and cell.betti_big == 0 and cell.rank == 0
     assert not report.injective
 
+    # Lambda(a, a2), d = 0, inside Lambda(a, a2, b) with d(b) = a: a bounds
+    # upstairs, a2 does not, so spots with matrix work lose part of the rank
+    degrees, weights = range(0, 13), range(0, 7)
+    for field in (RATIONALS, GF2, F3):
+        b_kind = "polynomial" if field.characteristic == 2 else "exterior"
+        sub_alg, big_alg = GradedAlgebra(field), GradedAlgebra(field)
+        for alg in (sub_alg, big_alg):
+            alg.declare_generator("a", 2, 1, "polynomial")
+            alg.declare_generator("a2", 2, 1, "polynomial")
+        big_alg.declare_generator("b", 3, 1, b_kind)
+        sub = DgaPage(sub_alg, Derivation(sub_alg, {}))
+        d_big = Derivation.from_generator_images(big_alg, {"b": big_alg.gen("a")})
+        big = DgaPage(big_alg, d_big)
+        cells = induced_map_on_homology(sub, big, degrees, weights).cells
+        assert cells == four_matrix_induced(sub, big, degrees, weights)
+        assert cells[(2, 1)].rank == 1 and cells[(2, 1)].betti_sub == 2
+        # a nonzero rank below betti_sub at (2w, w) for every w = 1..6
+        partial = [key for key, c in cells.items() if 0 < c.rank < c.betti_sub]
+        assert sorted(partial) == [(2 * w, w) for w in range(1, 7)]
+
 
 def four_matrix_induced(sub_page, big_page, degrees, weights):
     """The induced map cell by cell from four differential matrices and
