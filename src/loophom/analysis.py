@@ -15,7 +15,8 @@ extra degree of generators so the top requested degree is still exact.
 Each check_* function returns a VerificationReport whose verdict is
 "Pass", "Fail", or "NoClaim"; NoClaim means the hypothesis of the
 statement under test is not met by the arguments, so nothing is claimed
-either way.
+either way. Arguments that compare nothing (no components, or a
+periodicity step of 0) give NoClaim with witness {"compared": 0}.
 """
 
 from __future__ import annotations
@@ -48,15 +49,19 @@ def _degree_window(page: DgaPage, n: int, cutoff: int) -> range:
     return range(max(-2 * n, low), min(cutoff - 2 * n, high) + 1)
 
 
-def _coerce_field(field: Union[Field, str, int]) -> Field:
-    return field if isinstance(field, Field) else make_field(field)
-
-
 def _prime_field(p: int) -> Field:
     """F_p for the checks whose statements only hold at a prime."""
     if p == 0:
-        raise CompositeCharacteristic("this check needs a prime p, got 0")
+        raise CompositeCharacteristic("this check needs a prime field, got Q")
     return make_field(p)
+
+
+def _check_inputs(n: int, field: Union[Field, str, int], cutoff: int) -> Field:
+    """The refusals every check makes before any work; returns the field."""
+    validate_cutoff(cutoff)
+    field = field if isinstance(field, Field) else make_field(field)
+    _check_args(n, field, LOOP)
+    return field
 
 
 @dataclass(frozen=True)
@@ -220,8 +225,8 @@ def _noncollapse_visible_from(n: int, p: int, k: int) -> int:
 
 def _first_visible_differential(n: int, p: int, components: list) -> int:
     """Smallest cutoff at which any of the components can show a
-    differential (0 for no components); p = 0 for the rationals."""
-    return min((_noncollapse_visible_from(n, p, k) for k in components), default=0)
+    differential; p = 0 for the rationals."""
+    return min(_noncollapse_visible_from(n, p, k) for k in components)
 
 
 def check_collapse(
@@ -236,11 +241,11 @@ def check_collapse(
     verdict NoClaim (unless another component Fails), with those
     components as the witness.
     """
-    validate_cutoff(cutoff)
-    field = _prime_field(p)
-    _check_args(n, field, LOOP)
+    field = _check_inputs(n, _prime_field(p), cutoff)
     comps = sorted(set(components))
     params = {"n": n, "p": p, "components": comps, "cutoff": cutoff}
+    if not comps:
+        return VerificationReport("collapse", params, "NoClaim", {"compared": 0})
     cells = {}
     mismatches = []
     hidden = []
@@ -278,11 +283,11 @@ def check_periodicity(
     every compared component's first differential (witness: the first
     cutoff at which one can show), since then no two components differ.
     """
-    validate_cutoff(cutoff)
-    field = _prime_field(p)
-    _check_args(n, field, LOOP)
+    field = _check_inputs(n, _prime_field(p), cutoff)
     comps = sorted(set(component_range))
     params = {"n": n, "p": p, "k": k, "components": comps, "cutoff": cutoff}
+    if not comps or k == 0:
+        return VerificationReport("periodicity", params, "NoClaim", {"compared": 0})
     if (k * (n + 1)) % p != 0:
         return VerificationReport("periodicity", params, "NoClaim")
     needed = sorted(set(comps) | {i + k for i in comps})
@@ -315,11 +320,11 @@ def check_dichotomy(
     NoClaim, as in `check_periodicity`, when the cutoff is below every
     compared component's first differential.
     """
-    validate_cutoff(cutoff)
-    field = _coerce_field(field)
-    _check_args(n, field, LOOP)
+    field = _check_inputs(n, field, cutoff)
     comps = sorted(set(component_range))
     params = {"n": n, "field": field, "components": comps, "cutoff": cutoff}
+    if not comps:
+        return VerificationReport("dichotomy", params, "NoClaim", {"compared": 0})
     needed = sorted(set(comps) | {0, 1})
     visible = _first_visible_differential(n, field.characteristic, needed)
     if cutoff < visible:
@@ -349,9 +354,7 @@ def unit_check(n: int, p: int, k: int, cutoff: int = DEFAULT_CUTOFF) -> Verifica
     their product is exactly the unit monomial, and the unit is not a
     boundary either.
     """
-    validate_cutoff(cutoff)
-    field = _prime_field(p)
-    _check_args(n, field, LOOP)
+    field = _check_inputs(n, _prime_field(p), cutoff)
     params = {"n": n, "p": p, "k": k, "cutoff": cutoff}
     if k < 1:
         raise ValueError("k must be a positive integer")
@@ -458,11 +461,11 @@ def check_oracle(
     """Engine Betti numbers agree with the count of `betti_oracle` at every
     ordinary degree through the cutoff, for the loop components and the
     nonnegative holomorphic ones."""
-    validate_cutoff(cutoff)
-    field = _coerce_field(field)
-    _check_args(n, field, LOOP)
+    field = _check_inputs(n, field, cutoff)
     comps = sorted(set(components))
     params = {"n": n, "field": field, "components": comps, "cutoff": cutoff}
+    if not comps:
+        return VerificationReport("oracle", params, "NoClaim", {"compared": 0})
     mismatches = []
     checked = 0
     for variant in (LOOP, HOL):

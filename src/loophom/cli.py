@@ -11,6 +11,11 @@ Component ranges are written ``a..b`` (inclusive). Exit codes: 0 success
 (and no Fail verdict), 1 a check Failed, 2 bad configuration, 3 a cutoff
 or finiteness error, 4 an I/O error. Output is deterministic.
 
+Bad input is refused by the library (a non-prime field, n < 1, a
+negative cutoff, a prime-only check over q); this module only parses
+its own grammar and checks that ``--k`` is given where a check needs it
+(and, for ``unit``, positive).
+
 ``verify --check oracle`` compares the engine with the independent
 monomial count of `analysis.betti_oracle`, for any field and any n.
 """
@@ -76,22 +81,9 @@ def _parse_components(single: Optional[int], ranged: Optional[str]) -> list:
         raise ConfigError(f"bad component selection {ranged!r}") from None
 
 
-def _field_name(field: Field) -> str:
-    return "Q" if field.characteristic == 0 else f"F{field.characteristic}"
-
-
-def _columns(space: SpaceSpec, components, cutoff: int, grading: str) -> dict:
-    """Betti columns per component, one component at a time, so only one
-    component's rank profiles are held at once."""
-    return {
-        k: analysis.betti_table(space, [k], cutoff, grading).column(k)
-        for k in components
-    }
-
-
 def _render_text(space, cutoff, grading, columns) -> str:
     lines = [
-        f"space={space.variant} n={space.n} field={_field_name(space.field)} "
+        f"space={space.variant} n={space.n} field={space.field} "
         f"grading={grading} cutoff={cutoff}"
     ]
     for k in sorted(columns):
@@ -108,7 +100,7 @@ def _render_json(space, cutoff, grading, columns) -> str:
     payload = {
         "space": space.variant,
         "n": space.n,
-        "field": _field_name(space.field),
+        "field": str(space.field),
         "grading": grading,
         "cutoff": cutoff,
         "components": {
@@ -167,9 +159,13 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_compute(args) -> int:
     field = _parse_field(args.field)
     components = _parse_components(args.component, args.components)
-    analysis.validate_cutoff(args.cutoff)
     space = SpaceSpec(args.space, args.n, field)
-    columns = _columns(space, components, args.cutoff, args.grading)
+    # one component at a time, so only one component's rank profiles are
+    # held at once
+    columns = {
+        k: analysis.betti_table(space, [k], args.cutoff, args.grading).column(k)
+        for k in components
+    }
     if args.format == "text":
         text = _render_text(space, args.cutoff, args.grading, columns)
     elif args.format == "json":
@@ -180,50 +176,35 @@ def _cmd_compute(args) -> int:
     return EXIT_OK
 
 
-def _prime_of(field: Field, what: str) -> int:
-    if field.characteristic == 0:
-        raise ConfigError(f"{what} needs a prime field, got q")
-    return field.characteristic
-
-
 def _cmd_verify(args) -> int:
     field = _parse_field(args.field)
-    analysis.validate_cutoff(args.cutoff)
-    reports: list[VerificationReport] = []
-    selected = [args.check] if args.check != "all" else list(CHECKS[:-1])
+    p = field.characteristic
     running_all = args.check == "all"
-    for check in selected:
+    reports: list[VerificationReport] = []
+    for check in CHECKS[:-1] if running_all else [args.check]:
+        needs_k = check in ("periodicity", "unit")
+        # "all" runs only the checks that apply to the field and the flags
+        if running_all and (
+            (p == 0 and check in ("collapse", "periodicity", "unit"))
+            or (needs_k and args.k is None)
+        ):
+            continue
+        if needs_k and args.k is None:
+            raise ConfigError(f"{check} needs --k")
+        if check == "unit" and args.k < 1:
+            raise ConfigError("unit needs a positive --k")
+        comps = None if check == "unit" else _parse_components(args.component, args.components)
         if check == "collapse":
-            if running_all and field.characteristic == 0:
-                continue
-            p = _prime_of(field, "collapse")
-            comps = _parse_components(args.component, args.components)
-            reports.append(analysis.check_collapse(args.n, p, comps, args.cutoff))
+            report = analysis.check_collapse(args.n, p, comps, args.cutoff)
         elif check == "periodicity":
-            if running_all and (field.characteristic == 0 or args.k is None):
-                continue
-            p = _prime_of(field, "periodicity")
-            comps = _parse_components(args.component, args.components)
-            if args.k is None:
-                raise ConfigError("periodicity needs --k")
-            reports.append(
-                analysis.check_periodicity(args.n, p, args.k, comps, args.cutoff)
-            )
+            report = analysis.check_periodicity(args.n, p, args.k, comps, args.cutoff)
         elif check == "dichotomy":
-            comps = _parse_components(args.component, args.components)
-            reports.append(analysis.check_dichotomy(args.n, field, comps, args.cutoff))
+            report = analysis.check_dichotomy(args.n, field, comps, args.cutoff)
         elif check == "unit":
-            if running_all and (field.characteristic == 0 or args.k is None):
-                continue
-            p = _prime_of(field, "unit")
-            if args.k is None:
-                raise ConfigError("unit needs --k")
-            if args.k < 1:
-                raise ConfigError("unit needs a positive --k")
-            reports.append(analysis.unit_check(args.n, p, args.k, args.cutoff))
+            report = analysis.unit_check(args.n, p, args.k, args.cutoff)
         else:  # oracle
-            comps = _parse_components(args.component, args.components)
-            reports.append(analysis.check_oracle(args.n, field, comps, args.cutoff))
+            report = analysis.check_oracle(args.n, field, comps, args.cutoff)
+        reports.append(report)
     for report in reports:
         print(report)
     return EXIT_FAIL if any(r.failed for r in reports) else EXIT_OK

@@ -43,9 +43,13 @@ HOL = "hol"
 VARIANTS = (LOOP, HOL)
 
 
-def _check_args(n: int, field: Field, variant: str) -> None:
-    if not isinstance(n, int) or n < 1:
+def _check_n(n: int) -> None:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")
+
+
+def _check_args(n: int, field: Field, variant: str) -> None:
+    _check_n(n)
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
     if not isinstance(field, Field):
@@ -115,8 +119,7 @@ def pontrjagin_algebra(n: int, field: Field, variant: str, cutoff: int = 30) -> 
 def projective_cohomology(n: int, field: Field) -> GradedAlgebra:
     """Cohomology of projective n-space, graded negatively: a single
     truncated class c in degree -2 with c^(n+1) = 0."""
-    if not isinstance(n, int) or n < 1:
-        raise ValueError(f"n must be a positive integer, got {n!r}")
+    _check_n(n)
     alg = GradedAlgebra(field)
     alg.declare_generator("c", -2, 0, "truncated", truncation=n)
     return alg
@@ -170,8 +173,7 @@ def closed_form_rational_hol_betti(n: int, k: int) -> dict:
     2n+1, 2n+3, ..., 4n-1. The degree-0 component is projective n-space
     itself.
     """
-    if not isinstance(n, int) or n < 1:
-        raise ValueError(f"n must be a positive integer, got {n!r}")
+    _check_n(n)
     if k < 0:
         raise ValueError("holomorphic components have nonnegative degree")
     if k == 0:

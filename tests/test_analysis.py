@@ -105,6 +105,8 @@ def test_space_spec_validates_itself():
         SpaceSpec("disk", 1, GF2)
     with pytest.raises(ValueError):
         SpaceSpec(LOOP, 0, GF2)
+    with pytest.raises(ValueError):
+        SpaceSpec(LOOP, True, GF2)
     with pytest.raises(TypeError):
         SpaceSpec(LOOP, 1, 2)
 
@@ -250,11 +252,11 @@ def test_negative_cutoff_refused_before_any_work(call, monkeypatch):
 @pytest.mark.parametrize(
     "call",
     [
-        lambda: check_collapse(0, 3, []),
-        lambda: check_periodicity(0, 3, 1, [0]),
-        lambda: check_dichotomy(0, GF2, [0, 1]),
-        lambda: check_oracle(0, GF2, []),
-        lambda: unit_check(0, 3, 1),
+        lambda n: check_collapse(n, 3, []),
+        lambda n: check_periodicity(n, 3, 1, [0]),
+        lambda n: check_dichotomy(n, GF2, [0, 1]),
+        lambda n: check_oracle(n, GF2, []),
+        lambda n: unit_check(n, 3, 1),
     ],
     ids=["collapse", "periodicity", "dichotomy", "oracle", "unit"],
 )
@@ -264,8 +266,26 @@ def test_checks_refuse_nonpositive_n_before_any_work(call, monkeypatch):
         raise AssertionError("a page was built")
 
     monkeypatch.setattr(analysis, "_page", no_pages)
-    with pytest.raises(ValueError, match="positive"):
-        call()
+    for n in (0, True):
+        with pytest.raises(ValueError, match="positive"):
+            call(n)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: check_collapse(2, 2, [], cutoff=12),
+        lambda: check_periodicity(2, 2, 2, [], cutoff=12),
+        lambda: check_periodicity(2, 2, 0, [0, 1], cutoff=12),
+        lambda: check_dichotomy(2, GF2, [], cutoff=12),
+        lambda: check_oracle(2, GF2, [], cutoff=12),
+    ],
+    ids=["collapse", "periodicity", "periodicity-k0", "dichotomy", "oracle"],
+)
+def test_checks_that_compare_nothing_claim_nothing(call):
+    report = call()
+    assert report.verdict == "NoClaim"
+    assert report.witness == {"compared": 0}
 
 
 # -- periodicity -------------------------------------------------------------------

@@ -1,6 +1,10 @@
 """Command line behavior: grammar, renderers, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +16,9 @@ GOLDEN_JSON = (
     '{"space":"hol","n":1,"field":"Q","grading":"ordinary","cutoff":10,'
     '"components":{"3":{"0":1,"3":1}}}\n'
 )
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(argv, capsys):
@@ -263,3 +270,30 @@ def test_render_text_empty_column():
     spec = cli.SpaceSpec("loop", 1, cli.make_field("rational"))
     text = cli._render_text(spec, 4, "ordinary", {5: {}})
     assert "(zero through the cutoff)" in text
+
+
+# -- as a process -------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv,code,stdout,stderr_needle",
+    [
+        (["compute", "--space", "hol", "--n", "1", "--field", "q",
+          "--component", "3", "--cutoff", "10", "--format", "json"],
+         EXIT_OK, GOLDEN_JSON, ""),
+        (["compute", "--space", "hol", "--n", "1", "--field", "f4",
+          "--component", "0"], EXIT_CONFIG, "", "not prime"),
+        (["verify", "--check", "unit", "--n", "2", "--field", "f3",
+          "--k", "1", "--cutoff", "3"], EXIT_CUTOFF, "", "cutoff error"),
+    ],
+    ids=["golden-json", "composite-field", "cutoff-too-tight"],
+)
+def test_module_runs_as_a_process(argv, code, stdout, stderr_needle):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    result = subprocess.run(
+        [sys.executable, "-m", "loophom.cli", *argv],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == code, result.stderr
+    assert result.stdout == stdout
+    assert stderr_needle in result.stderr

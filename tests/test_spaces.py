@@ -129,6 +129,11 @@ def test_projective_cohomology_truncation():
     assert alg.monomial({"c": 3}) is None
 
 
+def test_projective_cohomology_refuses_bool_n():
+    with pytest.raises(ValueError, match="positive"):
+        projective_cohomology(True, GF2)
+
+
 @pytest.mark.parametrize(
     "n,field,zero",
     [(1, GF2, True), (2, GF2, False), (2, F3, True), (1, F3, False),
@@ -179,6 +184,8 @@ def test_closed_form_is_component_independent_for_positive_k():
 def test_closed_form_validation():
     with pytest.raises(ValueError):
         closed_form_rational_hol_betti(0, 1)
+    with pytest.raises(ValueError):
+        closed_form_rational_hol_betti(True, 1)
     with pytest.raises(ValueError):
         closed_form_rational_hol_betti(2, -1)
 
