@@ -39,6 +39,7 @@ from .errors import (
     FieldMismatch,
     InfiniteBasis,
     InhomogeneousImage,
+    InvalidCutoff,
     LaurentNonzeroDegree,
     LoophomError,
     NegativeCutoff,

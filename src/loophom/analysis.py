@@ -29,7 +29,7 @@ from .errors import CompositeCharacteristic
 # rank_of_columns has no caller here; the bench tracer wraps it by name
 from .linalg import Matrix, rank_of_columns
 from .scalars import Field, make_field
-from .spaces import HOL, LOOP, _check_args, e2_page, validate_cutoff
+from .spaces import HOL, LOOP, _check_args, _check_components, e2_page, validate_cutoff
 
 DEFAULT_CUTOFF = 30
 
@@ -89,6 +89,14 @@ class BettiTable:
     def column(self, component: int) -> dict:
         return {d: v for (k, d), v in self.entries.items() if k == component}
 
+    def columns(self) -> dict:
+        """component -> `column(component)` for every component with an
+        entry, grouped in one scan of the entries."""
+        out: dict = {}
+        for (k, d), v in self.entries.items():
+            out.setdefault(k, {})[d] = v
+        return out
+
     def components(self) -> list:
         return sorted({k for k, _ in self.entries})
 
@@ -120,8 +128,7 @@ def betti_table(
         raise ValueError(f"unknown grading {grading!r}")
     comps = sorted(set(components))
     n = space.n
-    if space.variant == HOL and any(k < 0 for k in comps):
-        raise ValueError("holomorphic components have nonnegative degree")
+    _check_components(space.variant, comps)
     page = _page(n, space.field, space.variant, cutoff + 1)
     profiles = homology_dimensions(page, _degree_window(page, n, cutoff), comps)
     shift = 2 * n if grading == "ordinary" else 0
@@ -284,6 +291,8 @@ def check_periodicity(
     cutoff at which one can show), since then no two components differ.
     """
     field = _check_inputs(n, _prime_field(p), cutoff)
+    if isinstance(k, bool) or not isinstance(k, int):
+        raise ValueError(f"k must be an integer, got {k!r}")
     comps = sorted(set(component_range))
     params = {"n": n, "p": p, "k": k, "components": comps, "cutoff": cutoff}
     if not comps or k == 0:
@@ -297,9 +306,9 @@ def check_periodicity(
             "periodicity", params, "NoClaim", {"visible_from": visible}
         )
     spec = SpaceSpec(LOOP, n, field)
-    table = betti_table(spec, needed, cutoff, grading="regraded")
+    columns = betti_table(spec, needed, cutoff, grading="regraded").columns()
     for i in comps:
-        a, b = table.column(i), table.column(i + k)
+        a, b = columns.get(i, {}), columns.get(i + k, {})
         if a != b:
             diff = sorted(set(a.items()) ^ set(b.items()))
             return VerificationReport(
@@ -332,11 +341,11 @@ def check_dichotomy(
             "dichotomy", params, "NoClaim", {"visible_from": visible}
         )
     spec = SpaceSpec(LOOP, n, field)
-    table = betti_table(spec, needed, cutoff, grading="regraded")
-    col0, col1 = table.column(0), table.column(1)
+    columns = betti_table(spec, needed, cutoff, grading="regraded").columns()
+    col0, col1 = columns.get(0, {}), columns.get(1, {})
     assignment = {}
     for i in comps:
-        col = table.column(i)
+        col = columns.get(i, {})
         if col == col0:
             assignment[i] = 0
         elif col == col1:
@@ -356,8 +365,8 @@ def unit_check(n: int, p: int, k: int, cutoff: int = DEFAULT_CUTOFF) -> Verifica
     """
     field = _check_inputs(n, _prime_field(p), cutoff)
     params = {"n": n, "p": p, "k": k, "cutoff": cutoff}
-    if k < 1:
-        raise ValueError("k must be a positive integer")
+    if isinstance(k, bool) or not isinstance(k, int) or k < 1:
+        raise ValueError(f"k must be a positive integer, got {k!r}")
     if (k * (n + 1)) % p != 0:
         return VerificationReport("unit", params, "NoClaim")
     page = _page(n, field, LOOP, cutoff + 1)
@@ -411,8 +420,7 @@ def betti_oracle(
     validate_cutoff(cutoff)
     n, p = space.n, space.field.characteristic
     comps = sorted(set(components))
-    if space.variant == HOL and any(k < 0 for k in comps):
-        raise ValueError("holomorphic components have nonnegative degree")
+    _check_components(space.variant, comps)
     # (degree, weight, exterior) of u, then of the operation family; a
     # monomial of ordinary degree <= cutoff has Pontrjagin degree <= cutoff
     gens = [(2 * n - 1, 1, p != 2)]

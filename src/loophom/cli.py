@@ -6,15 +6,16 @@ Subcommands:
   on stdout or, with ``--output``, in a file.
 * ``verify``   run one of the structural checks and report Pass/Fail.
 
-Field specs are ``q`` for the rationals or ``f<p>`` for a prime p.
+Field specs are those of `scalars.make_field`: ``q`` (or ``rational``) for
+the rationals or ``f<p>`` for a prime p.
 Component ranges are written ``a..b`` (inclusive). Exit codes: 0 success
 (and no Fail verdict), 1 a check Failed, 2 bad configuration, 3 a cutoff
 or finiteness error, 4 an I/O error. Output is deterministic.
 
-Bad input is refused by the library (a non-prime field, n < 1, a
-negative cutoff, a prime-only check over q); this module only parses
-its own grammar and checks that ``--k`` is given where a check needs it
-(and, for ``unit``, positive).
+Bad input is refused by the library (a malformed or non-prime field
+spec, n < 1, a negative cutoff, a prime-only check over q); this module
+only parses component ranges and checks that ``--k`` is given where a
+check needs it (and, for ``unit``, positive).
 
 ``verify --check oracle`` compares the engine with the independent
 monomial count of `analysis.betti_oracle`, for any field and any n.
@@ -29,7 +30,7 @@ from typing import Optional
 
 from . import analysis
 from .analysis import SpaceSpec, VerificationReport
-from .errors import CompositeCharacteristic, CutoffTooTight, InfiniteBasis
+from .errors import CutoffTooTight, InfiniteBasis
 from .scalars import Field, make_field
 from .spaces import HOL, LOOP
 
@@ -47,15 +48,10 @@ class ConfigError(Exception):
 
 
 def _parse_field(spec: str) -> Field:
-    s = spec.strip().lower()
     try:
-        if s == "q":
-            return make_field("rational")
-        if s.startswith("f") and s[1:].isdigit():
-            return make_field(int(s[1:]))
-    except CompositeCharacteristic as exc:
-        raise ConfigError(f"field spec {spec!r}: {exc}") from None
-    raise ConfigError(f"field spec {spec!r} is not 'q' or 'f<p>'")
+        return make_field(spec)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _parse_components(single: Optional[int], ranged: Optional[str]) -> list:

@@ -36,6 +36,21 @@ class Derivation:
     def __init__(self, algebra: GradedAlgebra, images: dict):
         self.algebra = algebra
         self.images = images
+        # gid -> (term, coefficient, bounded) for each term of its image;
+        # bounded lists (gid, exponent, bound) of the term's exterior and
+        # truncated blocks, the only ones a product can push past a bound
+        bound_of = {
+            g.gid: 1 if g.kind == "exterior" else g.truncation
+            for g in algebra.generators
+            if g.kind in ("exterior", "truncated")
+        }
+        self._image_terms = {
+            gid: [
+                (im, c, tuple((h, e, bound_of[h]) for h, e in im.exps if h in bound_of))
+                for im, c in img.terms.items()
+            ]
+            for gid, img in images.items()
+        }
 
     @classmethod
     def from_generator_images(
@@ -77,23 +92,39 @@ class Derivation:
         L * d(g) * R equals (-1)^(|d(g)| |R|) (L R) * d(g), one product of
         monomials. d has bidegree (-1, 0), so every term lands in degree
         m.degree - 1 and weight m.weight.
+
+        Terms the quotient kills are skipped before any product is built:
+        a block whose exponent the characteristic divides, and an image
+        term whose exterior or truncated exponents, added to the ones left
+        in m once g^e is lowered, pass a bound.
         """
         alg = self.algebra
         out: dict = {}
         if not self.images:
             return Element(alg, out)
-        char2 = alg.field.characteristic == 2
+        p = alg.field.characteristic
+        char2 = p == 2
         prefix_degree = 0
         blocks = m.exps
+        exps = None  # m's exponents by gid, built on first need
         for idx, (gid, e) in enumerate(blocks):
             g = alg.generators[gid]
-            img = self.images.get(gid)
             block_degree = g.degree * e
-            if img is not None:
-                coeff = alg.field.scalar(e)
-                if not char2 and (prefix_degree & 1):
-                    coeff = -coeff
-                if coeff:
+            terms = self._image_terms.get(gid)
+            if terms is not None and not (p and e % p == 0):
+                if exps is None:
+                    exps = dict(blocks)
+                live = []
+                for im, c, bounded in terms:
+                    for h, eh, bound in bounded:
+                        if exps.get(h, 0) - (h == gid) + eh > bound:
+                            break
+                    else:
+                        live.append((im, c))
+                if live:
+                    coeff = alg.field.scalar(e)
+                    if not char2 and (prefix_degree & 1):
+                        coeff = -coeff
                     lowered = ((gid, e - 1),) if e != 1 else ()
                     rest = Monomial(
                         blocks[:idx] + lowered + blocks[idx + 1 :],
@@ -101,10 +132,8 @@ class Derivation:
                         m.weight - g.weight,
                     )
                     right_odd = not char2 and (m.degree - prefix_degree - block_degree) & 1
-                    for im, c in img.terms.items():
+                    for im, c in live:
                         sign, target = alg.multiply_monomials(rest, im)
-                        if target is None:
-                            continue
                         if right_odd and im.degree & 1:
                             sign = -sign
                         c = coeff * c if sign > 0 else -(coeff * c)
@@ -151,12 +180,20 @@ class RankProfile:
         return self.dim - self.rank_d_here - self.rank_d_above
 
 
-def differential_matrix(page: DgaPage, degree: int, weight: int) -> Matrix:
+def differential_matrix(
+    page: DgaPage, degree: int, weight: int, *, source=None, target=None
+) -> Matrix:
     """Matrix of d from (degree, weight) to (degree - 1, weight), columns
-    and rows in basis enumeration order."""
+    and rows in basis enumeration order.
+
+    `source` and `target`, when given, are the bases of those two spots
+    as `enumerate_basis` lists them; omitted ones are enumerated here.
+    """
     alg = page.algebra
-    source = alg.enumerate_basis(degree, weight)
-    target = alg.enumerate_basis(degree - 1, weight)
+    if source is None:
+        source = alg.enumerate_basis(degree, weight)
+    if target is None:
+        target = alg.enumerate_basis(degree - 1, weight)
     index = {m: i for i, m in enumerate(target)}
     entries = {}
     for j, m in enumerate(source):
@@ -178,20 +215,26 @@ _EMPTY = RankProfile(0, 0, 0)
 
 
 def _dims_and_ranks(page: DgaPage, degrees: list, weight: int) -> dict:
-    """degree -> (dim, rank, matrix) of d out of that degree, at one weight.
+    """degree -> (basis, rank, matrix) of d out of that degree, at one weight.
 
-    A degree outside the algebra's degree reach has an empty basis, so it
-    gets (0, 0, None) without a matrix; every other degree builds its
-    matrix once, for the caller to reuse within the weight's pass.
+    Each degree's basis is enumerated once, in ascending order: it is the
+    source of the matrix at its degree and, when the list holds the next
+    degree up, the target of the matrix there. A degree outside the
+    algebra's degree reach has an empty basis, so it gets ([], 0, None)
+    without a matrix. Nothing is kept past the call: the caller reuses
+    bases and matrices within the weight's pass only.
     """
-    low, high = page.algebra.degree_reach()
+    alg = page.algebra
+    low, high = alg.degree_reach()
     out = {}
-    for d in degrees:
+    for d in sorted(degrees):
         if low <= d <= high:
-            mat = differential_matrix(page, d, weight)
-            out[d] = (mat.ncols, mat.rank(), mat)
+            basis = alg.enumerate_basis(d, weight)
+            below = out[d - 1][0] if d - 1 in out else None
+            mat = differential_matrix(page, d, weight, source=basis, target=below)
+            out[d] = (basis, mat.rank(), mat)
         else:
-            out[d] = (0, 0, None)
+            out[d] = ([], 0, None)
     return out
 
 
@@ -212,8 +255,8 @@ def homology_dimensions(
     for w in sorted(set(weights)):
         ranks = _dims_and_ranks(page, needed, w)
         for d in degs:
-            dim, here, _ = ranks[d]
-            out[(d, w)] = RankProfile(dim, here, ranks[d + 1][1]) if dim else _EMPTY
+            basis, here, _ = ranks[d]
+            out[(d, w)] = RankProfile(len(basis), here, ranks[d + 1][1]) if basis else _EMPTY
     return out
 
 
@@ -306,22 +349,23 @@ def induced_map_on_homology(
         sub_ranks = _dims_and_ranks(sub_page, needed, w)
         big_ranks = _dims_and_ranks(big_page, needed, w)
         for d in degs:
-            sub_dim, sub_here, _ = sub_ranks[d]
+            sub_basis, sub_here, _ = sub_ranks[d]
+            sub_dim = len(sub_basis)
             betti_sub = sub_dim - sub_here - sub_ranks[d + 1][1]
-            big_dim, big_here, _ = big_ranks[d]
+            big_basis, big_here, _ = big_ranks[d]
             _, r_bound, m_big_above = big_ranks[d + 1]  # the boundaries
-            betti_big = big_dim - big_here - r_bound
+            betti_big = len(big_basis) - big_here - r_bound
             if not betti_sub:
                 report[(d, w)] = InducedCell(0, 0, betti_big)
                 continue
 
-            image = {_translate_monomial(m, mapping) for m in sub.enumerate_basis(d, w)}
-            sub_rows = {i for i, m in enumerate(big.enumerate_basis(d, w)) if m in image}
+            image = {_translate_monomial(m, mapping) for m in sub_basis}
+            sub_rows = {i for i, m in enumerate(big_basis) if m in image}
             dropped = 0  # no boundaries where d + 1 is past the big page's reach
             if m_big_above is not None:
                 entries = m_big_above.entries.items()
                 kept = {(i, j): c for (i, j), c in entries if i not in sub_rows}
-                dropped = Matrix(big.field, big_dim, m_big_above.ncols, kept).rank()
+                dropped = Matrix(big.field, len(big_basis), m_big_above.ncols, kept).rank()
             rank = sub_dim - sub_here - r_bound + dropped
             report[(d, w)] = InducedCell(rank, betti_sub, betti_big)
     return InducedMapReport(report)

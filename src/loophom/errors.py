@@ -72,7 +72,12 @@ class CutoffTooTight(LoophomError, ValueError):
     """
 
 
-class NegativeCutoff(LoophomError, ValueError):
+class InvalidCutoff(LoophomError, ValueError):
+    """A cutoff, the top ordinary degree of a computation, is not an int
+    (a bool does not count as one)."""
+
+
+class NegativeCutoff(InvalidCutoff):
     """A cutoff, the top ordinary degree of a computation, is below 0."""
 
 

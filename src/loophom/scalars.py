@@ -7,6 +7,7 @@ normalized by the stdlib), prime-field values are ints reduced into
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -92,15 +93,21 @@ class Field:
 
 
 def make_field(spec: Union[str, int]) -> Field:
-    """Build a field from "rational"/"q"/"Q"/0, or a prime integer.
+    """Build a field from "q" or "rational" (any case), "f<p>", or an
+    integer: 0 for the rationals, a prime p for F_p.
 
-    Non-prime integers raise CompositeCharacteristic; primes past one
-    machine word are rejected outright (both checked by `Field` itself).
+    "f<p>" is read as the integer p. Non-prime integers raise
+    CompositeCharacteristic; primes past one machine word are rejected
+    outright (both checked by `Field` itself).
     """
     if isinstance(spec, str):
-        if spec.lower() in ("rational", "q"):
+        s = spec.strip().lower()
+        if s in ("rational", "q"):
             return Field(0)
-        raise CompositeCharacteristic(f"unrecognized field spec {spec!r}")
+        digits = re.fullmatch(r"f([0-9]+)", s)
+        if digits is None:
+            raise CompositeCharacteristic(f"field spec {spec!r} is not 'q', 'rational' or 'f<p>'")
+        spec = int(digits[1])
     return Field(spec)
 
 

@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .dga import Derivation, DgaPage, InducedMapReport, induced_map_on_homology
-from .errors import NegativeCutoff
+from .errors import InvalidCutoff, NegativeCutoff
 from .graded_algebra import GradedAlgebra, generator_horizon
 from .scalars import Field
 
@@ -56,8 +56,16 @@ def _check_args(n: int, field: Field, variant: str) -> None:
         raise TypeError(f"expected a Field, got {field!r}")
 
 
+def _check_components(variant: str, components) -> None:
+    """Refuse a negative component of the holomorphic variant."""
+    if variant == HOL and any(k < 0 for k in components):
+        raise ValueError("holomorphic components have nonnegative degree")
+
+
 def validate_cutoff(cutoff: int) -> None:
-    """Refuse a negative cutoff before any work."""
+    """Refuse a cutoff that is not a nonnegative int before any work."""
+    if isinstance(cutoff, bool) or not isinstance(cutoff, int):
+        raise InvalidCutoff(f"cutoff must be an integer, got {cutoff!r}")
     if cutoff < 0:
         raise NegativeCutoff(f"cutoff must be nonnegative, got {cutoff}")
 
@@ -174,8 +182,7 @@ def closed_form_rational_hol_betti(n: int, k: int) -> dict:
     itself.
     """
     _check_n(n)
-    if k < 0:
-        raise ValueError("holomorphic components have nonnegative degree")
+    _check_components(HOL, [k])
     if k == 0:
         return {2 * i: 1 for i in range(n + 1)}
     table = {2 * i: 1 for i in range(n)}

@@ -20,10 +20,10 @@ from loophom.analysis import (
     poincare_series,
     unit_check,
 )
-from loophom.errors import LoophomError, NegativeCutoff
+from loophom.errors import InvalidCutoff, LoophomError, NegativeCutoff
 from loophom.linalg import Matrix
 from loophom.scalars import GF2, RATIONALS, Field
-from loophom.spaces import HOL, LOOP
+from loophom.spaces import HOL, LOOP, closed_form_rational_hol_betti
 
 F3 = Field(3)
 F7 = Field(7)
@@ -63,6 +63,37 @@ def test_betti_table_rejects_negative_hol_component():
         betti_table(SpaceSpec(HOL, 1, RATIONALS), [-1], cutoff=10)
     with pytest.raises(ValueError):
         betti_table(SpaceSpec(LOOP, 1, RATIONALS), [0], cutoff=10, grading="weird")
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: betti_table(SpaceSpec(HOL, 1, RATIONALS), [2, -1], cutoff=10),
+        lambda: betti_oracle(SpaceSpec(HOL, 1, GF2), [-3, 0], cutoff=10),
+        lambda: closed_form_rational_hol_betti(1, -1),
+    ],
+    ids=["betti_table", "betti_oracle", "closed_form"],
+)
+def test_negative_hol_component_refused_with_one_message(call):
+    with pytest.raises(ValueError, match="^holomorphic components have nonnegative degree$"):
+        call()
+
+
+def test_columns_group_the_entries_like_column():
+    table = betti_table(SpaceSpec(LOOP, 1, F3), range(-3, 4), cutoff=12, grading="regraded")
+    columns = table.columns()
+    assert list(columns) == table.components() == list(range(-3, 4))
+    for k in range(-4, 5):
+        assert columns.get(k, {}) == table.column(k)
+
+
+def test_periodicity_and_dichotomy_scan_the_table_once(monkeypatch):
+    def no_column(self, component):
+        raise AssertionError("column() scans every entry")
+
+    monkeypatch.setattr(analysis.BettiTable, "column", no_column)
+    assert check_periodicity(2, 3, 3, range(-3, 3), cutoff=14).passed
+    assert check_dichotomy(2, F3, range(-3, 3), cutoff=14).passed
 
 
 def test_driver_degrees_do_not_grow_with_the_cutoff(monkeypatch):
@@ -247,6 +278,52 @@ def test_negative_cutoff_refused_before_any_work(call, monkeypatch):
     with pytest.raises(NegativeCutoff) as info:
         call()
     assert isinstance(info.value, LoophomError) and isinstance(info.value, ValueError)
+
+
+@pytest.mark.parametrize("cutoff", [True, False, 8.0, 2.5, "8"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda c: betti_table(SpaceSpec(LOOP, 2, GF2), [0], cutoff=c),
+        lambda c: poincare_series(SpaceSpec(HOL, 1, RATIONALS), 1, cutoff=c),
+        lambda c: betti_oracle(SpaceSpec(LOOP, 2, GF2), [0], cutoff=c),
+        lambda c: check_collapse(2, 2, [0], cutoff=c),
+        lambda c: check_periodicity(2, 2, 2, [0, 1], cutoff=c),
+        lambda c: check_dichotomy(2, GF2, [0, 1], cutoff=c),
+        lambda c: check_oracle(2, GF2, [0], cutoff=c),
+        lambda c: unit_check(1, 2, 2, cutoff=c),
+    ],
+    ids=[
+        "betti_table", "poincare_series", "betti_oracle", "collapse",
+        "periodicity", "dichotomy", "oracle", "unit",
+    ],
+)
+def test_non_integer_cutoff_refused_before_any_work(call, cutoff, monkeypatch):
+    def no_pages(*args):
+        raise AssertionError("a page was built")
+
+    monkeypatch.setattr(analysis, "_page", no_pages)
+    with pytest.raises(InvalidCutoff, match="cutoff must be an integer") as info:
+        call(cutoff)
+    assert isinstance(info.value, LoophomError) and isinstance(info.value, ValueError)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda k: unit_check(1, 2, k, cutoff=8),
+        lambda k: check_periodicity(1, 2, k, [0, 1], cutoff=8),
+    ],
+    ids=["unit", "periodicity"],
+)
+def test_checks_refuse_a_bool_or_non_int_k(call, monkeypatch):
+    def no_pages(*args):
+        raise AssertionError("a page was built")
+
+    monkeypatch.setattr(analysis, "_page", no_pages)
+    for k in (True, False, 2.0):
+        with pytest.raises(ValueError, match="k must be"):
+            call(k)
 
 
 @pytest.mark.parametrize(

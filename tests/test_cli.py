@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,8 +10,9 @@ from pathlib import Path
 import pytest
 
 from loophom import cli
-from loophom.analysis import VerificationReport
+from loophom.analysis import VerificationReport, check_dichotomy
 from loophom.cli import EXIT_CONFIG, EXIT_CUTOFF, EXIT_FAIL, EXIT_IO, EXIT_OK, main
+from loophom.errors import LoophomError
 
 GOLDEN_JSON = (
     '{"space":"hol","n":1,"field":"Q","grading":"ordinary","cutoff":10,'
@@ -257,6 +259,27 @@ def test_verify_negative_cutoff_exits_two(capsys):
     )
     assert code == EXIT_CONFIG and out == ""
     assert "cutoff must be nonnegative, got -3" in err
+
+
+@pytest.mark.parametrize(
+    "spec", ["q", "Q", " q ", "rational", "f2", "F3", "f5", "f101", "f0"]
+)
+def test_library_and_cli_read_a_field_spec_alike(spec):
+    assert cli._parse_field(spec) == cli.make_field(spec)
+
+
+@pytest.mark.parametrize("spec", ["f4", "f1", "r", "gf(3)", "3", "f", "f-3", "f 3", "f\u0663"])
+def test_library_and_cli_refuse_a_field_spec_alike(spec):
+    with pytest.raises(LoophomError) as info:
+        cli.make_field(spec)
+    assert isinstance(info.value, ValueError)
+    with pytest.raises(cli.ConfigError, match=re.escape(str(info.value))):
+        cli._parse_field(spec)
+
+
+def test_checks_take_the_cli_field_grammar():
+    report = check_dichotomy(2, "f3", [0, 1], cutoff=6)
+    assert report.params["field"] == cli.make_field(3)
 
 
 def test_argparse_rejects_unknown_choice():

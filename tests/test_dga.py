@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dense_reference import rank_dense
+from leibniz_reference import leibniz
 from loophom import dga
 from loophom.dga import (
     Derivation,
@@ -416,9 +417,9 @@ def test_induced_map_builds_each_matrix_once(monkeypatch):
     builds = Counter()
     real = dga.differential_matrix
 
-    def counting(page, degree, weight):
+    def counting(page, degree, weight, **bases):
         builds[(id(page), degree, weight)] += 1
-        return real(page, degree, weight)
+        return real(page, degree, weight, **bases)
 
     incl = hol_to_loop_inclusion(1, RATIONALS, cutoff=8)
     monkeypatch.setattr(dga, "differential_matrix", counting)
@@ -429,3 +430,126 @@ def test_induced_map_builds_each_matrix_once(monkeypatch):
     assert incl.big_page.algebra.degree_reach() == (-2, 1)
     assert cells[(1, 1)] == InducedCell(1, 1, 1)
     assert (id(incl.big_page), 2, 1) not in builds
+
+
+# -- apply_monomial against the naive Leibniz reference ----------------------------
+
+
+@st.composite
+def algebras_with_images(draw):
+    """A certified algebra over Q, F2, F3 or F5 with exterior, truncated and
+    laurent generators (and maybe polynomial ones), a derivation given on
+    some generators by images that carry bounded blocks, and a monomial.
+
+    The images need not have the right bidegree or square to zero:
+    `apply_monomial` is the signed Leibniz expansion of whatever values it
+    is given, so the bare constructor is used.
+    """
+    field = draw(st.sampled_from([RATIONALS, GF2, F3, Field(5)]))
+    p = field.characteristic
+    odd, even = [-3, -1, 1, 3], [-4, -2, 2, 4]
+    kinds = ["exterior", "truncated", "laurent"] + draw(
+        st.lists(st.sampled_from(["exterior", "truncated", "polynomial"]), max_size=3)
+    )
+    kinds = draw(st.permutations(kinds))
+    alg = GradedAlgebra(field)
+    for i, kind in enumerate(kinds):
+        weight = draw(st.integers(0, 2))
+        truncation = None
+        if kind == "laurent":
+            degree, weight = 0, draw(st.sampled_from([-1, 1, 2]))
+        elif kind == "polynomial":
+            degree = draw(st.sampled_from([2, 4] if p != 2 else [1, 2, 3]))
+        else:
+            parity = odd if kind == "exterior" else even
+            degree = draw(st.sampled_from(parity if p != 2 else odd + even))
+            if kind == "truncated":
+                truncation = draw(st.integers(1, 6))
+        alg.declare_generator(f"g{i}", degree, weight, kind, truncation)
+    alg.degree_reach()  # runs the finiteness certificate
+
+    def exponents():
+        out = {}
+        for g in alg.generators:
+            top = {"exterior": 1, "truncated": g.truncation}.get(g.kind, 2 * max(p, 2))
+            low = -top if g.kind == "laurent" else 0
+            out[g.gid] = draw(st.integers(low, top))
+        return out
+
+    def coefficient():
+        return draw(st.integers(-6, 6).filter(bool))
+
+    targets = draw(st.lists(st.integers(0, len(kinds) - 1), min_size=1, unique=True))
+    images = {}
+    for gid in targets:
+        terms = {}
+        for _ in range(draw(st.integers(1, 3))):
+            # a sparse image term: each generator appears with probability about 1/2
+            chosen = {h: e for h, e in exponents().items() if draw(st.booleans())}
+            terms[alg.monomial(chosen)] = coefficient()
+        image = alg.element(terms)
+        if image:
+            images[gid] = image
+    return alg, images, alg.monomial(exponents())
+
+
+@given(algebras_with_images())
+@settings(max_examples=150, deadline=None)
+def test_apply_monomial_equals_leibniz_reference(case):
+    alg, images, m = case
+    got = Derivation(alg, images).apply_monomial(m)
+    want = leibniz(alg, images, m)
+    assert [(t.exps, t.degree, t.weight, c) for t, c in got.terms.items()] == [
+        (t.exps, t.degree, t.weight, c) for t, c in want
+    ]
+
+
+# -- one enumeration per basis in a pass ---------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "degrees",
+    [list(range(-5, 14)), [-5, -4, 0, 1, 2, 5, 7, 8, 13]],
+    ids=["contiguous", "gaps"],
+)
+def test_one_pass_enumerates_each_basis_once(degrees, monkeypatch):
+    page = e2_page(2, F3, LOOP, cutoff=40)
+    alg = page.algebra
+    calls = Counter()
+    real = GradedAlgebra.enumerate_basis
+
+    def counting(algebra, degree, weight):
+        calls[(id(algebra), degree, weight)] += 1
+        return real(algebra, degree, weight)
+
+    monkeypatch.setattr(GradedAlgebra, "enumerate_basis", counting)
+    passes = {w: dga._dims_and_ranks(page, degrees, w) for w in (0, 1, 3)}
+    assert calls and max(calls.values()) == 1
+    calls.clear()
+    homology_dimensions(page, degrees, [0, 1, 3])
+    assert calls and max(calls.values()) == 1
+    monkeypatch.undo()
+    low, high = alg.degree_reach()
+    for w, ranks in passes.items():
+        for d in degrees:
+            basis, rank, mat = ranks[d]
+            assert basis == alg.enumerate_basis(d, w)
+            if low <= d <= high:
+                alone = differential_matrix(page, d, w)
+                assert (rank, mat.entries) == (alone.rank(), alone.entries)
+            else:
+                assert (rank, mat) == (0, None)
+
+
+def test_matrix_from_handed_bases_equals_matrix_built_alone():
+    for page in (e2_page(2, F3, LOOP, 30), e2_page(1, GF2, HOL, 20), circle_like_page()):
+        alg = page.algebra
+        for w in range(-1, 4):
+            for d in range(-4, 12):
+                alone = differential_matrix(page, d, w)
+                source, target = alg.enumerate_basis(d, w), alg.enumerate_basis(d - 1, w)
+                for bases in ({"source": source}, {"target": target},
+                              {"source": source, "target": target}):
+                    handed = differential_matrix(page, d, w, **bases)
+                    assert (handed.nrows, handed.ncols) == (alone.nrows, alone.ncols)
+                    assert list(handed.entries.items()) == list(alone.entries.items())

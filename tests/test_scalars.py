@@ -20,9 +20,12 @@ def test_make_field_specs():
     assert make_field(0) == RATIONALS
     assert make_field(2) == GF2
     assert make_field(101).characteristic == 101
+    assert make_field("f2") == make_field(" F2 ") == GF2
+    assert make_field("f101").characteristic == 101
+    assert make_field("f0") == RATIONALS
 
 
-@pytest.mark.parametrize("bad", [1, 4, 6, 9, 561, 1 + 2**20, "f2", "gf(3)", "real"])
+@pytest.mark.parametrize("bad", [1, 4, 6, 9, 561, 1 + 2**20, "f4", "gf(3)", "real"])
 def test_make_field_rejects_nonprime(bad):
     with pytest.raises(CompositeCharacteristic):
         make_field(bad)

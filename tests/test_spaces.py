@@ -4,7 +4,7 @@ import pytest
 
 from loophom import analysis, spaces
 from loophom.dga import homology_dimensions
-from loophom.errors import CutoffTooTight, NegativeCutoff
+from loophom.errors import CutoffTooTight, InvalidCutoff, NegativeCutoff
 from loophom.scalars import GF2, RATIONALS, Field
 from loophom.spaces import (
     HOL,
@@ -39,6 +39,14 @@ def test_builders_refuse_negative_cutoff(build):
     with pytest.raises(NegativeCutoff):
         build(-1)
     assert build(0) is not None
+
+
+@pytest.mark.parametrize("cutoff", [True, 2.5, "8"])
+def test_validate_cutoff_refuses_a_non_integer(cutoff):
+    with pytest.raises(InvalidCutoff, match="cutoff must be an integer"):
+        spaces.validate_cutoff(cutoff)
+    with pytest.raises(InvalidCutoff):
+        e2_page(2, GF2, LOOP, cutoff)
 
 
 def test_validate_cutoff_is_shared_with_analysis():
