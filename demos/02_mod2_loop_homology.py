@@ -21,7 +21,7 @@ n = 2
 cutoff = 20
 
 print("Pontrjagin generators for n=2 mod 2, through degree", cutoff)
-for name, degree, weight, kind, _ in generator_schedule(n, GF2, LOOP, cutoff):
+for name, degree, weight, kind in generator_schedule(n, GF2, LOOP, cutoff):
     print(f"  {name:5s} degree {degree:3d} weight {weight:2d} {kind}")
 print()
 

@@ -40,6 +40,7 @@ from .errors import (
     InfiniteBasis,
     InhomogeneousImage,
     InvalidCutoff,
+    InvalidFieldSpec,
     LaurentNonzeroDegree,
     LoophomError,
     NegativeCutoff,
@@ -54,7 +55,6 @@ from .graded_algebra import (
     GradedAlgebra,
     Generator,
     Monomial,
-    generator_horizon,
 )
 from .linalg import Matrix, kernel_basis, rank_sparse
 from .scalars import GF2, RATIONALS, Field, Scalar, make_field
@@ -68,7 +68,6 @@ from .spaces import (
     hol_to_loop_inclusion,
     operation_degree,
     pontrjagin_algebra,
-    projective_cohomology,
 )
 
 __version__ = "0.1.0"

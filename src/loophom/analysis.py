@@ -376,8 +376,9 @@ def unit_check(n: int, p: int, k: int, cutoff: int = DEFAULT_CUTOFF) -> Verifica
 
     def is_boundary(monomial) -> bool:
         # a basis monomial bounds iff deleting its row lowers the rank of d
-        mat = differential_matrix(page, 1, monomial.weight)
-        row = alg.enumerate_basis(0, monomial.weight).index(monomial)
+        below = alg.enumerate_basis(0, monomial.weight)
+        mat = differential_matrix(page, 1, monomial.weight, target=below)
+        row = below.index(monomial)
         kept = {(i, j): c for (i, j), c in mat.entries.items() if i != row}
         return Matrix(field, mat.nrows, mat.ncols, kept).rank() < mat.rank()
 

@@ -13,9 +13,9 @@ Component ranges are written ``a..b`` (inclusive). Exit codes: 0 success
 or finiteness error, 4 an I/O error. Output is deterministic.
 
 Bad input is refused by the library (a malformed or non-prime field
-spec, n < 1, a negative cutoff, a prime-only check over q); this module
-only parses component ranges and checks that ``--k`` is given where a
-check needs it (and, for ``unit``, positive).
+spec, n < 1, a negative cutoff, a nonpositive k for ``unit``, a
+prime-only check over q); this module only parses component ranges and
+checks that ``--k`` is given where a check needs it.
 
 ``verify --check oracle`` compares the engine with the independent
 monomial count of `analysis.betti_oracle`, for any field and any n.
@@ -187,8 +187,6 @@ def _cmd_verify(args) -> int:
             continue
         if needs_k and args.k is None:
             raise ConfigError(f"{check} needs --k")
-        if check == "unit" and args.k < 1:
-            raise ConfigError("unit needs a positive --k")
         comps = None if check == "unit" else _parse_components(args.component, args.components)
         if check == "collapse":
             report = analysis.check_collapse(args.n, p, comps, args.cutoff)

@@ -39,11 +39,7 @@ class Derivation:
         # gid -> (term, coefficient, bounded) for each term of its image;
         # bounded lists (gid, exponent, bound) of the term's exterior and
         # truncated blocks, the only ones a product can push past a bound
-        bound_of = {
-            g.gid: 1 if g.kind == "exterior" else g.truncation
-            for g in algebra.generators
-            if g.kind in ("exterior", "truncated")
-        }
+        bound_of = {g.gid: g.top for g in algebra.generators if g.top is not None}
         self._image_terms = {
             gid: [
                 (im, c, tuple((h, e, bound_of[h]) for h, e in im.exps if h in bound_of))
@@ -157,11 +153,10 @@ class Derivation:
 
 @dataclass
 class DgaPage:
-    """An algebra with its differential; label is display metadata only."""
+    """An algebra with its differential."""
 
     algebra: GradedAlgebra
     differential: Derivation
-    label: str = "E2"
 
 
 @dataclass(frozen=True)
@@ -299,7 +294,7 @@ def _generator_translation(sub: GradedAlgebra, big: GradedAlgebra) -> dict:
             raise NotAChainMap(f"generator {g.name!r} changes bidegree")
         if g.kind != h.kind and not (g.kind == "polynomial" and h.kind == "laurent"):
             raise NotAChainMap(f"generator {g.name!r} changes kind {g.kind} -> {h.kind}")
-        if g.kind == "truncated" and g.truncation != h.truncation:
+        if g.top != h.top:
             raise NotAChainMap(f"generator {g.name!r} changes truncation")
         mapping[g.gid] = h.gid
     return mapping

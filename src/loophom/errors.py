@@ -77,6 +77,10 @@ class InvalidCutoff(LoophomError, ValueError):
     (a bool does not count as one)."""
 
 
+class InvalidFieldSpec(LoophomError, ValueError):
+    """A field spec string is not 'q', 'rational' or 'f<p>'."""
+
+
 class NegativeCutoff(InvalidCutoff):
     """A cutoff, the top ordinary degree of a computation, is below 0."""
 

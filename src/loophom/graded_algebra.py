@@ -23,7 +23,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping, Optional, Union
+from typing import Mapping, Optional, Union
 
 from .errors import (
     AlgebraMismatch,
@@ -46,6 +46,12 @@ class Generator:
     weight: int
     kind: str
     truncation: Optional[int] = None
+
+    @property
+    def top(self) -> Optional[int]:
+        """Largest exponent of a nonzero power, None when unbounded: 1 for
+        exterior, the truncation for truncated generators."""
+        return 1 if self.kind == "exterior" else self.truncation
 
 
 class Monomial:
@@ -180,9 +186,8 @@ class GradedAlgebra:
             g = self.generators[gid]
             if e < 0 and g.kind != "laurent":
                 raise ValueError(f"negative exponent on {g.kind} generator {g.name!r}")
-            if g.kind == "exterior" and e > 1:
-                return None
-            if g.kind == "truncated" and e > g.truncation:
+            top = g.top
+            if top is not None and e > top:
                 return None
             exps.append((gid, e))
             degree += e * g.degree
@@ -221,10 +226,8 @@ class GradedAlgebra:
             e = merged[gid]
             if e == 0:
                 continue
-            g = self.generators[gid]
-            if g.kind == "exterior" and e > 1:
-                return sign, None
-            if g.kind == "truncated" and e > g.truncation:
+            top = self.generators[gid].top
+            if top is not None and e > top:
                 return sign, None
             exps.append((gid, e))
         return sign, Monomial(exps, a.degree + b.degree, a.weight + b.weight)
@@ -313,7 +316,7 @@ class GradedAlgebra:
             for g in reversed(self.generators):
                 if g in free:
                     continue
-                top = {"polynomial": None, "exterior": 1}.get(g.kind, g.truncation)
+                top = g.top
                 steps.append((g, top, low, high))
                 if top is None:
                     high = math.inf
@@ -407,25 +410,6 @@ def _free_exponents(free: list, weight: int) -> list:
         head = ((g.gid, e),) if e else ()
         out += [head + tail for tail in _free_exponents(later, weight - e * g.weight)]
     return out
-
-
-def generator_horizon(family_degrees: Callable[[int], int], cutoff: int) -> int:
-    """Largest index worth instantiating in an increasing generator family.
-
-    `family_degrees(i)` gives the degree of the i-th family member and must
-    be strictly increasing. Returns the smallest i_max >= 0 such that every
-    member of index > i_max has degree above the cutoff; index 0 is always
-    kept.
-    """
-    i = 0
-    d = family_degrees(1)
-    while d <= cutoff:
-        i += 1
-        nxt = family_degrees(i + 1)
-        if nxt <= d:
-            raise ValueError("family degrees must be strictly increasing")
-        d = nxt
-    return i
 
 
 class Element:

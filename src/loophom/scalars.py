@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .errors import CompositeCharacteristic, DivisionByZero, FieldMismatch
+from .errors import CompositeCharacteristic, DivisionByZero, FieldMismatch, InvalidFieldSpec
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -96,9 +96,10 @@ def make_field(spec: Union[str, int]) -> Field:
     """Build a field from "q" or "rational" (any case), "f<p>", or an
     integer: 0 for the rationals, a prime p for F_p.
 
-    "f<p>" is read as the integer p. Non-prime integers raise
-    CompositeCharacteristic; primes past one machine word are rejected
-    outright (both checked by `Field` itself).
+    "f<p>" is read as the integer p. Any other string raises
+    InvalidFieldSpec. Non-prime integers raise CompositeCharacteristic;
+    primes past one machine word are rejected outright (both checked by
+    `Field` itself).
     """
     if isinstance(spec, str):
         s = spec.strip().lower()
@@ -106,7 +107,7 @@ def make_field(spec: Union[str, int]) -> Field:
             return Field(0)
         digits = re.fullmatch(r"f([0-9]+)", s)
         if digits is None:
-            raise CompositeCharacteristic(f"field spec {spec!r} is not 'q', 'rational' or 'f<p>'")
+            raise InvalidFieldSpec(f"field spec {spec!r} is not 'q', 'rational' or 'f<p>'")
         spec = int(digits[1])
     return Field(spec)
 

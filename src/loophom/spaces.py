@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 from .dga import Derivation, DgaPage, InducedMapReport, induced_map_on_homology
 from .errors import InvalidCutoff, NegativeCutoff
-from .graded_algebra import GradedAlgebra, generator_horizon
+from .graded_algebra import GradedAlgebra
 from .scalars import Field
 
 LOOP = "loop"
@@ -80,35 +80,30 @@ def operation_degree(n: int, p: int, i: int) -> int:
 
 
 def generator_schedule(n: int, field: Field, variant: str, cutoff: int) -> list:
-    """Generator declarations (name, degree, weight, kind, truncation) for
-    the Pontrjagin ring, in canonical order: iota, then the operation
+    """Generator declarations (name, degree, weight, kind) for the
+    Pontrjagin ring, in canonical order: iota, u, then the operation
     family ascending, Bocksteins interleaved at odd primes.
 
-    Generators of degree above the cutoff are omitted; over the rationals
-    the ring is just iota and u and the cutoff is irrelevant. A negative
-    cutoff raises NegativeCutoff, so no page builder accepts one.
+    Q_i u is kept iff its degree is at most the cutoff, with the kind of
+    u; at an odd prime its polynomial Bockstein partner bQ_i u sits one
+    degree lower. Over the rationals the ring is just iota and u. A
+    negative cutoff raises NegativeCutoff, so no page builder accepts one.
     """
     _check_args(n, field, variant)
     validate_cutoff(cutoff)
-    iota_kind = "laurent" if variant == LOOP else "polynomial"
-    rows = [("iota", 0, 1, iota_kind, None)]
     p = field.characteristic
-    if p == 0:
-        rows.append(("u", 2 * n - 1, 1, "exterior", None))
-    elif p == 2:
-        rows.append(("u", 2 * n - 1, 1, "polynomial", None))
-        top = generator_horizon(lambda i: operation_degree(n, 2, i), cutoff)
-        for i in range(1, top + 1):
-            rows.append((f"Q{i}u", operation_degree(n, 2, i), 2**i, "polynomial", None))
-    else:
-        rows.append(("u", 2 * n - 1, 1, "exterior", None))
-        i = 1
-        while operation_degree(n, p, i) - 1 <= cutoff:
-            dq = operation_degree(n, p, i)
-            if dq <= cutoff:
-                rows.append((f"Q{i}u", dq, p**i, "exterior", None))
-            rows.append((f"bQ{i}u", dq - 1, p**i, "polynomial", None))
-            i += 1
+    iota_kind = "laurent" if variant == LOOP else "polynomial"
+    u_kind = "polynomial" if p == 2 else "exterior"
+    rows = [("iota", 0, 1, iota_kind), ("u", 2 * n - 1, 1, u_kind)]
+    bockstein = p % 2  # odd primes only
+    i = 1
+    while p and operation_degree(n, p, i) - bockstein <= cutoff:
+        dq = operation_degree(n, p, i)
+        if dq <= cutoff:
+            rows.append((f"Q{i}u", dq, p**i, u_kind))
+        if bockstein:
+            rows.append((f"bQ{i}u", dq - 1, p**i, "polynomial"))
+        i += 1
     return rows
 
 
@@ -119,17 +114,8 @@ def pontrjagin_algebra(n: int, field: Field, variant: str, cutoff: int = 30) -> 
     rows = generator_schedule(n, field, variant, cutoff)
     horizon = None if field.characteristic == 0 else cutoff
     alg = GradedAlgebra(field, complete_through_degree=horizon)
-    for name, degree, weight, kind, truncation in rows:
-        alg.declare_generator(name, degree, weight, kind, truncation)
-    return alg
-
-
-def projective_cohomology(n: int, field: Field) -> GradedAlgebra:
-    """Cohomology of projective n-space, graded negatively: a single
-    truncated class c in degree -2 with c^(n+1) = 0."""
-    _check_n(n)
-    alg = GradedAlgebra(field)
-    alg.declare_generator("c", -2, 0, "truncated", truncation=n)
+    for row in rows:
+        alg.declare_generator(*row)
     return alg
 
 
@@ -148,7 +134,7 @@ def e2_page(n: int, field: Field, variant: str, cutoff: int = 30) -> DgaPage:
     alg.declare_generator("c", -2, 0, "truncated", truncation=n)
     image = alg.monomial_element(alg.monomial({"u": 1, "c": n}), n + 1)
     differential = Derivation.from_generator_images(alg, {"iota": image})
-    return DgaPage(alg, differential, label="E2")
+    return DgaPage(alg, differential)
 
 
 @dataclass

@@ -463,7 +463,7 @@ def test_unit_check_noclaim_and_validation():
 def test_unit_check_fails_on_boundaries(monkeypatch):
     # d out of degree 1 replaced by the identity onto the degree-0 basis,
     # so every degree-0 monomial, the unit among them, is a boundary
-    def onto_degree_zero(page, degree, weight):
+    def onto_degree_zero(page, degree, weight, **bases):
         assert degree == 1
         size = len(page.algebra.enumerate_basis(0, weight))
         return Matrix(page.algebra.field, size, size, {(i, i): 1 for i in range(size)})

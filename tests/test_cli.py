@@ -236,7 +236,7 @@ def test_verify_oracle_any_field_and_n(argv, capsys):
         (["verify", "--check", "periodicity", "--n", "1", "--field", "f2",
           "--components", "0..1"], "needs --k"),
         (["verify", "--check", "unit", "--n", "1", "--field", "f2",
-          "--k", "-1"], "positive --k"),
+          "--k", "-1"], "positive integer"),
         (["verify", "--check", "oracle", "--n", "0", "--field", "f2",
           "--components", "0..1"], "positive"),
         (["verify", "--check", "oracle", "--n", "2", "--field", "f2"],

@@ -14,7 +14,7 @@ from loophom.errors import (
     ParityViolation,
     UnknownGenerator,
 )
-from loophom.graded_algebra import GradedAlgebra, generator_horizon
+from loophom.graded_algebra import GradedAlgebra
 from loophom.scalars import GF2, RATIONALS, Field
 
 F3 = Field(3)
@@ -42,6 +42,14 @@ def signed_algebra():
 
 
 # -- declarations and canonical monomials -----------------------------------
+
+
+def test_generator_top_per_kind():
+    alg = loop_like_algebra()
+    alg.declare_generator("e", 1, 0, "exterior")
+    alg.declare_generator("t", -4, 0, "truncated", truncation=3)
+    tops = {g.name: g.top for g in alg.generators}
+    assert tops == {"iota": None, "u": None, "Q1u": None, "Q2u": None, "c": 1, "e": 1, "t": 3}
 
 
 def test_declare_errors():
@@ -468,17 +476,3 @@ def test_exterior_negative_degree_is_fine():
     alg = GradedAlgebra(GF2)
     alg.declare_generator("c", -2, 0, "truncated", truncation=3)
     assert len(alg.enumerate_basis(-4, 0)) == 1
-
-
-# -- generator horizon ----------------------------------------------------------
-
-
-def test_generator_horizon_examples():
-    assert generator_horizon(lambda i: 2 * 2**i * 2 - 1, 30) == 2  # 7, 15, 31
-    assert generator_horizon(lambda i: 2 * 2**i * 1 - 1, 0) == 0  # 3 > 0 at once
-    assert generator_horizon(lambda i: 2 * 3**i * 3 - 1, 40) == 1  # 17, 53
-
-
-def test_generator_horizon_requires_increase():
-    with pytest.raises(ValueError):
-        generator_horizon(lambda i: 5, 30)

@@ -6,7 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from loophom.errors import CompositeCharacteristic, DivisionByZero, FieldMismatch
+from loophom.errors import (
+    CompositeCharacteristic,
+    DivisionByZero,
+    FieldMismatch,
+    InvalidFieldSpec,
+)
 from loophom.scalars import GF2, MAX_CHARACTERISTIC, RATIONALS, Field, make_field
 
 F3 = Field(3)
@@ -25,9 +30,15 @@ def test_make_field_specs():
     assert make_field("f0") == RATIONALS
 
 
-@pytest.mark.parametrize("bad", [1, 4, 6, 9, 561, 1 + 2**20, "f4", "gf(3)", "real"])
+@pytest.mark.parametrize("bad", [1, 4, 6, 9, 561, 1 + 2**20, "f4"])
 def test_make_field_rejects_nonprime(bad):
     with pytest.raises(CompositeCharacteristic):
+        make_field(bad)
+
+
+@pytest.mark.parametrize("bad", ["gf(3)", "real"])
+def test_make_field_rejects_malformed_spec(bad):
+    with pytest.raises(InvalidFieldSpec, match="field spec"):
         make_field(bad)
 
 

@@ -15,7 +15,6 @@ from loophom.spaces import (
     hol_to_loop_inclusion,
     operation_degree,
     pontrjagin_algebra,
-    projective_cohomology,
 )
 
 F3 = Field(3)
@@ -64,20 +63,20 @@ def test_operation_degree_closed_form_matches_recursion():
 def test_schedule_mod2_n2():
     rows = generator_schedule(2, GF2, LOOP, 30)
     assert rows == [
-        ("iota", 0, 1, "laurent", None),
-        ("u", 3, 1, "polynomial", None),
-        ("Q1u", 7, 2, "polynomial", None),
-        ("Q2u", 15, 4, "polynomial", None),
+        ("iota", 0, 1, "laurent"),
+        ("u", 3, 1, "polynomial"),
+        ("Q1u", 7, 2, "polynomial"),
+        ("Q2u", 15, 4, "polynomial"),
     ]
 
 
 def test_schedule_mod3_n2():
     rows = generator_schedule(2, F3, LOOP, 30)
     assert rows == [
-        ("iota", 0, 1, "laurent", None),
-        ("u", 3, 1, "exterior", None),
-        ("Q1u", 11, 3, "exterior", None),
-        ("bQ1u", 10, 3, "polynomial", None),
+        ("iota", 0, 1, "laurent"),
+        ("u", 3, 1, "exterior"),
+        ("Q1u", 11, 3, "exterior"),
+        ("bQ1u", 10, 3, "polynomial"),
     ]
 
 
@@ -85,11 +84,11 @@ def test_schedule_keeps_bockstein_when_operation_just_misses():
     # at cutoff 16 the i=2 operation (degree 17) is out, its Bockstein in
     rows = generator_schedule(1, F3, LOOP, 16)
     assert rows == [
-        ("iota", 0, 1, "laurent", None),
-        ("u", 1, 1, "exterior", None),
-        ("Q1u", 5, 3, "exterior", None),
-        ("bQ1u", 4, 3, "polynomial", None),
-        ("bQ2u", 16, 9, "polynomial", None),
+        ("iota", 0, 1, "laurent"),
+        ("u", 1, 1, "exterior"),
+        ("Q1u", 5, 3, "exterior"),
+        ("bQ1u", 4, 3, "polynomial"),
+        ("bQ2u", 16, 9, "polynomial"),
     ]
 
 
@@ -97,9 +96,38 @@ def test_schedule_rational_is_two_generators():
     for n in (1, 3):
         rows = generator_schedule(n, RATIONALS, HOL, 10)
         assert rows == [
-            ("iota", 0, 1, "polynomial", None),
-            ("u", 2 * n - 1, 1, "exterior", None),
+            ("iota", 0, 1, "polynomial"),
+            ("u", 2 * n - 1, 1, "exterior"),
         ]
+
+
+def _schedule_from_degree_formulas(n, p, variant, cutoff):
+    """The rows written out per prime: mod 2, polynomial Q_i u in degree
+    2^(i+1) n - 1; mod an odd p, exterior Q_i u in degree 2 p^i n - 1 and
+    polynomial bQ_i u in degree 2 p^i n - 2; weight p^i; each kept iff
+    its degree is at most the cutoff."""
+    rows = [
+        ("iota", 0, 1, "laurent" if variant == LOOP else "polynomial"),
+        ("u", 2 * n - 1, 1, "polynomial" if p == 2 else "exterior"),
+    ]
+    for i in range(1, 8):  # 2 * 2**7 - 2 is past every cutoff tried
+        if p == 2 and 2 ** (i + 1) * n - 1 <= cutoff:
+            rows.append((f"Q{i}u", 2 ** (i + 1) * n - 1, 2**i, "polynomial"))
+        if p > 2 and 2 * p**i * n - 1 <= cutoff:
+            rows.append((f"Q{i}u", 2 * p**i * n - 1, p**i, "exterior"))
+        if p > 2 and 2 * p**i * n - 2 <= cutoff:
+            rows.append((f"bQ{i}u", 2 * p**i * n - 2, p**i, "polynomial"))
+    return rows
+
+
+@pytest.mark.parametrize("p", [0, 2, 3, 5, 7])
+def test_schedule_matches_degree_formulas(p):
+    field = Field(p)
+    for n in (1, 2, 3):
+        for variant in (LOOP, HOL):
+            for cutoff in range(81):
+                expected = _schedule_from_degree_formulas(n, p, variant, cutoff)
+                assert generator_schedule(n, field, variant, cutoff) == expected
 
 
 def test_schedule_variant_controls_iota_kind():
@@ -129,19 +157,6 @@ def test_pontrjagin_algebra_horizon_tag():
     assert pontrjagin_algebra(2, RATIONALS, LOOP, 30).complete_through_degree is None
 
 
-def test_projective_cohomology_truncation():
-    alg = projective_cohomology(2, RATIONALS)
-    c = alg.generator("c")
-    assert (c.degree, c.weight, c.kind, c.truncation) == (-2, 0, "truncated", 2)
-    assert alg.monomial({"c": 2}) is not None
-    assert alg.monomial({"c": 3}) is None
-
-
-def test_projective_cohomology_refuses_bool_n():
-    with pytest.raises(ValueError, match="positive"):
-        projective_cohomology(True, GF2)
-
-
 @pytest.mark.parametrize(
     "n,field,zero",
     [(1, GF2, True), (2, GF2, False), (2, F3, True), (1, F3, False),
@@ -163,10 +178,6 @@ def test_e2_horizon_shifted_by_projective_dimension():
     assert e2_page(2, GF2, LOOP, cutoff=30).algebra.complete_through_degree == 26
     assert e2_page(1, F3, HOL, cutoff=12).algebra.complete_through_degree == 10
     assert e2_page(2, RATIONALS, LOOP, cutoff=8).algebra.complete_through_degree is None
-
-
-def test_e2_label():
-    assert e2_page(1, GF2, LOOP, cutoff=10).label == "E2"
 
 
 # -- closed form ---------------------------------------------------------------------
