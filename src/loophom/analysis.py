@@ -87,10 +87,10 @@ class BettiTable:
     entries: dict
 
     def column(self, component: int) -> dict:
-        return {d: v for (k, d), v in self.entries.items() if k == component}
+        return self.columns().get(component, {})
 
     def columns(self) -> dict:
-        """component -> `column(component)` for every component with an
+        """component -> {degree: dimension} for every component with an
         entry, grouped in one scan of the entries."""
         out: dict = {}
         for (k, d), v in self.entries.items():
@@ -215,25 +215,19 @@ def collapse_predicted(n: int, p: int, k: int, variant: str) -> bool:
     return False
 
 
-def _noncollapse_visible_from(n: int, p: int, k: int) -> int:
-    """Smallest cutoff at which a predicted non-collapse of component k
-    can show.
+def _noncollapse_visible_from(n: int, p: int, components: Iterable[int]) -> int:
+    """Smallest cutoff at which a predicted non-collapse of any of the
+    components can show; p = 0 for the rationals.
 
-    The first monomial with a nonzero differential is iota^k, in ordinary
-    degree 2n; at p = 2 and even k its coefficient k(n+1) vanishes, and
-    the first one is iota^(k-1) u, in degree 4n - 1. Homology is computed
-    one degree above the cutoff, so the differential shows one degree
-    lower than its source.
+    The first monomial of component k with a nonzero differential is
+    iota^k, in ordinary degree 2n; at p = 2 and even k its coefficient
+    k(n+1) vanishes, and the first one is iota^(k-1) u, in degree 4n - 1.
+    Homology is computed one degree above the cutoff, so the differential
+    shows one degree lower than its source.
     """
-    if p == 2 and k % 2 == 0:
+    if p == 2 and all(k % 2 == 0 for k in components):
         return 4 * n - 2
     return 2 * n - 1
-
-
-def _first_visible_differential(n: int, p: int, components: list) -> int:
-    """Smallest cutoff at which any of the components can show a
-    differential; p = 0 for the rationals."""
-    return min(_noncollapse_visible_from(n, p, k) for k in components)
 
 
 def check_collapse(
@@ -267,7 +261,7 @@ def check_collapse(
             observed = k not in moving
             predicted = collapse_predicted(n, p, k, variant)
             cells[(variant, k)] = "collapse" if observed else "non-collapse"
-            if not predicted and cutoff < _noncollapse_visible_from(n, p, k):
+            if not predicted and cutoff < _noncollapse_visible_from(n, p, [k]):
                 hidden.append({"variant": variant, "k": k})
             elif observed != predicted:
                 mismatches.append(
@@ -300,7 +294,7 @@ def check_periodicity(
     if (k * (n + 1)) % p != 0:
         return VerificationReport("periodicity", params, "NoClaim")
     needed = sorted(set(comps) | {i + k for i in comps})
-    visible = _first_visible_differential(n, p, needed)
+    visible = _noncollapse_visible_from(n, p, needed)
     if cutoff < visible:
         return VerificationReport(
             "periodicity", params, "NoClaim", {"visible_from": visible}
@@ -335,7 +329,7 @@ def check_dichotomy(
     if not comps:
         return VerificationReport("dichotomy", params, "NoClaim", {"compared": 0})
     needed = sorted(set(comps) | {0, 1})
-    visible = _first_visible_differential(n, field.characteristic, needed)
+    visible = _noncollapse_visible_from(n, field.characteristic, needed)
     if cutoff < visible:
         return VerificationReport(
             "dichotomy", params, "NoClaim", {"visible_from": visible}
@@ -372,7 +366,7 @@ def unit_check(n: int, p: int, k: int, cutoff: int = DEFAULT_CUTOFF) -> Verifica
     page = _page(n, field, LOOP, cutoff + 1)
     alg = page.algebra
     d = page.differential
-    _check_horizon(alg, 1)
+    _check_horizon(alg, 0)
 
     def is_boundary(monomial) -> bool:
         # a basis monomial bounds iff deleting its row lowers the rank of d

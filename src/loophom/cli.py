@@ -31,7 +31,7 @@ from typing import Optional
 from . import analysis
 from .analysis import SpaceSpec, VerificationReport
 from .errors import CutoffTooTight, InfiniteBasis
-from .scalars import Field, make_field
+from .scalars import make_field
 from .spaces import HOL, LOOP
 
 EXIT_OK = 0
@@ -45,13 +45,6 @@ CHECKS = ("collapse", "periodicity", "dichotomy", "unit", "oracle", "all")
 
 class ConfigError(Exception):
     pass
-
-
-def _parse_field(spec: str) -> Field:
-    try:
-        return make_field(spec)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
 
 
 def _parse_components(single: Optional[int], ranged: Optional[str]) -> list:
@@ -153,7 +146,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_compute(args) -> int:
-    field = _parse_field(args.field)
+    field = make_field(args.field)
     components = _parse_components(args.component, args.components)
     space = SpaceSpec(args.space, args.n, field)
     # one component at a time, so only one component's rank profiles are
@@ -173,7 +166,7 @@ def _cmd_compute(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    field = _parse_field(args.field)
+    field = make_field(args.field)
     p = field.characteristic
     running_all = args.check == "all"
     reports: list[VerificationReport] = []

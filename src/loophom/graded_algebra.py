@@ -40,12 +40,28 @@ KINDS = ("polynomial", "laurent", "exterior", "truncated")
 
 @dataclass(frozen=True, slots=True)
 class Generator:
+    """Kind, truncation and a laurent generator's degree 0 are checked on
+    construction; `GradedAlgebra.declare_generator` adds name and parity."""
+
     gid: int
     name: str
     degree: int
     weight: int
     kind: str
     truncation: Optional[int] = None
+
+    def __post_init__(self):
+        if self.kind not in KINDS:
+            raise ValueError(f"unknown generator kind {self.kind!r}")
+        if self.kind == "laurent" and self.degree != 0:
+            raise LaurentNonzeroDegree(
+                f"laurent generator {self.name!r} has degree {self.degree}"
+            )
+        if self.kind == "truncated":
+            if self.truncation is None or self.truncation < 1:
+                raise ValueError(f"truncated generator {self.name!r} needs truncation >= 1")
+        elif self.truncation is not None:
+            raise ValueError("truncation only applies to truncated generators")
 
     @property
     def top(self) -> Optional[int]:
@@ -99,9 +115,6 @@ class Monomial:
         return f"Monomial{self.exps}"
 
 
-UNIT_KEY: tuple = ()
-
-
 class GradedAlgebra:
     """A free bigraded-commutative algebra over an exact field.
 
@@ -131,23 +144,14 @@ class GradedAlgebra:
         kind: str,
         truncation: Optional[int] = None,
     ) -> Generator:
-        if kind not in KINDS:
-            raise ValueError(f"unknown generator kind {kind!r}")
+        gen = Generator(len(self.generators), name, degree, weight, kind, truncation)
         if name in self._by_name:
             raise DuplicateName(f"generator {name!r} already declared")
-        if kind == "laurent" and degree != 0:
-            raise LaurentNonzeroDegree(f"laurent generator {name!r} has degree {degree}")
-        if kind == "truncated":
-            if truncation is None or truncation < 1:
-                raise ValueError(f"truncated generator {name!r} needs truncation >= 1")
-        elif truncation is not None:
-            raise ValueError("truncation only applies to truncated generators")
         if self.field.characteristic != 2:
             if kind == "exterior" and degree % 2 == 0:
                 raise ParityViolation(f"even exterior generator {name!r} over {self.field}")
             if kind != "exterior" and degree % 2 != 0:
                 raise ParityViolation(f"odd {kind} generator {name!r} over {self.field}")
-        gen = Generator(len(self.generators), name, degree, weight, kind, truncation)
         self.generators.append(gen)
         self._by_name[name] = gen
         self._plan = None
@@ -170,28 +174,35 @@ class GradedAlgebra:
         """Canonical monomial for an exponent assignment, or None for zero.
 
         Exponents past an exterior or truncated bound make the monomial
-        zero in the quotient, hence the None. Negative exponents are only
-        legal on laurent generators.
+        zero in the quotient, hence the None. A negative exponent on a
+        generator that is not laurent raises ValueError, even where a bound
+        would make the monomial zero.
         """
         merged: dict[int, int] = {}
         for key, e in exponents.items():
             g = self.generator(key)
             merged[g.gid] = merged.get(g.gid, 0) + e
         degree = weight = 0
-        exps = []
-        for gid in sorted(merged):
-            e = merged[gid]
-            if e == 0:
-                continue
+        for gid, e in merged.items():
             g = self.generators[gid]
             if e < 0 and g.kind != "laurent":
                 raise ValueError(f"negative exponent on {g.kind} generator {g.name!r}")
-            top = g.top
-            if top is not None and e > top:
-                return None
-            exps.append((gid, e))
             degree += e * g.degree
             weight += e * g.weight
+        return self._canonical(merged, degree, weight)
+
+    def _canonical(self, merged: dict, degree: int, weight: int) -> Optional[Monomial]:
+        """The monomial of the exponents `merged` ({gid: e}) and the given
+        bidegree: gids sorted, zero exponents dropped, None when an
+        exponent passes its generator's `top`."""
+        exps = []
+        for gid in sorted(merged):
+            e = merged[gid]
+            if e:
+                top = self.generators[gid].top
+                if top is not None and e > top:
+                    return None
+                exps.append((gid, e))
         return Monomial(exps, degree, weight)
 
     @property
@@ -221,16 +232,7 @@ class GradedAlgebra:
         merged = dict(a.exps)
         for gid, e in b.exps:
             merged[gid] = merged.get(gid, 0) + e
-        exps = []
-        for gid in sorted(merged):
-            e = merged[gid]
-            if e == 0:
-                continue
-            top = self.generators[gid].top
-            if top is not None and e > top:
-                return sign, None
-            exps.append((gid, e))
-        return sign, Monomial(exps, a.degree + b.degree, a.weight + b.weight)
+        return sign, self._canonical(merged, a.degree + b.degree, a.weight + b.weight)
 
     # -- elements ----------------------------------------------------------
 

@@ -1,12 +1,12 @@
 """Exact sparse linear algebra over Q and F_p.
 
 One elimination, `_eliminate`, serves both the rank and the kernel. It
-chooses pivots in the column of smallest support. Over Q it is
-fraction-free: rows are scaled to primitive integer vectors and updated by
-cross-multiplication with a gcd reduction, so no Fraction arithmetic
-happens in the loop. `kernel_basis` back-substitutes over its pivot rows.
-The tests compare both against a dense textbook reduction kept in
-`tests/dense_reference.py`.
+chooses pivots in the column of smallest support. It is fraction-free for
+every field: rows hold ints, primitive over Q, and the one update
+r*pv - f*piv (Bareiss, Math. Comp. 22, 1968) is reduced mod p over F_p
+and divided by its content over Q. `kernel_basis` back-substitutes over
+its pivot rows. The tests compare both against a dense textbook
+reduction kept in `tests/dense_reference.py`.
 
 Matrices are stored sparsely as {(row, col): Scalar} with explicit shape.
 """
@@ -103,24 +103,18 @@ def _eliminate(matrix: Matrix) -> list:
                 continue
             r = rows[i]
             f = r[col]
-            if p:
-                factor = f * pow(pv, -1, p) % p
-                new = {}
-                # union of supports: the pivot row fills in columns r lacks
-                for c in set(r) | set(piv):
-                    w = (r.get(c, 0) - factor * piv.get(c, 0)) % p
-                    if w:
-                        new[c] = w
-            else:
-                new = {}
-                for c in set(r) | set(piv):
-                    w = r.get(c, 0) * pv - piv.get(c, 0) * f
-                    if w:
-                        new[c] = w
-                if new:
-                    content = gcd(*new.values())
-                    if content > 1:
-                        new = {c: v // content for c, v in new.items()}
+            new = {}
+            # union of supports: the pivot row fills in columns r lacks
+            for c in set(r) | set(piv):
+                w = r.get(c, 0) * pv - piv.get(c, 0) * f
+                if p:
+                    w %= p
+                if w:
+                    new[c] = w
+            if new and not p:
+                content = gcd(*new.values())
+                if content > 1:
+                    new = {c: v // content for c, v in new.items()}
             if new:
                 rows[i] = new
             else:

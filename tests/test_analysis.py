@@ -20,7 +20,7 @@ from loophom.analysis import (
     poincare_series,
     unit_check,
 )
-from loophom.errors import InvalidCutoff, LoophomError, NegativeCutoff
+from loophom.errors import CutoffTooTight, InvalidCutoff, LoophomError, NegativeCutoff
 from loophom.linalg import Matrix
 from loophom.scalars import GF2, RATIONALS, Field
 from loophom.spaces import HOL, LOOP, closed_form_rational_hol_betti
@@ -84,7 +84,8 @@ def test_columns_group_the_entries_like_column():
     columns = table.columns()
     assert list(columns) == table.components() == list(range(-3, 4))
     for k in range(-4, 5):
-        assert columns.get(k, {}) == table.column(k)
+        expected = {d: v for (kk, d), v in table.entries.items() if kk == k}
+        assert columns.get(k, {}) == table.column(k) == expected
 
 
 def test_periodicity_and_dichotomy_scan_the_table_once(monkeypatch):
@@ -458,6 +459,23 @@ def test_unit_check_noclaim_and_validation():
         unit_check(2, 2, 0, cutoff=12)
     with pytest.raises(ValueError):
         unit_check(2, 2, -2, cutoff=12)
+
+
+def test_unit_check_needs_a_cutoff_of_2n_only():
+    # d: 1 -> 0 needs a complete basis through ordinary degree 2n + 1 only
+    claimed = 0
+    for n in range(1, 5):
+        for p in (2, 3, 5, 7):
+            for k in range(1, 8):
+                if (k * (n + 1)) % p:
+                    continue
+                claimed += 1
+                tight = unit_check(n, p, k, cutoff=2 * n)
+                wide = unit_check(n, p, k, cutoff=40)
+                assert (tight.verdict, tight.witness) == (wide.verdict, wide.witness)
+                with pytest.raises(CutoffTooTight):
+                    unit_check(n, p, k, cutoff=2 * n - 1)
+    assert claimed == 47
 
 
 def test_unit_check_fails_on_boundaries(monkeypatch):

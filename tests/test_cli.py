@@ -2,7 +2,6 @@
 
 import json
 import os
-import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from loophom import cli
-from loophom.analysis import VerificationReport, check_dichotomy
+from loophom.analysis import VerificationReport, betti_table, check_dichotomy
 from loophom.cli import EXIT_CONFIG, EXIT_CUTOFF, EXIT_FAIL, EXIT_IO, EXIT_OK, main
 from loophom.errors import LoophomError
 
@@ -261,20 +260,30 @@ def test_verify_negative_cutoff_exits_two(capsys):
     assert "cutoff must be nonnegative, got -3" in err
 
 
+def _compute_argv(spec):
+    return ["compute", "--space", "loop", "--n", "1", "--field", spec,
+            "--component", "1", "--cutoff", "4"]
+
+
 @pytest.mark.parametrize(
     "spec", ["q", "Q", " q ", "rational", "f2", "F3", "f5", "f101", "f0"]
 )
-def test_library_and_cli_read_a_field_spec_alike(spec):
-    assert cli._parse_field(spec) == cli.make_field(spec)
+def test_library_and_cli_read_a_field_spec_alike(spec, capsys):
+    code, out, err = run(_compute_argv(spec), capsys)
+    assert code == EXIT_OK and err == ""
+    space = cli.SpaceSpec("loop", 1, cli.make_field(spec))
+    column = betti_table(space, [1], 4).column(1)
+    assert out == cli._render_text(space, 4, "ordinary", {1: column})
 
 
 @pytest.mark.parametrize("spec", ["f4", "f1", "r", "gf(3)", "3", "f", "f-3", "f 3", "f\u0663"])
-def test_library_and_cli_refuse_a_field_spec_alike(spec):
+def test_library_and_cli_refuse_a_field_spec_alike(spec, capsys):
     with pytest.raises(LoophomError) as info:
         cli.make_field(spec)
     assert isinstance(info.value, ValueError)
-    with pytest.raises(cli.ConfigError, match=re.escape(str(info.value))):
-        cli._parse_field(spec)
+    code, out, err = run(_compute_argv(spec), capsys)
+    assert code == EXIT_CONFIG and out == ""
+    assert str(info.value) in err
 
 
 def test_checks_take_the_cli_field_grammar():

@@ -14,7 +14,7 @@ from loophom.errors import (
     ParityViolation,
     UnknownGenerator,
 )
-from loophom.graded_algebra import GradedAlgebra
+from loophom.graded_algebra import GradedAlgebra, Generator
 from loophom.scalars import GF2, RATIONALS, Field
 
 F3 = Field(3)
@@ -67,6 +67,23 @@ def test_declare_errors():
         alg.declare_generator("z", 2, 0, "divided")
     with pytest.raises(UnknownGenerator):
         alg.generator("nope")
+
+
+@pytest.mark.parametrize(
+    "args, error, message",
+    [
+        ((0, "x", 2, 0, "divided"), ValueError, "unknown generator kind"),
+        ((0, "x", 2, 0, "polynomial", 3), ValueError, "only applies to truncated"),
+        ((0, "x", 2, 0, "truncated"), ValueError, "needs truncation >= 1"),
+        ((0, "x", 2, 0, "truncated", 0), ValueError, "needs truncation >= 1"),
+        ((0, "x", 2, 1, "laurent"), LaurentNonzeroDegree, "has degree 2"),
+    ],
+    ids=["unknown-kind", "truncation-not-truncated", "missing-truncation",
+         "zero-truncation", "laurent-nonzero-degree"],
+)
+def test_generator_refuses_invalid_construction(args, error, message):
+    with pytest.raises(error, match=message):
+        Generator(*args)
 
 
 @pytest.mark.parametrize("field", [RATIONALS, F3])

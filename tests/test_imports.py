@@ -1,4 +1,6 @@
-"""Every name a module of the package imports is used in that module.
+"""Every name a module of the package imports is used in that module,
+somewhere no local of a function (a parameter, an assignment or loop
+target, a nested def) shadows it.
 
 The package's `__init__` is exempt: its imports are its exports. Three
 imports have no caller in their module and are kept on purpose, because
@@ -33,18 +35,54 @@ def _imported_names(tree: ast.Module) -> set:
     return names
 
 
-def _used_names(tree: ast.Module) -> set:
+SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def _local_names(func) -> set:
+    """The names a function binds in its own scope: its parameters, and the
+    assignment targets, loop targets and nested defs of its body."""
+    args = func.args
+    names = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+    names |= {a.arg for a in (args.vararg, args.kwarg) if a}
+    stack = list(func.body) if isinstance(func.body, list) else [func.body]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+            continue  # its body is a scope of its own
+        if not isinstance(node, ast.Lambda):
+            stack.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def _used_names(tree: ast.AST) -> set:
+    """Names read where no enclosing function binds them, plus the names in
+    quoted annotations."""
     used = set()
     annotations = []
-    for node in ast.walk(tree):
+
+    def visit(node, shadowed):
         if isinstance(node, ast.Name):
-            used.add(node.id)
+            if node.id not in shadowed:
+                used.add(node.id)
         elif isinstance(node, ast.arg) and node.annotation is not None:
             annotations.append(node.annotation)
         elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns:
             annotations.append(node.returns)
         elif isinstance(node, ast.AnnAssign):
             annotations.append(node.annotation)
+        inner = shadowed
+        body = []
+        if isinstance(node, SCOPES):
+            # decorators, defaults and annotations belong to the outer scope
+            inner = shadowed | _local_names(node)
+            body = node.body if isinstance(node.body, list) else [node.body]
+        for child in ast.iter_child_nodes(node):
+            visit(child, inner if any(child is b for b in body) else shadowed)
+
+    visit(tree, frozenset())
     # a quoted annotation names its types inside a string
     for annotation in annotations:
         for node in ast.walk(annotation):
@@ -53,10 +91,30 @@ def _used_names(tree: ast.Module) -> set:
     return used
 
 
+def _unused(tree: ast.Module) -> set:
+    return _imported_names(tree) - _used_names(tree)
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
 def test_every_import_is_used(path):
-    tree = ast.parse(path.read_text())
-    unused = _imported_names(tree) - _used_names(tree)
+    unused = _unused(ast.parse(path.read_text()))
     unused -= {name for module, name in KEPT_FOR_TRACER if module == path.stem}
     assert not unused, f"{path.name} imports {sorted(unused)} without using them"
 
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        "def f(field):\n    return field\n",
+        "def f(x):\n    field = x\n    return field\n",
+        "def f(xs):\n    for field in xs:\n        pass\n    return field\n",
+        "def f():\n    def field():\n        pass\n    return field\n",
+        "def f(field):\n    def g():\n        return field\n    return g\n",
+        "f = lambda field: field\n",
+    ],
+    ids=["parameter", "assignment", "loop", "nested-def", "enclosing", "lambda"],
+)
+def test_an_import_shadowed_by_a_local_is_unused(body):
+    header = "from dataclasses import dataclass, field\n\n@dataclass\nclass A:\n    x: int = 0\n\n"
+    assert _unused(ast.parse(header + body)) == {"field"}
+    assert _unused(ast.parse(header + "def f(x):\n    return field(x)\n")) == set()

@@ -12,7 +12,7 @@ from loophom.linalg import Matrix, _integer_rows, kernel_basis, rank_of_columns,
 from loophom.scalars import GF2, RATIONALS, Field
 
 F5 = Field(5)
-FIELDS = [RATIONALS, GF2, Field(3), F5]
+FIELDS = [RATIONALS, GF2, Field(3), F5, Field(7), Field(2**61 - 1)]
 
 
 def random_matrix(rng, field, nrows, ncols, density=0.4):

@@ -174,6 +174,14 @@ def test_differential_image_value():
     assert image == alg.monomial_element(alg.monomial({"u": 1, "c": 2}), 3)
 
 
+def test_negative_exponent_refused_even_past_a_bound():
+    # u is exterior at an odd prime, so u^2 alone is zero; c^-1 still refuses
+    alg = e2_page(2, F3, LOOP, 10).algebra
+    assert alg.monomial({"u": 2}) is None
+    with pytest.raises(ValueError, match="negative exponent"):
+        alg.monomial({"u": 2, "c": -1})
+
+
 def test_e2_horizon_shifted_by_projective_dimension():
     assert e2_page(2, GF2, LOOP, cutoff=30).algebra.complete_through_degree == 26
     assert e2_page(1, F3, HOL, cutoff=12).algebra.complete_through_degree == 10
