@@ -39,8 +39,12 @@ from .errors import (
     FieldMismatch,
     InfiniteBasis,
     InhomogeneousImage,
+    InvalidCharacteristic,
     InvalidCutoff,
     InvalidFieldSpec,
+    InvalidGenerator,
+    InvalidHorizon,
+    InvalidShape,
     LaurentNonzeroDegree,
     LoophomError,
     NegativeCutoff,

@@ -28,7 +28,7 @@ from .dga import DgaPage, _check_horizon, differential_matrix, homology_dimensio
 from .errors import CompositeCharacteristic
 # rank_of_columns has no caller here; the bench tracer wraps it by name
 from .linalg import Matrix, rank_of_columns
-from .scalars import Field, make_field
+from .scalars import Field, is_int, make_field
 from .spaces import HOL, LOOP, _check_args, _check_components, e2_page, validate_cutoff
 
 DEFAULT_CUTOFF = 30
@@ -359,7 +359,7 @@ def unit_check(n: int, p: int, k: int, cutoff: int = DEFAULT_CUTOFF) -> Verifica
     """
     field = _check_inputs(n, _prime_field(p), cutoff)
     params = {"n": n, "p": p, "k": k, "cutoff": cutoff}
-    if isinstance(k, bool) or not isinstance(k, int) or k < 1:
+    if not is_int(k) or k < 1:
         raise ValueError(f"k must be a positive integer, got {k!r}")
     if (k * (n + 1)) % p != 0:
         return VerificationReport("unit", params, "NoClaim")

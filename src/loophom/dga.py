@@ -179,10 +179,12 @@ def differential_matrix(
     page: DgaPage, degree: int, weight: int, *, source=None, target=None
 ) -> Matrix:
     """Matrix of d from (degree, weight) to (degree - 1, weight), columns
-    and rows in basis enumeration order.
+    in the order of `source` and rows in basis enumeration order.
 
-    `source` and `target`, when given, are the bases of those two spots
-    as `enumerate_basis` lists them; omitted ones are enumerated here.
+    `source`, when given, may be any list of basis monomials of the spot;
+    omitted, it is the whole basis as `enumerate_basis` lists it.
+    `target`, when given, is the basis of the spot below as
+    `enumerate_basis` lists it; omitted, it is enumerated here.
     """
     alg = page.algebra
     if source is None:
@@ -209,28 +211,51 @@ def _check_horizon(alg: GradedAlgebra, top_degree: int) -> None:
 _EMPTY = RankProfile(0, 0, 0)
 
 
-def _dims_and_ranks(page: DgaPage, degrees: list, weight: int) -> dict:
-    """degree -> (basis, rank, matrix) of d out of that degree, at one weight.
+def _passes(page: DgaPage, degrees: list, weights: list):
+    """Yield (weight, {degree: (dim, rank of d, matrix of d or None)}) for
+    each weight in turn, over the given degrees.
 
-    Each degree's basis is enumerated once, in ascending order: it is the
-    source of the matrix at its degree and, when the list holds the next
-    degree up, the target of the matrix there. A degree outside the
-    algebra's degree reach has an empty basis, so it gets ([], 0, None)
-    without a matrix. Nothing is kept past the call: the caller reuses
-    bases and matrices within the weight's pass only.
+    Every basis monomial of a spot is y*m, with y a block of the free
+    generators (`GradedAlgebra.free_generators`) and m in the degree's
+    `graded_monomials`. y has degree 0, so d(y*m) = y*d(m) + d(y)*m, and
+    d(y) is a sum of multiples of (y/g)*t over the terms t of d(g), g
+    free. So d is zero on every free multiple of m unless m is active:
+    d(m) != 0, or t*m survives the exterior and truncated bounds for some
+    such t. Dimensions are counted (`GradedAlgebra.dimensions`). The
+    matrix takes only the free multiples of the active monomials as its
+    columns; every other column is zero, so the rank is unchanged. A spot
+    without an active column gets rank 0 and no matrix.
+
+    The active monomials are found once per degree and call, and a
+    weight's matrices are dropped when the next weight starts. Nothing
+    is kept past the call.
     """
-    alg = page.algebra
-    low, high = alg.degree_reach()
-    out = {}
-    for d in sorted(degrees):
-        if low <= d <= high:
-            basis = alg.enumerate_basis(d, weight)
-            below = out[d - 1][0] if d - 1 in out else None
-            mat = differential_matrix(page, d, weight, source=basis, target=below)
-            out[d] = (basis, mat.rank(), mat)
-        else:
-            out[d] = ([], 0, None)
-    return out
+    alg, der = page.algebra, page.differential
+    free_terms = [
+        bounded
+        for g in alg.free_generators()
+        for _, _, bounded in der._image_terms.get(g.gid, ())
+    ]
+
+    def active(m: Monomial) -> bool:
+        exps = dict(m.exps)
+        for bounded in free_terms:
+            if all(exps.get(h, 0) + e <= top for h, e, top in bounded):
+                return True
+        return bool(der.apply_monomial(m))
+
+    dims = {d: alg.dimensions(d, weights) for d in degrees}
+    moving = {d: [m for m in alg.graded_monomials(d) if active(m)] for d in degrees}
+    for w in weights:
+        spots = {}
+        for d in degrees:
+            source = alg.free_multiples(moving[d], w) if moving[d] else None
+            if source:
+                mat = differential_matrix(page, d, w, source=source)
+                spots[d] = (dims[d][w], mat.rank(), mat)
+            else:
+                spots[d] = (dims[d][w], 0, None)
+        yield w, spots
 
 
 def homology_dimensions(
@@ -238,7 +263,7 @@ def homology_dimensions(
 ) -> dict:
     """RankProfile for every requested (degree, weight).
 
-    One extra degree above the requested top is enumerated silently so the
+    One extra degree above the requested top is computed silently so the
     incoming rank is exact there. Spots of dimension 0 share one profile.
     """
     degs = sorted(set(degrees))
@@ -247,11 +272,10 @@ def homology_dimensions(
     _check_horizon(page.algebra, degs[-1])
     needed = sorted(set(degs) | {d + 1 for d in degs})
     out = {}
-    for w in sorted(set(weights)):
-        ranks = _dims_and_ranks(page, needed, w)
+    for w, spots in _passes(page, needed, sorted(set(weights))):
         for d in degs:
-            basis, here, _ = ranks[d]
-            out[(d, w)] = RankProfile(len(basis), here, ranks[d + 1][1]) if basis else _EMPTY
+            dim, here, _ = spots[d]
+            out[(d, w)] = RankProfile(dim, here, spots[d + 1][1]) if dim else _EMPTY
     return out
 
 
@@ -338,26 +362,26 @@ def induced_map_on_homology(
         return InducedMapReport({})
     _check_horizon(sub, degs[-1])
     _check_horizon(big, degs[-1])
+    ws = sorted(set(weights))
     needed = sorted(set(degs) | {d + 1 for d in degs})
+    passes = zip(_passes(sub_page, needed, ws), _passes(big_page, needed, ws))
     report = {}
-    for w in sorted(set(weights)):
-        sub_ranks = _dims_and_ranks(sub_page, needed, w)
-        big_ranks = _dims_and_ranks(big_page, needed, w)
+    for (w, sub_spots), (_, big_spots) in passes:
         for d in degs:
-            sub_basis, sub_here, _ = sub_ranks[d]
-            sub_dim = len(sub_basis)
-            betti_sub = sub_dim - sub_here - sub_ranks[d + 1][1]
-            big_basis, big_here, _ = big_ranks[d]
-            _, r_bound, m_big_above = big_ranks[d + 1]  # the boundaries
-            betti_big = len(big_basis) - big_here - r_bound
+            sub_dim, sub_here, _ = sub_spots[d]
+            betti_sub = sub_dim - sub_here - sub_spots[d + 1][1]
+            big_dim, big_here, _ = big_spots[d]
+            _, r_bound, m_big_above = big_spots[d + 1]  # the boundaries
+            betti_big = big_dim - big_here - r_bound
             if not betti_sub:
                 report[(d, w)] = InducedCell(0, 0, betti_big)
                 continue
 
-            image = {_translate_monomial(m, mapping) for m in sub_basis}
-            sub_rows = {i for i, m in enumerate(big_basis) if m in image}
-            dropped = 0  # no boundaries where d + 1 is past the big page's reach
+            dropped = 0  # no boundaries without an active column at d + 1
             if m_big_above is not None:
+                image = {_translate_monomial(m, mapping) for m in sub.enumerate_basis(d, w)}
+                big_basis = big.enumerate_basis(d, w)  # the rows of m_big_above
+                sub_rows = {i for i, m in enumerate(big_basis) if m in image}
                 entries = m_big_above.entries.items()
                 kept = {(i, j): c for (i, j), c in entries if i not in sub_rows}
                 dropped = Matrix(big.field, len(big_basis), m_big_above.ncols, kept).rank()

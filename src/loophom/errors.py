@@ -11,7 +11,11 @@ class LoophomError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class CompositeCharacteristic(LoophomError, ValueError):
+class InvalidCharacteristic(LoophomError, ValueError):
+    """A field characteristic is not an int (a bool is not one)."""
+
+
+class CompositeCharacteristic(InvalidCharacteristic):
     """Field constructor was given a characteristic that is not prime."""
 
 
@@ -36,7 +40,12 @@ class DuplicateName(LoophomError, ValueError):
     """Two generators of one algebra were declared with the same name."""
 
 
-class LaurentNonzeroDegree(LoophomError, ValueError):
+class InvalidGenerator(LoophomError, ValueError):
+    """A generator's degree, weight or truncation is not an int (a bool is
+    not one), or its kind or truncation is not allowed."""
+
+
+class LaurentNonzeroDegree(InvalidGenerator):
     """Laurent (invertible) generators are only supported in degree 0."""
 
 
@@ -46,6 +55,14 @@ class UnknownGenerator(LoophomError, KeyError):
 
 class AlgebraMismatch(LoophomError, TypeError):
     """Operation mixed elements of two different algebras."""
+
+
+class InvalidHorizon(LoophomError, ValueError):
+    """An algebra's completeness horizon is neither None nor an int."""
+
+
+class InvalidShape(LoophomError, ValueError):
+    """A matrix shape is not two nonnegative ints (a bool is not one)."""
 
 
 class InfiniteBasis(LoophomError, ValueError):

@@ -29,19 +29,22 @@ from .errors import (
     AlgebraMismatch,
     DuplicateName,
     InfiniteBasis,
+    InvalidGenerator,
+    InvalidHorizon,
     LaurentNonzeroDegree,
     ParityViolation,
     UnknownGenerator,
 )
-from .scalars import Field, Scalar
+from .scalars import Field, Scalar, check_field, is_int
 
 KINDS = ("polynomial", "laurent", "exterior", "truncated")
 
 
 @dataclass(frozen=True, slots=True)
 class Generator:
-    """Kind, truncation and a laurent generator's degree 0 are checked on
-    construction; `GradedAlgebra.declare_generator` adds name and parity."""
+    """The types of degree, weight and truncation, the kind, the truncation
+    and a laurent generator's degree 0 are checked on construction;
+    `GradedAlgebra.declare_generator` adds name and parity."""
 
     gid: int
     name: str
@@ -51,17 +54,23 @@ class Generator:
     truncation: Optional[int] = None
 
     def __post_init__(self):
+        for attr in ("degree", "weight", "truncation"):
+            value = getattr(self, attr)
+            if not is_int(value) and not (attr == "truncation" and value is None):
+                raise InvalidGenerator(f"{attr} of {self.name!r} must be an int, got {value!r}")
         if self.kind not in KINDS:
-            raise ValueError(f"unknown generator kind {self.kind!r}")
+            raise InvalidGenerator(f"unknown generator kind {self.kind!r}")
         if self.kind == "laurent" and self.degree != 0:
             raise LaurentNonzeroDegree(
                 f"laurent generator {self.name!r} has degree {self.degree}"
             )
         if self.kind == "truncated":
             if self.truncation is None or self.truncation < 1:
-                raise ValueError(f"truncated generator {self.name!r} needs truncation >= 1")
+                raise InvalidGenerator(
+                    f"truncated generator {self.name!r} needs truncation >= 1"
+                )
         elif self.truncation is not None:
-            raise ValueError("truncation only applies to truncated generators")
+            raise InvalidGenerator("truncation only applies to truncated generators")
 
     @property
     def top(self) -> Optional[int]:
@@ -126,6 +135,11 @@ class GradedAlgebra:
     """
 
     def __init__(self, field: Field, complete_through_degree: Optional[int] = None):
+        check_field(field)
+        if complete_through_degree is not None and not is_int(complete_through_degree):
+            raise InvalidHorizon(
+                f"complete_through_degree must be None or an int, got {complete_through_degree!r}"
+            )
         self.field = field
         self.generators: list[Generator] = []
         self._by_name: dict[str, Generator] = {}
@@ -334,11 +348,25 @@ class GradedAlgebra:
         polynomial generator of positive degree."""
         return self._enumeration_plan()[2]
 
-    def _graded_monomials(self, degree: int) -> list[Monomial]:
+    def free_generators(self) -> list:
+        """The degree-0 polynomial and laurent generators, in gid order:
+        the only ones unbounded within one degree."""
+        return self._enumeration_plan()[0]
+
+    def graded_monomials(self, degree: int) -> list[Monomial]:
         """Monomials of the given degree, over every weight, in the
-        generators outside the plan's `free` ones."""
+        generators that are not free. The list is cached on the algebra
+        until the next `declare_generator`; callers must not change it.
+
+        A recursion over the generators in gid order tries only the
+        exponents which leave the remaining degree between the lowest and
+        highest degree the later generators can reach.
+        """
+        found = self._by_degree.get(degree)
+        if found is not None:
+            return found
         steps = self._enumeration_plan()[1]
-        found: list[Monomial] = []
+        found = []
 
         def rec(i, rem, weight, acc):
             if i == len(steps):
@@ -354,44 +382,59 @@ class GradedAlgebra:
                     rec(i + 1, left, weight + e * g.weight, acc + ((g.gid, e),) if e else acc)
 
         rec(0, degree, 0, ())
+        self._by_degree[degree] = found
         return found
 
-    def enumerate_basis(self, degree: int, weight: int) -> list[Monomial]:
-        """All basis monomials of the given (degree, weight), sorted
-        lexicographically on full exponent vectors, in a fresh list.
-
-        Degree-0 polynomial and laurent generators are the only ones
-        unbounded within a degree. The monomials in all other generators
-        are enumerated once per degree, over every weight, and cached on
-        the algebra until the next `declare_generator`: a recursion over
-        the generators in gid order that tries only the exponents which
-        leave the remaining degree between the lowest and highest degree
-        the later generators can reach. Each call then solves the degree-0
-        exponents from the weight equation: the laurent exponent by a
-        division by its weight, degree-0 polynomial exponents by splitting
-        the remaining weight among them. The certificate in `_certificate`,
-        checked once per generator set, guarantees the lists are finite
-        and complete.
-        """
-        free = self._enumeration_plan()[0]
-        graded = self._by_degree.get(degree)
-        if graded is None:
-            graded = self._by_degree[degree] = self._graded_monomials(degree)
+    def free_multiples(self, monomials: list, weight: int) -> list[Monomial]:
+        """The products y*m of weight `weight`, sorted like
+        `enumerate_basis`, in a fresh list: m runs over `monomials`, from
+        one degree's `graded_monomials`, and y over the free generators'
+        exponent blocks that make up the rest of the weight."""
+        free = self.free_generators()
         solutions: dict = {}
         found: list[Monomial] = []
-        for m in graded:
+        for m in monomials:
             rest = weight - m.weight
             blocks = solutions.get(rest)
             if blocks is None:
                 blocks = solutions[rest] = _free_exponents(free, rest)
             for block in blocks:
                 if block:
-                    exps = tuple(sorted(m.exps + block))
-                    found.append(Monomial(exps, degree, weight))
+                    found.append(Monomial(tuple(sorted(m.exps + block)), m.degree, weight))
                 else:
                     found.append(m)
         found.sort(key=self.exponent_vector)
         return found
+
+    def dimensions(self, degree: int, weights) -> dict:
+        """weight -> len(enumerate_basis(degree, weight)) for each given
+        weight, counted without building a monomial: the degree's
+        `graded_monomials` grouped by weight, times the number of free
+        exponent blocks that make up the rest of the weight."""
+        free = self.free_generators()
+        by_weight: dict = {}
+        for m in self.graded_monomials(degree):
+            by_weight[m.weight] = by_weight.get(m.weight, 0) + 1
+        blocks: dict = {}  # rest of the weight -> number of free blocks
+        out = {}
+        for w in weights:
+            total = 0
+            for mw, k in by_weight.items():
+                n = blocks.get(w - mw)
+                if n is None:
+                    n = blocks[w - mw] = len(_free_exponents(free, w - mw))
+                total += k * n
+            out[w] = total
+        return out
+
+    def enumerate_basis(self, degree: int, weight: int) -> list[Monomial]:
+        """All basis monomials of the given (degree, weight), sorted
+        lexicographically on full exponent vectors, in a fresh list: the
+        `free_multiples` of the degree's `graded_monomials`. The
+        certificate in `_certificate`, checked once per generator set,
+        guarantees the lists are finite and complete.
+        """
+        return self.free_multiples(self.graded_monomials(degree), weight)
 
     def __repr__(self):
         names = ", ".join(g.name for g in self.generators)

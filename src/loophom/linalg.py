@@ -17,15 +17,17 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Optional
 
-from .scalars import Field, Scalar
+from .errors import InvalidShape
+from .scalars import Field, Scalar, check_field, is_int
 
 
 class Matrix:
     __slots__ = ("field", "nrows", "ncols", "entries")
 
     def __init__(self, field: Field, nrows: int, ncols: int, entries: Optional[dict] = None):
-        if not (isinstance(nrows, int) and isinstance(ncols, int)) or nrows < 0 or ncols < 0:
-            raise ValueError(f"shape must be two nonnegative ints, got {nrows!r}x{ncols!r}")
+        check_field(field)
+        if not (is_int(nrows) and is_int(ncols)) or nrows < 0 or ncols < 0:
+            raise InvalidShape(f"shape must be two nonnegative ints, got {nrows!r}x{ncols!r}")
         self.field = field
         self.nrows = nrows
         self.ncols = ncols

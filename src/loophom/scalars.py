@@ -12,12 +12,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .errors import CompositeCharacteristic, DivisionByZero, FieldMismatch, InvalidFieldSpec
+from .errors import CompositeCharacteristic, DivisionByZero, FieldMismatch
+from .errors import InvalidCharacteristic, InvalidFieldSpec
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 # ints stay below one machine word so pow(a, -1, p) and products are cheap
 MAX_CHARACTERISTIC = 2**63
+
+
+def is_int(value) -> bool:
+    """True for an int that is not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _is_prime(n: int) -> bool:
@@ -52,7 +58,9 @@ class Field:
 
     def __post_init__(self):
         p = self.characteristic
-        if not isinstance(p, int) or (p != 0 and not _is_prime(p)):
+        if not is_int(p):
+            raise InvalidCharacteristic(f"characteristic must be an int, got {p!r}")
+        if p != 0 and not _is_prime(p):
             raise CompositeCharacteristic(f"{p!r} is not prime")
         if p >= MAX_CHARACTERISTIC:
             raise ValueError(f"characteristic {p} exceeds machine-word bound")
@@ -110,6 +118,12 @@ def make_field(spec: Union[str, int]) -> Field:
             raise InvalidFieldSpec(f"field spec {spec!r} is not 'q', 'rational' or 'f<p>'")
         spec = int(digits[1])
     return Field(spec)
+
+
+def check_field(field) -> None:
+    """Refuse anything that is not a Field, before any work."""
+    if not isinstance(field, Field):
+        raise TypeError(f"expected a Field, got {field!r}")
 
 
 RATIONALS = Field(0)

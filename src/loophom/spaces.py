@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from .dga import Derivation, DgaPage, InducedMapReport, induced_map_on_homology
 from .errors import InvalidCutoff, NegativeCutoff
 from .graded_algebra import GradedAlgebra
-from .scalars import Field
+from .scalars import Field, check_field, is_int
 
 LOOP = "loop"
 HOL = "hol"
@@ -44,7 +44,7 @@ VARIANTS = (LOOP, HOL)
 
 
 def _check_n(n: int) -> None:
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+    if not is_int(n) or n < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")
 
 
@@ -52,8 +52,7 @@ def _check_args(n: int, field: Field, variant: str) -> None:
     _check_n(n)
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
-    if not isinstance(field, Field):
-        raise TypeError(f"expected a Field, got {field!r}")
+    check_field(field)
 
 
 def _check_components(variant: str, components) -> None:
@@ -64,7 +63,7 @@ def _check_components(variant: str, components) -> None:
 
 def validate_cutoff(cutoff: int) -> None:
     """Refuse a cutoff that is not a nonnegative int before any work."""
-    if isinstance(cutoff, bool) or not isinstance(cutoff, int):
+    if not is_int(cutoff):
         raise InvalidCutoff(f"cutoff must be an integer, got {cutoff!r}")
     if cutoff < 0:
         raise NegativeCutoff(f"cutoff must be nonnegative, got {cutoff}")

@@ -504,41 +504,151 @@ def test_apply_monomial_equals_leibniz_reference(case):
     ]
 
 
-# -- one enumeration per basis in a pass ---------------------------------------------
+# -- the active-column pass ---------------------------------------------------------
 
 
+def active_degrees(page, degrees):
+    """Degrees holding a monomial of `graded_monomials` on which d can be
+    nonzero, read off the page's one image d(iota) = (n+1) u c^n by
+    multiplying monomials: the pages' other generators are cycles, and
+    iota is their only free generator."""
+    alg = page.algebra
+    image = page.differential(alg.gen("iota")).terms
+    return {
+        d
+        for d in degrees
+        if any(alg.multiply_monomials(m, t)[1] is not None
+               for m in alg.graded_monomials(d) for t in image)
+    }
+
+
+@pytest.mark.parametrize("n", [2, 3])
 @pytest.mark.parametrize(
     "degrees",
     [list(range(-5, 14)), [-5, -4, 0, 1, 2, 5, 7, 8, 13]],
     ids=["contiguous", "gaps"],
 )
-def test_one_pass_enumerates_each_basis_once(degrees, monkeypatch):
-    page = e2_page(2, F3, LOOP, cutoff=40)
-    alg = page.algebra
-    calls = Counter()
-    real = GradedAlgebra.enumerate_basis
+def test_active_pass_builds_only_what_d_can_move(n, degrees, monkeypatch):
+    # over F3, d(iota) = 3 u c^2 = 0 at n = 2 and u c^3 at n = 3
+    page = e2_page(n, F3, LOOP, cutoff=40)
+    alg, weights = page.algebra, [0, 1, 3]
+    needed = sorted(set(degrees) | {d + 1 for d in degrees})
+    moving = active_degrees(page, needed)
+    assert bool(moving) == (n == 3) and set(needed) - moving
+    built, enumerated, tested = Counter(), Counter(), Counter()
+    inside = []
+    real_matrix, real_enumerate = dga.differential_matrix, GradedAlgebra.enumerate_basis
+    real_apply = Derivation.apply_monomial
 
-    def counting(algebra, degree, weight):
-        calls[(id(algebra), degree, weight)] += 1
-        return real(algebra, degree, weight)
+    def matrix(page_, degree, weight, **bases):
+        built[(degree, weight)] += 1
+        inside.append(True)
+        try:
+            return real_matrix(page_, degree, weight, **bases)
+        finally:
+            inside.pop()
 
-    monkeypatch.setattr(GradedAlgebra, "enumerate_basis", counting)
-    passes = {w: dga._dims_and_ranks(page, degrees, w) for w in (0, 1, 3)}
-    assert calls and max(calls.values()) == 1
-    calls.clear()
-    homology_dimensions(page, degrees, [0, 1, 3])
-    assert calls and max(calls.values()) == 1
+    def enumerate_basis(algebra, degree, weight):
+        enumerated[(degree, weight)] += 1
+        return real_enumerate(algebra, degree, weight)
+
+    def apply_monomial(der, m):
+        if not inside:
+            tested[m] += 1
+        return real_apply(der, m)
+
+    monkeypatch.setattr(dga, "differential_matrix", matrix)
+    monkeypatch.setattr(GradedAlgebra, "enumerate_basis", enumerate_basis)
+    monkeypatch.setattr(Derivation, "apply_monomial", apply_monomial)
+    profiles = homology_dimensions(page, degrees, weights)
+    # matrices only at active degrees, and no basis but their targets
+    assert {d for d, _ in built} <= moving and max(built.values(), default=1) == 1
+    assert set(enumerated) == {(d - 1, w) for d, w in built}
+    assert all(profiles[(d, w)].rank_d_here == 0 for d in degrees if d not in moving
+               for w in weights)
+    # the active test applies d at most once to each degree monomial
+    degree_monomials = [m for d in needed for m in alg.graded_monomials(d)]
+    assert tested and max(tested.values()) == 1
+    assert set(tested) <= set(degree_monomials)
+    # nothing is kept: a second identical call applies d again
+    first = sum(tested.values())
+    tested.clear()
+    assert homology_dimensions(page, degrees, weights) == profiles
+    assert sum(tested.values()) == first
     monkeypatch.undo()
-    low, high = alg.degree_reach()
-    for w, ranks in passes.items():
-        for d in degrees:
-            basis, rank, mat = ranks[d]
-            assert basis == alg.enumerate_basis(d, w)
-            if low <= d <= high:
-                alone = differential_matrix(page, d, w)
-                assert (rank, mat.entries) == (alone.rank(), alone.entries)
-            else:
-                assert (rank, mat) == (0, None)
+    assert profiles == dense_profiles(page, degrees, weights)
+
+
+@st.composite
+def certified_pages(draw):
+    """A certified page over Q, F2, F3 or F5 with a real differential.
+
+    Generators are cycles, with image 0, or moving ones, whose image is a
+    sum of cycle monomials of bidegree (degree - 1, weight); so d(d(g)) = 0.
+    A free generator (laurent, or degree-0 polynomial as in
+    `circle_like_page`) may move, and so may bounded and positive-degree
+    polynomial ones. Each moving generator gets a cycle partner in the
+    bidegree of its image, unless that is (0, 0), so images are rarely 0.
+    """
+    field = draw(st.sampled_from([RATIONALS, GF2, F3, Field(5)]))
+    p = field.characteristic
+    rows = []  # (degree, weight, kind, truncation, moves)
+
+    def bounded(degree):
+        if p != 2 and degree % 2:
+            return "exterior", None
+        kind = "exterior" if p == 2 and draw(st.booleans()) else "truncated"
+        return kind, (None if kind == "exterior" else draw(st.integers(1, 3)))
+
+    if draw(st.booleans()):
+        rows.append((0, draw(st.sampled_from([-1, 1, 2])), "laurent", None, draw(st.booleans())))
+    else:
+        for _ in range(draw(st.integers(0, 2))):
+            rows.append((0, draw(st.integers(1, 2)), "polynomial", None, draw(st.booleans())))
+    for _ in range(draw(st.integers(0, 2))):
+        if draw(st.booleans()):
+            degree = draw(st.sampled_from([1, 2, 3] if p == 2 else [2]))
+            rows.append((degree, draw(st.integers(0, 1)), "polynomial", None, draw(st.booleans())))
+        else:
+            degree = draw(st.integers(-2, 3))
+            weight = draw(st.integers(0, 2)) or (1 if degree == 0 else 0)
+            rows.append((degree, weight, *bounded(degree), draw(st.booleans())))
+    for degree, weight, _, _, moves in list(rows):
+        if moves and (degree - 1, weight) != (0, 0):
+            rows.append((degree - 1, weight, *bounded(degree - 1), False))
+    for _ in range(draw(st.integers(0, 2))):
+        degree = draw(st.integers(-3, 3))
+        weight = draw(st.integers(0, 2)) or (1 if degree == 0 else 0)
+        rows.append((degree, weight, *bounded(degree), False))
+
+    alg = GradedAlgebra(field)
+    movers = []
+    for i, (degree, weight, kind, truncation, moves) in enumerate(draw(st.permutations(rows))):
+        g = alg.declare_generator(f"g{i}", degree, weight, kind, truncation)
+        if moves:
+            movers.append(g)
+    cycles = {g.gid for g in alg.generators if g not in movers}
+    images = {}
+    for g in movers:
+        candidates = [
+            m for m in alg.enumerate_basis(g.degree - 1, g.weight)
+            if all(gid in cycles for gid, _ in m.exps)
+        ]
+        chosen = draw(st.lists(st.sampled_from(candidates), min_size=1, unique=True)) if candidates else []
+        terms = {m: draw(st.integers(1, 4)) for m in chosen}
+        images[g.gid] = alg.element(terms)
+    return DgaPage(alg, Derivation.from_generator_images(alg, images))
+
+
+@given(certified_pages(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_homology_dimensions_equal_dense_reference_on_certified_pages(page, data):
+    lo = data.draw(st.integers(-5, 3))
+    degrees = range(lo, lo + data.draw(st.integers(1, 5)))
+    weights = data.draw(st.lists(st.integers(-3, 4), min_size=1, max_size=3))
+    assert homology_dimensions(page, degrees, weights) == dense_profiles(
+        page, degrees, weights
+    )
 
 
 def test_matrix_from_handed_bases_equals_matrix_built_alone():

@@ -10,7 +10,10 @@ from hypothesis import strategies as st
 from loophom.errors import (
     DuplicateName,
     InfiniteBasis,
+    InvalidGenerator,
+    InvalidHorizon,
     LaurentNonzeroDegree,
+    LoophomError,
     ParityViolation,
     UnknownGenerator,
 )
@@ -72,18 +75,46 @@ def test_declare_errors():
 @pytest.mark.parametrize(
     "args, error, message",
     [
-        ((0, "x", 2, 0, "divided"), ValueError, "unknown generator kind"),
-        ((0, "x", 2, 0, "polynomial", 3), ValueError, "only applies to truncated"),
-        ((0, "x", 2, 0, "truncated"), ValueError, "needs truncation >= 1"),
-        ((0, "x", 2, 0, "truncated", 0), ValueError, "needs truncation >= 1"),
+        ((0, "x", 2, 0, "divided"), InvalidGenerator, "unknown generator kind"),
+        ((0, "x", 2, 0, "polynomial", 3), InvalidGenerator, "only applies to truncated"),
+        ((0, "x", 2, 0, "truncated"), InvalidGenerator, "needs truncation >= 1"),
+        ((0, "x", 2, 0, "truncated", 0), InvalidGenerator, "needs truncation >= 1"),
         ((0, "x", 2, 1, "laurent"), LaurentNonzeroDegree, "has degree 2"),
+        ((0, "x", 2.5, 0, "polynomial"), InvalidGenerator, "degree of 'x' must be an int"),
+        ((0, "x", 2, True, "polynomial"), InvalidGenerator, "weight of 'x' must be an int"),
+        ((0, "x", True, 0, "exterior"), InvalidGenerator, "degree of 'x' must be an int"),
+        ((0, "x", 2, 1, "truncated", True), InvalidGenerator, "truncation of 'x' must be"),
+        ((0, "x", 2, 1, "truncated", 2.5), InvalidGenerator, "truncation of 'x' must be"),
+        ((0, "x", 2, "1", "polynomial"), InvalidGenerator, "weight of 'x' must be an int"),
     ],
     ids=["unknown-kind", "truncation-not-truncated", "missing-truncation",
-         "zero-truncation", "laurent-nonzero-degree"],
+         "zero-truncation", "laurent-nonzero-degree", "float-degree", "bool-weight",
+         "bool-degree", "bool-truncation", "float-truncation", "str-weight"],
 )
 def test_generator_refuses_invalid_construction(args, error, message):
     with pytest.raises(error, match=message):
         Generator(*args)
+    assert issubclass(error, InvalidGenerator) and issubclass(error, LoophomError)
+
+
+def test_declare_refuses_a_float_truncation_before_enumeration():
+    alg = GradedAlgebra(GF2)
+    with pytest.raises(InvalidGenerator, match="truncation of 'x' must be an int"):
+        alg.declare_generator("x", 2, 1, "truncated", 2.5)
+    assert alg.generators == []
+    assert [m.format(alg) for m in alg.enumerate_basis(0, 0)] == ["1"]
+
+
+def test_algebra_refuses_a_non_field():
+    with pytest.raises(TypeError, match="expected a Field"):
+        GradedAlgebra("f2")
+
+
+@pytest.mark.parametrize("horizon", [2.5, True, "3"])
+def test_algebra_refuses_a_bool_or_non_int_horizon(horizon):
+    with pytest.raises(InvalidHorizon, match="complete_through_degree"):
+        GradedAlgebra(GF2, complete_through_degree=horizon)
+    assert GradedAlgebra(GF2, complete_through_degree=-3).complete_through_degree == -3
 
 
 @pytest.mark.parametrize("field", [RATIONALS, F3])
@@ -335,6 +366,7 @@ def test_enumerate_matches_brute_force_random(alg, degree, weight):
     assert vecs == sorted(set(vecs))
     assert all((m.degree, m.weight) == (degree, weight) for m in basis)
     assert {m.exps for m in basis} == brute_force_basis(alg, degree, weight)
+    assert alg.dimensions(degree, [weight]) == {weight: len(basis)}
 
 
 @given(certified_algebras())

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dense_reference import rank_dense
+from loophom.errors import InvalidShape
 from loophom.linalg import Matrix, _integer_rows, kernel_basis, rank_of_columns, rank_sparse
 from loophom.scalars import GF2, RATIONALS, Field
 
@@ -150,3 +151,15 @@ def test_fraction_heavy_matrix_exact():
     }
     m = Matrix(RATIONALS, 4, 4, entries)
     assert rank_sparse(m) == 4 == rank_dense(m)
+
+
+@pytest.mark.parametrize("shape", [(True, 2), (2, False), (True, True)])
+def test_matrix_refuses_a_bool_shape(shape):
+    with pytest.raises(InvalidShape, match="nonnegative ints"):
+        Matrix(GF2, *shape)
+
+
+@pytest.mark.parametrize("field", ["f2", 2, None])
+def test_matrix_refuses_a_non_field(field):
+    with pytest.raises(TypeError, match="expected a Field"):
+        Matrix(field, 1, 1)

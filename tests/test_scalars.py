@@ -10,6 +10,7 @@ from loophom.errors import (
     CompositeCharacteristic,
     DivisionByZero,
     FieldMismatch,
+    InvalidCharacteristic,
     InvalidFieldSpec,
 )
 from loophom.scalars import GF2, MAX_CHARACTERISTIC, RATIONALS, Field, make_field
@@ -45,6 +46,12 @@ def test_make_field_rejects_malformed_spec(bad):
 @pytest.mark.parametrize("bad", [4, 1, -3])
 def test_field_constructor_rejects_nonprime(bad):
     with pytest.raises(CompositeCharacteristic):
+        Field(bad)
+
+
+@pytest.mark.parametrize("bad", [False, True, 2.5, "2", None])
+def test_field_constructor_refuses_a_bool_or_non_int(bad):
+    with pytest.raises(InvalidCharacteristic, match="characteristic must be an int"):
         Field(bad)
 
 
