@@ -40,6 +40,7 @@ from .errors import (
     InfiniteBasis,
     InhomogeneousImage,
     InvalidCharacteristic,
+    InvalidComponent,
     InvalidCutoff,
     InvalidFieldSpec,
     InvalidGenerator,

@@ -9,8 +9,8 @@ homology occupies degrees -2n and up. Reported tables use one of:
 * "regraded": the internal degree itself, which is the grading in which
   different components become comparable.
 
-Cutoffs are always stated in ordinary degree. Pages are built with one
-extra degree of generators so the top requested degree is still exact.
+Cutoffs are always stated in ordinary degree. `_page` builds each page
+one degree further so the top requested degree is still exact.
 
 Each check_* function returns a VerificationReport whose verdict is
 "Pass", "Fail", or "NoClaim"; NoClaim means the hypothesis of the
@@ -29,24 +29,28 @@ from .errors import CompositeCharacteristic
 # rank_of_columns has no caller here; the bench tracer wraps it by name
 from .linalg import Matrix, rank_of_columns
 from .scalars import Field, is_int, make_field
-from .spaces import HOL, LOOP, _check_args, _check_components, e2_page, validate_cutoff
-
-DEFAULT_CUTOFF = 30
+from .spaces import DEFAULT_CUTOFF, HOL, LOOP, _check_args, _check_components
+from .spaces import e2_page, validate_cutoff
 
 _PAGE_CACHE: dict = {}
 
 
 def _page(n: int, field: Field, variant: str, cutoff: int) -> DgaPage:
+    """The cached page for a request through ordinary degree `cutoff`,
+    built one degree further so d into the top degree is exact."""
     key = (n, field.characteristic, variant, cutoff)
     if key not in _PAGE_CACHE:
-        _PAGE_CACHE[key] = e2_page(n, field, variant, cutoff)
+        _PAGE_CACHE[key] = e2_page(n, field, variant, cutoff + 1)
     return _PAGE_CACHE[key]
 
 
-def _degree_window(page: DgaPage, n: int, cutoff: int) -> range:
-    """Internal degrees -2n..cutoff-2n, clipped to the page's degree reach."""
+def _profiles(n: int, field: Field, variant: str, cutoff: int, components: list) -> dict:
+    """RankProfiles of the components at internal degrees -2n..cutoff-2n,
+    clipped to the page's degree reach."""
+    page = _page(n, field, variant, cutoff)
     low, high = page.algebra.degree_reach()
-    return range(max(-2 * n, low), min(cutoff - 2 * n, high) + 1)
+    window = range(max(-2 * n, low), min(cutoff - 2 * n, high) + 1)
+    return homology_dimensions(page, window, components)
 
 
 def _prime_field(p: int) -> Field:
@@ -126,12 +130,9 @@ def betti_table(
     validate_cutoff(cutoff)
     if grading not in ("ordinary", "regraded"):
         raise ValueError(f"unknown grading {grading!r}")
-    comps = sorted(set(components))
-    n = space.n
-    _check_components(space.variant, comps)
-    page = _page(n, space.field, space.variant, cutoff + 1)
-    profiles = homology_dimensions(page, _degree_window(page, n, cutoff), comps)
-    shift = 2 * n if grading == "ordinary" else 0
+    comps = _check_components(space.variant, components)
+    profiles = _profiles(space.n, space.field, space.variant, cutoff, comps)
+    shift = 2 * space.n if grading == "ordinary" else 0
     entries = {}
     for (d, w), prof in profiles.items():
         if prof.betti:
@@ -243,7 +244,7 @@ def check_collapse(
     components as the witness.
     """
     field = _check_inputs(n, _prime_field(p), cutoff)
-    comps = sorted(set(components))
+    comps = _check_components(LOOP, components)
     params = {"n": n, "p": p, "components": comps, "cutoff": cutoff}
     if not comps:
         return VerificationReport("collapse", params, "NoClaim", {"compared": 0})
@@ -254,8 +255,7 @@ def check_collapse(
         want = [k for k in comps if variant == LOOP or k >= 0]
         if not want:
             continue
-        page = _page(n, field, variant, cutoff + 1)
-        profiles = homology_dimensions(page, _degree_window(page, n, cutoff), want)
+        profiles = _profiles(n, field, variant, cutoff, want)
         moving = {w for (d, w), prof in profiles.items() if prof.betti != prof.dim}
         for k in want:
             observed = k not in moving
@@ -285,9 +285,9 @@ def check_periodicity(
     cutoff at which one can show), since then no two components differ.
     """
     field = _check_inputs(n, _prime_field(p), cutoff)
-    if isinstance(k, bool) or not isinstance(k, int):
+    if not is_int(k):
         raise ValueError(f"k must be an integer, got {k!r}")
-    comps = sorted(set(component_range))
+    comps = _check_components(LOOP, component_range)
     params = {"n": n, "p": p, "k": k, "components": comps, "cutoff": cutoff}
     if not comps or k == 0:
         return VerificationReport("periodicity", params, "NoClaim", {"compared": 0})
@@ -324,7 +324,7 @@ def check_dichotomy(
     compared component's first differential.
     """
     field = _check_inputs(n, field, cutoff)
-    comps = sorted(set(component_range))
+    comps = _check_components(LOOP, component_range)
     params = {"n": n, "field": field, "components": comps, "cutoff": cutoff}
     if not comps:
         return VerificationReport("dichotomy", params, "NoClaim", {"compared": 0})
@@ -363,7 +363,7 @@ def unit_check(n: int, p: int, k: int, cutoff: int = DEFAULT_CUTOFF) -> Verifica
         raise ValueError(f"k must be a positive integer, got {k!r}")
     if (k * (n + 1)) % p != 0:
         return VerificationReport("unit", params, "NoClaim")
-    page = _page(n, field, LOOP, cutoff + 1)
+    page = _page(n, field, LOOP, cutoff)
     alg = page.algebra
     d = page.differential
     _check_horizon(alg, 0)
@@ -414,8 +414,7 @@ def betti_oracle(
     """
     validate_cutoff(cutoff)
     n, p = space.n, space.field.characteristic
-    comps = sorted(set(components))
-    _check_components(space.variant, comps)
+    comps = _check_components(space.variant, components)
     # (degree, weight, exterior) of u, then of the operation family; a
     # monomial of ordinary degree <= cutoff has Pontrjagin degree <= cutoff
     gens = [(2 * n - 1, 1, p != 2)]
@@ -465,7 +464,7 @@ def check_oracle(
     ordinary degree through the cutoff, for the loop components and the
     nonnegative holomorphic ones."""
     field = _check_inputs(n, field, cutoff)
-    comps = sorted(set(components))
+    comps = _check_components(LOOP, components)
     params = {"n": n, "field": field, "components": comps, "cutoff": cutoff}
     if not comps:
         return VerificationReport("oracle", params, "NoClaim", {"compared": 0})

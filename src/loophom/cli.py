@@ -3,7 +3,9 @@
 Subcommands:
 
 * ``compute``  Betti tables for chosen components, as text, CSV, or JSON,
-  on stdout or, with ``--output``, in a file.
+  on stdout or, with ``--output``, in a file. All the components come
+  from one `analysis.betti_table` call; a component with no nonzero
+  entry prints as zero through the cutoff.
 * ``verify``   run one of the structural checks and report Pass/Fail.
 
 Field specs are those of `scalars.make_field`: ``q`` (or ``rational``) for
@@ -149,12 +151,8 @@ def _cmd_compute(args) -> int:
     field = make_field(args.field)
     components = _parse_components(args.component, args.components)
     space = SpaceSpec(args.space, args.n, field)
-    # one component at a time, so only one component's rank profiles are
-    # held at once
-    columns = {
-        k: analysis.betti_table(space, [k], args.cutoff, args.grading).column(k)
-        for k in components
-    }
+    found = analysis.betti_table(space, components, args.cutoff, args.grading).columns()
+    columns = {k: found.get(k, {}) for k in components}
     if args.format == "text":
         text = _render_text(space, args.cutoff, args.grading, columns)
     elif args.format == "json":

@@ -47,6 +47,12 @@ class Derivation:
             ]
             for gid, img in images.items()
         }
+        # the bounded blocks of every image term of a free generator
+        self._free_terms = [
+            bounded
+            for g in algebra.free_generators()
+            for _, _, bounded in self._image_terms.get(g.gid, ())
+        ]
 
     @classmethod
     def from_generator_images(
@@ -110,13 +116,7 @@ class Derivation:
             if terms is not None and not (p and e % p == 0):
                 if exps is None:
                     exps = dict(blocks)
-                live = []
-                for im, c, bounded in terms:
-                    for h, eh, bound in bounded:
-                        if exps.get(h, 0) - (h == gid) + eh > bound:
-                            break
-                    else:
-                        live.append((im, c))
+                live = [(im, c) for im, c, bounded in terms if _fits(exps, gid, bounded)]
                 if live:
                     coeff = alg.field.scalar(e)
                     if not char2 and (prefix_degree & 1):
@@ -142,6 +142,16 @@ class Derivation:
             prefix_degree += block_degree
         return Element(alg, out)
 
+    def is_active(self, m: Monomial) -> bool:
+        """Whether d is nonzero on some free multiple y*m of m, y a block
+        of degree-0 free generators: d(y*m) = y*d(m) + d(y)*m, and d(y) is
+        a sum of multiples of (y/g)*t over the terms t of d(g), g free. So
+        iff d(m) != 0 or some such t*m survives the bounds."""
+        exps = dict(m.exps)
+        if any(_fits(exps, None, bounded) for bounded in self._free_terms):
+            return True
+        return bool(self.apply_monomial(m))
+
     def __call__(self, x: Element) -> Element:
         if x.algebra is not self.algebra:
             raise AlgebraMismatch("element of a different algebra")
@@ -149,6 +159,12 @@ class Derivation:
         for m, c in x.terms.items():
             out = out + self.apply_monomial(m).scale(c)
         return out
+
+
+def _fits(exps: dict, lowered, bounded) -> bool:
+    """Whether `exps`, less one power of generator `lowered` (None for
+    none), times a term with these bounded blocks stays within bounds."""
+    return all(exps.get(h, 0) - (h == lowered) + e <= bound for h, e, bound in bounded)
 
 
 @dataclass
@@ -211,51 +227,43 @@ def _check_horizon(alg: GradedAlgebra, top_degree: int) -> None:
 _EMPTY = RankProfile(0, 0, 0)
 
 
-def _passes(page: DgaPage, degrees: list, weights: list):
-    """Yield (weight, {degree: (dim, rank of d, matrix of d or None)}) for
-    each weight in turn, over the given degrees.
+def _passes(page: DgaPage, degrees: Iterable[int], weights: Iterable[int]):
+    """Yield (weight, {degree: (dim, rank of d out, rank of d in, matrix of
+    d in or None)}) for each requested weight, over the requested degrees,
+    both ascending without repeats. d in needs a complete basis one degree
+    above the top; the horizon is checked on the call, not on first use.
 
-    Every basis monomial of a spot is y*m, with y a block of the free
-    generators (`GradedAlgebra.free_generators`) and m in the degree's
-    `graded_monomials`. y has degree 0, so d(y*m) = y*d(m) + d(y)*m, and
-    d(y) is a sum of multiples of (y/g)*t over the terms t of d(g), g
-    free. So d is zero on every free multiple of m unless m is active:
-    d(m) != 0, or t*m survives the exterior and truncated bounds for some
-    such t. Dimensions are counted (`GradedAlgebra.dimensions`). The
-    matrix takes only the free multiples of the active monomials as its
-    columns; every other column is zero, so the rank is unchanged. A spot
-    without an active column gets rank 0 and no matrix.
+    Every basis monomial of a spot is a free multiple of a monomial in
+    the degree's `graded_monomials`, and d is zero on all of them unless
+    that monomial is active (`Derivation.is_active`). Dimensions are
+    counted (`GradedAlgebra.dimensions`). The matrix takes only the free
+    multiples of the active monomials as its columns; every other column
+    is zero, so the rank is unchanged. A spot without an active column
+    gets rank 0 and no matrix.
 
     The active monomials are found once per degree and call, and a
     weight's matrices are dropped when the next weight starts. Nothing
     is kept past the call.
     """
+    degs = sorted(set(degrees))
+    if not degs:
+        return iter(())
     alg, der = page.algebra, page.differential
-    free_terms = [
-        bounded
-        for g in alg.free_generators()
-        for _, _, bounded in der._image_terms.get(g.gid, ())
-    ]
+    _check_horizon(alg, degs[-1])
+    needed = sorted(set(degs) | {d + 1 for d in degs})
+    ws = sorted(set(weights))
+    dims = {d: alg.dimensions(d, ws) for d in needed}
+    moving = {d: [m for m in alg.graded_monomials(d) if der.is_active(m)] for d in needed}
 
-    def active(m: Monomial) -> bool:
-        exps = dict(m.exps)
-        for bounded in free_terms:
-            if all(exps.get(h, 0) + e <= top for h, e, top in bounded):
-                return True
-        return bool(der.apply_monomial(m))
-
-    dims = {d: alg.dimensions(d, weights) for d in degrees}
-    moving = {d: [m for m in alg.graded_monomials(d) if active(m)] for d in degrees}
-    for w in weights:
-        spots = {}
-        for d in degrees:
+    def spots(w):
+        rank, mat = {}, {}
+        for d in needed:
             source = alg.free_multiples(moving[d], w) if moving[d] else None
-            if source:
-                mat = differential_matrix(page, d, w, source=source)
-                spots[d] = (dims[d][w], mat.rank(), mat)
-            else:
-                spots[d] = (dims[d][w], 0, None)
-        yield w, spots
+            mat[d] = differential_matrix(page, d, w, source=source) if source else None
+            rank[d] = 0 if mat[d] is None else mat[d].rank()
+        return w, {d: (dims[d][w], rank[d], rank[d + 1], mat[d + 1]) for d in degs}
+
+    return map(spots, ws)
 
 
 def homology_dimensions(
@@ -266,16 +274,10 @@ def homology_dimensions(
     One extra degree above the requested top is computed silently so the
     incoming rank is exact there. Spots of dimension 0 share one profile.
     """
-    degs = sorted(set(degrees))
-    if not degs:
-        return {}
-    _check_horizon(page.algebra, degs[-1])
-    needed = sorted(set(degs) | {d + 1 for d in degs})
     out = {}
-    for w, spots in _passes(page, needed, sorted(set(weights))):
-        for d in degs:
-            dim, here, _ = spots[d]
-            out[(d, w)] = RankProfile(dim, here, spots[d + 1][1]) if dim else _EMPTY
+    for w, spots in _passes(page, degrees, weights):
+        for d, (dim, here, above, _) in spots.items():
+            out[(d, w)] = RankProfile(dim, here, above) if dim else _EMPTY
     return out
 
 
@@ -357,21 +359,13 @@ def induced_map_on_homology(
         rhs = big_page.differential(big.gen(mapping[g.gid]))
         if lhs != rhs:
             raise NotAChainMap(f"differentials disagree on generator {g.name!r}")
-    degs = sorted(set(degrees))
-    if not degs:
-        return InducedMapReport({})
-    _check_horizon(sub, degs[-1])
-    _check_horizon(big, degs[-1])
-    ws = sorted(set(weights))
-    needed = sorted(set(degs) | {d + 1 for d in degs})
-    passes = zip(_passes(sub_page, needed, ws), _passes(big_page, needed, ws))
+    degrees, weights = list(degrees), list(weights)  # read by both passes
+    passes = zip(_passes(sub_page, degrees, weights), _passes(big_page, degrees, weights))
     report = {}
     for (w, sub_spots), (_, big_spots) in passes:
-        for d in degs:
-            sub_dim, sub_here, _ = sub_spots[d]
-            betti_sub = sub_dim - sub_here - sub_spots[d + 1][1]
-            big_dim, big_here, _ = big_spots[d]
-            _, r_bound, m_big_above = big_spots[d + 1]  # the boundaries
+        for d, (sub_dim, sub_here, sub_above, _) in sub_spots.items():
+            betti_sub = sub_dim - sub_here - sub_above
+            big_dim, big_here, r_bound, m_big_above = big_spots[d]  # d in: the boundaries
             betti_big = big_dim - big_here - r_bound
             if not betti_sub:
                 report[(d, w)] = InducedCell(0, 0, betti_big)

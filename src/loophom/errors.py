@@ -102,5 +102,10 @@ class NegativeCutoff(InvalidCutoff):
     """A cutoff, the top ordinary degree of a computation, is below 0."""
 
 
+class InvalidComponent(LoophomError, ValueError):
+    """A component, the topological degree of a map, is not an int (a bool
+    is not one), or is negative for the holomorphic variant."""
+
+
 class NotAChainMap(LoophomError, ValueError):
     """A claimed inclusion of differential algebras fails to commute."""

@@ -34,13 +34,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .dga import Derivation, DgaPage, InducedMapReport, induced_map_on_homology
-from .errors import InvalidCutoff, NegativeCutoff
+from .errors import InvalidComponent, InvalidCutoff, NegativeCutoff
 from .graded_algebra import GradedAlgebra
 from .scalars import Field, check_field, is_int
 
 LOOP = "loop"
 HOL = "hol"
 VARIANTS = (LOOP, HOL)
+
+DEFAULT_CUTOFF = 30
 
 
 def _check_n(n: int) -> None:
@@ -55,10 +57,17 @@ def _check_args(n: int, field: Field, variant: str) -> None:
     check_field(field)
 
 
-def _check_components(variant: str, components) -> None:
-    """Refuse a negative component of the holomorphic variant."""
-    if variant == HOL and any(k < 0 for k in components):
-        raise ValueError("holomorphic components have nonnegative degree")
+def _check_components(variant: str, components) -> list:
+    """The components sorted without repeats, after refusing one that is
+    not an int (a bool is not one) and a negative one of the holomorphic
+    variant."""
+    comps = list(components)
+    for k in comps:
+        if not is_int(k):
+            raise InvalidComponent(f"a component must be an int, got {k!r}")
+    if variant == HOL and any(k < 0 for k in comps):
+        raise InvalidComponent("holomorphic components have nonnegative degree")
+    return sorted(set(comps))
 
 
 def validate_cutoff(cutoff: int) -> None:
@@ -106,7 +115,9 @@ def generator_schedule(n: int, field: Field, variant: str, cutoff: int) -> list:
     return rows
 
 
-def pontrjagin_algebra(n: int, field: Field, variant: str, cutoff: int = 30) -> GradedAlgebra:
+def pontrjagin_algebra(
+    n: int, field: Field, variant: str, cutoff: int = DEFAULT_CUTOFF
+) -> GradedAlgebra:
     """The Pontrjagin ring of the based mapping space, weight-graded by
     the degree of maps. The loop variant has iota invertible (laurent);
     the holomorphic variant only its nonnegative powers."""
@@ -118,7 +129,7 @@ def pontrjagin_algebra(n: int, field: Field, variant: str, cutoff: int = 30) -> 
     return alg
 
 
-def e2_page(n: int, field: Field, variant: str, cutoff: int = 30) -> DgaPage:
+def e2_page(n: int, field: Field, variant: str, cutoff: int = DEFAULT_CUTOFF) -> DgaPage:
     """The starting page: Pontrjagin ring tensored with projective
     cohomology, differential d(iota) = (n+1) u c^n.
 
@@ -148,7 +159,9 @@ class HolLoopInclusion:
         return induced_map_on_homology(self.sub_page, self.big_page, degrees, weights)
 
 
-def hol_to_loop_inclusion(n: int, field: Field, cutoff: int = 30) -> HolLoopInclusion:
+def hol_to_loop_inclusion(
+    n: int, field: Field, cutoff: int = DEFAULT_CUTOFF
+) -> HolLoopInclusion:
     sub = e2_page(n, field, HOL, cutoff)
     big = e2_page(n, field, LOOP, cutoff)
     # empty ranges still run the generator-matching and chain-map checks

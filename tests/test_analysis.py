@@ -20,7 +20,13 @@ from loophom.analysis import (
     poincare_series,
     unit_check,
 )
-from loophom.errors import CutoffTooTight, InvalidCutoff, LoophomError, NegativeCutoff
+from loophom.errors import (
+    CutoffTooTight,
+    InvalidComponent,
+    InvalidCutoff,
+    LoophomError,
+    NegativeCutoff,
+)
 from loophom.linalg import Matrix
 from loophom.scalars import GF2, RATIONALS, Field
 from loophom.spaces import HOL, LOOP, closed_form_rational_hol_betti
@@ -75,7 +81,7 @@ def test_betti_table_rejects_negative_hol_component():
     ids=["betti_table", "betti_oracle", "closed_form"],
 )
 def test_negative_hol_component_refused_with_one_message(call):
-    with pytest.raises(ValueError, match="^holomorphic components have nonnegative degree$"):
+    with pytest.raises(InvalidComponent, match="^holomorphic components have nonnegative degree$"):
         call()
 
 
@@ -123,7 +129,7 @@ def test_driver_degrees_do_not_grow_with_the_cutoff(monkeypatch):
 def test_finite_reach_prime_page_equals_oracle(variant):
     # n = 3 over F7 at cutoff 21: the page has a horizon but no bQ1u, so
     # the window is clipped by the reach, not by the horizon
-    algebra = _page(3, F7, variant, 22).algebra
+    algebra = _page(3, F7, variant, 21).algebra
     assert algebra.degree_reach() == (-6, 5)
     assert algebra.complete_through_degree == 16
     spec = SpaceSpec(variant, 3, F7)
@@ -306,6 +312,36 @@ def test_non_integer_cutoff_refused_before_any_work(call, cutoff, monkeypatch):
     monkeypatch.setattr(analysis, "_page", no_pages)
     with pytest.raises(InvalidCutoff, match="cutoff must be an integer") as info:
         call(cutoff)
+    assert isinstance(info.value, LoophomError) and isinstance(info.value, ValueError)
+
+
+@pytest.mark.parametrize("component", [0.5, True, "1"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        # True == 1, so sorting a set of these components would hide it
+        lambda k: betti_table(SpaceSpec(LOOP, 2, GF2), [1, k], cutoff=10),
+        lambda k: betti_table(SpaceSpec(HOL, 2, GF2), [k], cutoff=10),
+        lambda k: poincare_series(SpaceSpec(LOOP, 2, GF2), k, cutoff=10),
+        lambda k: betti_oracle(SpaceSpec(LOOP, 2, GF2), [k], cutoff=10),
+        lambda k: check_collapse(2, 2, [k], cutoff=10),
+        lambda k: check_periodicity(2, 3, 3, [k], cutoff=10),
+        lambda k: check_dichotomy(2, GF2, [k], cutoff=10),
+        lambda k: check_oracle(2, GF2, [k], cutoff=10),
+        lambda k: closed_form_rational_hol_betti(1, k),
+    ],
+    ids=[
+        "betti_table", "betti_table-hol", "poincare_series", "betti_oracle", "collapse",
+        "periodicity", "dichotomy", "oracle", "closed_form",
+    ],
+)
+def test_non_int_component_refused_before_any_work(call, component, monkeypatch):
+    def no_pages(*args):
+        raise AssertionError("a page was built")
+
+    monkeypatch.setattr(analysis, "_page", no_pages)
+    with pytest.raises(InvalidComponent, match="a component must be an int") as info:
+        call(component)
     assert isinstance(info.value, LoophomError) and isinstance(info.value, ValueError)
 
 

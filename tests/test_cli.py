@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from loophom import cli
+from loophom import analysis, cli
 from loophom.analysis import VerificationReport, betti_table, check_dichotomy
 from loophom.cli import EXIT_CONFIG, EXIT_CUTOFF, EXIT_FAIL, EXIT_IO, EXIT_OK, main
 from loophom.errors import LoophomError
@@ -82,6 +82,60 @@ def test_compute_regraded_shift(capsys):
     o = json.loads(ordinary)["components"]["1"]
     r = json.loads(regraded)["components"]["1"]
     assert {str(int(d) - 4): v for d, v in o.items()} == r
+
+
+def test_compute_makes_one_betti_table_call(monkeypatch, capsys):
+    calls = []
+    real = analysis.betti_table
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(analysis, "betti_table", counting)
+    code, _, _ = run(
+        ["compute", "--space", "loop", "--n", "2", "--field", "f3",
+         "--components", "-3..3", "--cutoff", "10"],
+        capsys,
+    )
+    assert code == EXIT_OK and len(calls) == 1
+
+
+def _without_component(table_fn, k):
+    """`table_fn` with component k's entries left out: every component has
+    a degree-0 class, so an empty column does not occur on its own."""
+
+    def table(*args, **kwargs):
+        t = table_fn(*args, **kwargs)
+        kept = {key: v for key, v in t.entries.items() if key[0] != k}
+        return analysis.BettiTable(t.space, t.grading, t.cutoff, kept)
+
+    return table
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+@pytest.mark.parametrize("spec", ["q", "f2", "f3"])
+@pytest.mark.parametrize("empty", [None, 0], ids=["all-found", "empty-0"])
+def test_compute_equals_per_component_library_columns(fmt, spec, empty, monkeypatch, capsys):
+    if empty is not None:
+        monkeypatch.setattr(analysis, "betti_table", _without_component(betti_table, empty))
+    space = cli.SpaceSpec("loop", 2, cli.make_field(spec))
+    columns = {
+        k: analysis.betti_table(space, [k], 9, "regraded").column(k) for k in range(-2, 3)
+    }
+    assert (columns[0] == {}) == (empty == 0)
+    code, out, err = run(
+        ["compute", "--space", "loop", "--n", "2", "--field", spec, "--components", "-2..2",
+         "--cutoff", "9", "--grading", "regraded", "--format", fmt],
+        capsys,
+    )
+    assert code == EXIT_OK and err == ""
+    if fmt == "text":
+        assert out == cli._render_text(space, 9, "regraded", columns)
+    elif fmt == "json":
+        assert out == cli._render_json(space, 9, "regraded", columns)
+    else:
+        assert out == cli._render_csv(columns)
 
 
 # -- compute --output ---------------------------------------------------------

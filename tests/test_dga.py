@@ -274,6 +274,23 @@ def test_homology_respects_horizon():
         homology_dimensions(page, [2], [1])
 
 
+def test_horizon_refused_eagerly_without_weights():
+    # the refusal comes before the first weight, so an empty weight list
+    # still raises, on either page of an induced map
+    page = e2_page(1, GF2, LOOP, cutoff=4)  # internal horizon 2
+    with pytest.raises(CutoffTooTight):
+        homology_dimensions(page, [2], [])
+    hol, loop = e2_page(1, GF2, HOL, cutoff=4), e2_page(1, GF2, LOOP, cutoff=4)
+    with pytest.raises(CutoffTooTight):
+        induced_map_on_homology(hol, loop, [5], [])
+    # the same generators at cutoff 6, with horizon 4: only one page refuses
+    hol_wide, loop_wide = e2_page(1, GF2, HOL, cutoff=6), e2_page(1, GF2, LOOP, cutoff=6)
+    assert induced_map_on_homology(hol_wide, loop_wide, [3], []).cells == {}
+    for sub, big in ((hol_wide, loop), (hol, loop_wide)):
+        with pytest.raises(CutoffTooTight):
+            induced_map_on_homology(sub, big, [3], [])
+
+
 def test_rational_page_has_no_horizon():
     page = e2_page(1, RATIONALS, LOOP, cutoff=4)
     assert page.algebra.complete_through_degree is None
