@@ -4,8 +4,7 @@ Subcommands:
 
 * ``compute``  Betti tables for chosen components, as text, CSV, or JSON,
   on stdout or, with ``--output``, in a file. All the components come
-  from one `analysis.betti_table` call; a component with no nonzero
-  entry prints as zero through the cutoff.
+  from one `analysis.betti_table` call.
 * ``verify``   run one of the structural checks and report Pass/Fail.
 
 Field specs are those of `scalars.make_field`: ``q`` (or ``rational``) for
@@ -80,8 +79,6 @@ def _render_text(space, cutoff, grading, columns) -> str:
     for k in sorted(columns):
         lines.append(f"component {k}:")
         col = columns[k]
-        if not col:
-            lines.append("  (zero through the cutoff)")
         for d in sorted(col):
             lines.append(f"  degree {d}: {col[d]}")
     return "\n".join(lines) + "\n"
@@ -151,8 +148,7 @@ def _cmd_compute(args) -> int:
     field = make_field(args.field)
     components = _parse_components(args.component, args.components)
     space = SpaceSpec(args.space, args.n, field)
-    found = analysis.betti_table(space, components, args.cutoff, args.grading).columns()
-    columns = {k: found.get(k, {}) for k in components}
+    columns = analysis.betti_table(space, components, args.cutoff, args.grading).columns()
     if args.format == "text":
         text = _render_text(space, args.cutoff, args.grading, columns)
     elif args.format == "json":

@@ -191,22 +191,18 @@ class RankProfile:
         return self.dim - self.rank_d_here - self.rank_d_above
 
 
-def differential_matrix(
-    page: DgaPage, degree: int, weight: int, *, source=None, target=None
-) -> Matrix:
+def differential_matrix(page: DgaPage, degree: int, weight: int, *, source=None) -> Matrix:
     """Matrix of d from (degree, weight) to (degree - 1, weight), columns
-    in the order of `source` and rows in basis enumeration order.
+    in the order of `source` and rows always the whole basis below, as
+    `enumerate_basis` lists it.
 
     `source`, when given, may be any list of basis monomials of the spot;
     omitted, it is the whole basis as `enumerate_basis` lists it.
-    `target`, when given, is the basis of the spot below as
-    `enumerate_basis` lists it; omitted, it is enumerated here.
     """
     alg = page.algebra
     if source is None:
         source = alg.enumerate_basis(degree, weight)
-    if target is None:
-        target = alg.enumerate_basis(degree - 1, weight)
+    target = alg.enumerate_basis(degree - 1, weight)
     index = {m: i for i, m in enumerate(target)}
     entries = {}
     for j, m in enumerate(source):
@@ -215,13 +211,16 @@ def differential_matrix(
     return Matrix(alg.field, len(target), len(source), entries)
 
 
-def _check_horizon(alg: GradedAlgebra, top_degree: int) -> None:
-    horizon = alg.complete_through_degree
-    if horizon is not None and top_degree + 1 > horizon:
-        raise CutoffTooTight(
-            f"homology at degree {top_degree} needs a complete basis at degree "
-            f"{top_degree + 1}, past the algebra's horizon {horizon}"
-        )
+def _rank_without_rows(
+    page: DgaPage, degree: int, weight: int, matrix: Matrix, monomials
+) -> int:
+    """Rank of `matrix`, a matrix of d into (degree, weight), with the rows
+    of the given basis monomials deleted. With S their span and B the
+    image of d, dim(S meet B) = rank B - this rank."""
+    basis = page.algebra.enumerate_basis(degree, weight)  # the rows of matrix
+    rows = {i for i, m in enumerate(basis) if m in monomials}
+    kept = {(i, j): c for (i, j), c in matrix.entries.items() if i not in rows}
+    return Matrix(matrix.field, matrix.nrows, matrix.ncols, kept).rank()
 
 
 _EMPTY = RankProfile(0, 0, 0)
@@ -249,7 +248,12 @@ def _passes(page: DgaPage, degrees: Iterable[int], weights: Iterable[int]):
     if not degs:
         return iter(())
     alg, der = page.algebra, page.differential
-    _check_horizon(alg, degs[-1])
+    top, horizon = degs[-1], alg.complete_through_degree
+    if horizon is not None and top + 1 > horizon:
+        raise CutoffTooTight(
+            f"homology at degree {top} needs a complete basis at degree "
+            f"{top + 1}, past the algebra's horizon {horizon}"
+        )
     needed = sorted(set(degs) | {d + 1 for d in degs})
     ws = sorted(set(weights))
     dims = {d: alg.dimensions(d, ws) for d in needed}
@@ -374,11 +378,7 @@ def induced_map_on_homology(
             dropped = 0  # no boundaries without an active column at d + 1
             if m_big_above is not None:
                 image = {_translate_monomial(m, mapping) for m in sub.enumerate_basis(d, w)}
-                big_basis = big.enumerate_basis(d, w)  # the rows of m_big_above
-                sub_rows = {i for i, m in enumerate(big_basis) if m in image}
-                entries = m_big_above.entries.items()
-                kept = {(i, j): c for (i, j), c in entries if i not in sub_rows}
-                dropped = Matrix(big.field, len(big_basis), m_big_above.ncols, kept).rank()
+                dropped = _rank_without_rows(big_page, d, w, m_big_above, image)
             rank = sub_dim - sub_here - r_bound + dropped
             report[(d, w)] = InducedCell(rank, betti_sub, betti_big)
     return InducedMapReport(report)

@@ -20,14 +20,16 @@ from loophom.analysis import (
     poincare_series,
     unit_check,
 )
+from loophom.dga import DgaPage, Derivation
 from loophom.errors import (
     CutoffTooTight,
+    InvalidCharacteristic,
     InvalidComponent,
     InvalidCutoff,
     LoophomError,
     NegativeCutoff,
 )
-from loophom.linalg import Matrix
+from loophom.graded_algebra import GradedAlgebra
 from loophom.scalars import GF2, RATIONALS, Field
 from loophom.spaces import HOL, LOOP, closed_form_rational_hol_betti
 
@@ -258,6 +260,25 @@ def test_prime_checks_refuse_characteristic_zero(check):
     with pytest.raises(LoophomError) as info:
         check()
     assert isinstance(info.value, ValueError)
+
+
+@pytest.mark.parametrize("p", ["f3", "q", 3.0, True])
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda p: check_collapse(2, p, [0, 1], cutoff=10),
+        lambda p: check_periodicity(2, p, 3, [0, 1], cutoff=10),
+        lambda p: unit_check(2, p, 3, cutoff=10),
+    ],
+    ids=["collapse", "periodicity", "unit"],
+)
+def test_prime_checks_refuse_a_non_int_p_before_any_work(check, p, monkeypatch):
+    def no_pages(*args):
+        raise AssertionError("a page was built")
+
+    monkeypatch.setattr(analysis, "_page", no_pages)
+    with pytest.raises(InvalidCharacteristic, match="needs a prime p as an int"):
+        check(p)
 
 
 @pytest.mark.parametrize(
@@ -515,19 +536,29 @@ def test_unit_check_needs_a_cutoff_of_2n_only():
 
 
 def test_unit_check_fails_on_boundaries(monkeypatch):
-    # d out of degree 1 replaced by the identity onto the degree-0 basis,
-    # so every degree-0 monomial, the unit among them, is a boundary
-    def onto_degree_zero(page, degree, weight, **bases):
-        assert degree == 1
-        size = len(page.algebra.enumerate_basis(0, weight))
-        return Matrix(page.algebra.field, size, size, {(i, i): 1 for i in range(size)})
-
-    monkeypatch.setattr(analysis, "differential_matrix", onto_degree_zero)
+    # a page over F3 where d(x) = 1, so every iota^w = +-d(iota^w x) bounds
+    alg = GradedAlgebra(F3)
+    alg.declare_generator("iota", 0, 1, "laurent")
+    alg.declare_generator("x", 1, 0, "exterior")
+    page = DgaPage(alg, Derivation.from_generator_images(alg, {"x": alg.one()}))
+    monkeypatch.setattr(analysis, "_page", lambda *args: page)
     report = unit_check(2, 3, 1, cutoff=16)
     assert report.failed
     assert report.witness == [
         "iota^k is a boundary", "iota^-k is a boundary", "1 is a boundary",
     ]
+
+
+def test_unit_check_passes_where_d_in_misses_the_classes(monkeypatch):
+    # d(x) = t with t^2 = 0: d into degree 0 has rank 1 at every weight,
+    # spanned by iota^(w-1) t, so deleting the row of iota^w leaves that rank
+    alg = GradedAlgebra(F3)
+    alg.declare_generator("iota", 0, 1, "laurent")
+    alg.declare_generator("t", 0, 1, "truncated", 1)
+    alg.declare_generator("x", 1, 1, "exterior")
+    page = DgaPage(alg, Derivation.from_generator_images(alg, {"x": alg.gen("t")}))
+    monkeypatch.setattr(analysis, "_page", lambda *args: page)
+    assert unit_check(2, 3, 1, cutoff=16).passed
 
 
 # -- counting oracle ------------------------------------------------------------------
@@ -547,6 +578,12 @@ def test_mod2_oracle_connected_components():
     for n in (2, 4):
         table = betti_oracle(SpaceSpec(LOOP, n, GF2), (-5, -1, 0, 2, 9), 30)
         assert all(table.column(k)[0] == 1 for k in (-5, -1, 0, 2, 9))
+    # so the engine's table has every requested component, even at cutoff 0
+    for variant, comps in ((LOOP, (-5, -1, 0, 2, 9)), (HOL, (0, 2, 9))):
+        for field in (RATIONALS, GF2, F3):
+            for n in (1, 2, 3):
+                table = betti_table(SpaceSpec(variant, n, field), comps, 0)
+                assert table.entries == {(k, 0): 1 for k in comps}
 
 
 def test_oracle_validation():

@@ -674,9 +674,6 @@ def test_matrix_from_handed_bases_equals_matrix_built_alone():
         for w in range(-1, 4):
             for d in range(-4, 12):
                 alone = differential_matrix(page, d, w)
-                source, target = alg.enumerate_basis(d, w), alg.enumerate_basis(d - 1, w)
-                for bases in ({"source": source}, {"target": target},
-                              {"source": source, "target": target}):
-                    handed = differential_matrix(page, d, w, **bases)
-                    assert (handed.nrows, handed.ncols) == (alone.nrows, alone.ncols)
-                    assert list(handed.entries.items()) == list(alone.entries.items())
+                handed = differential_matrix(page, d, w, source=alg.enumerate_basis(d, w))
+                assert (handed.nrows, handed.ncols) == (alone.nrows, alone.ncols)
+                assert list(handed.entries.items()) == list(alone.entries.items())
