@@ -42,10 +42,14 @@ from .errors import (
     InvalidCharacteristic,
     InvalidComponent,
     InvalidCutoff,
+    InvalidDimension,
     InvalidFieldSpec,
     InvalidGenerator,
+    InvalidGrading,
     InvalidHorizon,
     InvalidShape,
+    InvalidStep,
+    InvalidVariant,
     LaurentNonzeroDegree,
     LoophomError,
     NegativeCutoff,

@@ -28,11 +28,14 @@ from .dga import DgaPage, _passes, _rank_without_rows, homology_dimensions
 # differential_matrix and rank_of_columns have no caller here; the bench
 # tracer wraps them by name
 from .dga import differential_matrix
-from .errors import CompositeCharacteristic, InvalidCharacteristic
+from .errors import CompositeCharacteristic, InvalidCharacteristic, InvalidGrading
+from .errors import InvalidStep
 from .linalg import rank_of_columns
 from .scalars import Field, is_int, make_field
 from .spaces import DEFAULT_CUTOFF, HOL, LOOP, _check_args, _check_components
 from .spaces import e2_page, validate_cutoff
+
+GRADINGS = ("ordinary", "regraded")
 
 _PAGE_CACHE: dict = {}
 
@@ -62,6 +65,14 @@ def _prime_field(p: int) -> Field:
     if p == 0:
         raise CompositeCharacteristic("this check needs a prime field, got Q")
     return Field(p)
+
+
+def _grading_shift(grading: str, n: int) -> int:
+    """How far a grading's degrees sit above the internal degree; the one
+    refusal of an unknown grading."""
+    if grading not in GRADINGS:
+        raise InvalidGrading(f"unknown grading {grading!r}")
+    return 2 * n if grading == "ordinary" else 0
 
 
 def _check_inputs(n: int, field: Union[Field, str, int], cutoff: int) -> Field:
@@ -109,11 +120,10 @@ class BettiTable:
         return sorted({k for k, _ in self.entries})
 
     def to_grading(self, grading: str) -> "BettiTable":
-        if grading not in ("ordinary", "regraded"):
-            raise ValueError(f"unknown grading {grading!r}")
+        n = self.space.n
+        shift = _grading_shift(grading, n) - _grading_shift(self.grading, n)
         if grading == self.grading:
             return self
-        shift = 2 * self.space.n if grading == "ordinary" else -2 * self.space.n
         entries = {(k, d + shift): v for (k, d), v in self.entries.items()}
         return BettiTable(self.space, grading, self.cutoff, entries)
 
@@ -132,11 +142,9 @@ def betti_table(
 ) -> BettiTable:
     """Homology dimensions of the chosen components through the cutoff."""
     validate_cutoff(cutoff)
-    if grading not in ("ordinary", "regraded"):
-        raise ValueError(f"unknown grading {grading!r}")
+    shift = _grading_shift(grading, space.n)
     comps = _check_components(space.variant, components)
     profiles = _profiles(space.n, space.field, space.variant, cutoff, comps)
-    shift = 2 * space.n if grading == "ordinary" else 0
     entries = {}
     for (d, w), prof in profiles.items():
         if prof.betti:
@@ -290,7 +298,7 @@ def check_periodicity(
     """
     field = _check_inputs(n, _prime_field(p), cutoff)
     if not is_int(k):
-        raise ValueError(f"k must be an integer, got {k!r}")
+        raise InvalidStep(f"k must be an integer, got {k!r}")
     comps = _check_components(LOOP, component_range)
     params = {"n": n, "p": p, "k": k, "components": comps, "cutoff": cutoff}
     if not comps or k == 0:
@@ -364,7 +372,7 @@ def unit_check(n: int, p: int, k: int, cutoff: int = DEFAULT_CUTOFF) -> Verifica
     field = _check_inputs(n, _prime_field(p), cutoff)
     params = {"n": n, "p": p, "k": k, "cutoff": cutoff}
     if not is_int(k) or k < 1:
-        raise ValueError(f"k must be a positive integer, got {k!r}")
+        raise InvalidStep(f"k must be a positive integer, got {k!r}")
     if (k * (n + 1)) % p != 0:
         return VerificationReport("unit", params, "NoClaim")
     page = _page(n, field, LOOP, cutoff)

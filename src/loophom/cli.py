@@ -133,7 +133,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     pc = sub.add_parser("compute", help="Betti tables for components")
     common(pc, need_space=True)
-    pc.add_argument("--grading", choices=("ordinary", "regraded"), default="ordinary")
+    pc.add_argument("--grading", choices=analysis.GRADINGS, default="ordinary")
     pc.add_argument("--format", choices=("text", "csv", "json"), default="text")
     pc.add_argument("--output", help="write here instead of stdout")
 

@@ -12,7 +12,8 @@ class LoophomError(Exception):
 
 
 class InvalidCharacteristic(LoophomError, ValueError):
-    """A field characteristic is not an int (a bool is not one)."""
+    """A field characteristic is not an int (a bool is not one), or is
+    past one machine word."""
 
 
 class CompositeCharacteristic(InvalidCharacteristic):
@@ -109,3 +110,21 @@ class InvalidComponent(LoophomError, ValueError):
 
 class NotAChainMap(LoophomError, ValueError):
     """A claimed inclusion of differential algebras fails to commute."""
+
+
+class InvalidDimension(LoophomError, ValueError):
+    """The dimension n of the target CP^n is not a positive int (a bool is
+    not one)."""
+
+
+class InvalidVariant(LoophomError, ValueError):
+    """A space variant is neither "loop" nor "hol"."""
+
+
+class InvalidGrading(LoophomError, ValueError):
+    """A grading is neither "ordinary" nor "regraded"."""
+
+
+class InvalidStep(LoophomError, ValueError):
+    """A step k between components, the power of iota, is not an int (a
+    bool is not one), or is not positive where a check needs it to be."""

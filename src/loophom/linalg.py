@@ -1,12 +1,15 @@
 """Exact sparse linear algebra over Q and F_p.
 
-One elimination, `_eliminate`, serves both the rank and the kernel. It
-chooses pivots in the column of smallest support. It is fraction-free for
-every field: rows hold ints, primitive over Q, and the one update
-r*pv - f*piv (Bareiss, Math. Comp. 22, 1968) is reduced mod p over F_p
-and divided by its content over Q. `kernel_basis` back-substitutes over
-its pivot rows. The tests compare both against a dense textbook
-reduction kept in `tests/dense_reference.py`.
+One elimination, `_eliminate`, serves both the rank and the kernel: one
+pass over the rows, reducing each against the pivots found so far. It is
+exact on any matrix and fits the engine's: d sends each monomial to at
+most one monomial and no two to the same one, so each row and column has
+at most one entry, every row is a pivot at once and the pass is O(nnz).
+It is fraction-free for every field: rows hold ints, primitive over Q,
+and the one update r*pv - f*piv (Bareiss, Math. Comp. 22, 1968) is
+reduced mod p over F_p and divided by its content over Q. `kernel_basis`
+back-substitutes over its pivot rows. The tests compare both against a
+dense textbook reduction kept in `tests/dense_reference.py`.
 
 Matrices are stored sparsely as {(row, col): Scalar} with explicit shape.
 """
@@ -79,34 +82,28 @@ def _integer_rows(matrix: Matrix) -> dict:
 
 
 def _eliminate(matrix: Matrix) -> list:
-    """Sparse elimination, pivoting in the column of least support.
+    """One pass of row reduction, over the rows in index order.
 
-    Ties break to the smallest column index, then the row of least support
-    with the smallest index, so the run is deterministic. Returns the pivot
-    rows as (column, {col: int}) in the order they were chosen; each has
-    no entry in any earlier pivot's column.
+    Each row is reduced by the earliest-found pivot whose column it meets,
+    until it meets no pivot column; what is left becomes a pivot at its
+    smallest column. A pivot row has entries only in free columns and in
+    columns of later pivots, so each step moves strictly later in the
+    pivot order and a row takes at most rank steps. Returns the pivot rows
+    as (column, {col: int}) in the order found; each has no entry in any
+    earlier pivot's column.
     """
     p = matrix.field.characteristic
     rows = _integer_rows(matrix)
     pivots = []
-    while rows:
-        support: dict[int, list[int]] = {}
-        for i, r in rows.items():
-            for c in r:
-                support.setdefault(c, []).append(i)
-        col = min(support, key=lambda c: (len(support[c]), c))
-        pivot_row = min(support[col], key=lambda i: (len(rows[i]), i))
-        piv = rows.pop(pivot_row)
-        pv = piv[col]
-        pivots.append((col, piv))
-        touched = support[col]
-        for i in touched:
-            if i == pivot_row:
-                continue
-            r = rows[i]
-            f = r[col]
+    found: dict[int, int] = {}  # pivot column -> its place in `pivots`
+    for _, r in sorted(rows.items()):
+        while r:
+            met = [found[c] for c in r if c in found]
+            if not met:
+                break
+            col, piv = pivots[min(met)]
+            pv, f = piv[col], r[col]
             new = {}
-            # union of supports: the pivot row fills in columns r lacks
             for c in set(r) | set(piv):
                 w = r.get(c, 0) * pv - piv.get(c, 0) * f
                 if p:
@@ -117,22 +114,22 @@ def _eliminate(matrix: Matrix) -> list:
                 content = gcd(*new.values())
                 if content > 1:
                     new = {c: v // content for c, v in new.items()}
-            if new:
-                rows[i] = new
-            else:
-                del rows[i]
+            r = new
+        if r:
+            found[min(r)] = len(pivots)
+            pivots.append((min(r), r))
     return pivots
 
 
 def rank_sparse(matrix: Matrix) -> int:
-    """Rank: the number of pivots `_eliminate` chooses."""
+    """Rank: the number of pivots `_eliminate` finds."""
     return len(_eliminate(matrix))
 
 
 def kernel_basis(matrix: Matrix) -> list:
     """A basis of the right kernel, as lists of Scalars of length ncols.
 
-    One vector per free column (a column in which `_eliminate` chose no
+    One vector per free column (a column in which `_eliminate` found no
     pivot), in column order: it is 1 there, 0 at the other free columns,
     and its pivot entries come by back-substitution, last pivot first.
     """

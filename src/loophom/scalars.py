@@ -29,7 +29,7 @@ def is_int(value) -> bool:
 def _is_prime(n: int) -> bool:
     if n < 2:
         return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for q in _MR_BASES:
         if n % q == 0:
             return n == q
     d, s = n - 1, 0
@@ -63,7 +63,7 @@ class Field:
         if p != 0 and not _is_prime(p):
             raise CompositeCharacteristic(f"{p!r} is not prime")
         if p >= MAX_CHARACTERISTIC:
-            raise ValueError(f"characteristic {p} exceeds machine-word bound")
+            raise InvalidCharacteristic(f"characteristic {p} exceeds machine-word bound")
 
     @property
     def is_rational(self) -> bool:

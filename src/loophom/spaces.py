@@ -34,7 +34,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .dga import Derivation, DgaPage, InducedMapReport, induced_map_on_homology
-from .errors import InvalidComponent, InvalidCutoff, NegativeCutoff
+from .errors import InvalidComponent, InvalidCutoff, InvalidDimension, InvalidVariant
+from .errors import NegativeCutoff
 from .graded_algebra import GradedAlgebra
 from .scalars import Field, check_field, is_int
 
@@ -47,13 +48,13 @@ DEFAULT_CUTOFF = 30
 
 def _check_n(n: int) -> None:
     if not is_int(n) or n < 1:
-        raise ValueError(f"n must be a positive integer, got {n!r}")
+        raise InvalidDimension(f"n must be a positive integer, got {n!r}")
 
 
 def _check_args(n: int, field: Field, variant: str) -> None:
     _check_n(n)
     if variant not in VARIANTS:
-        raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
+        raise InvalidVariant(f"variant must be one of {VARIANTS}, got {variant!r}")
     check_field(field)
 
 

@@ -26,6 +26,10 @@ from loophom.errors import (
     InvalidCharacteristic,
     InvalidComponent,
     InvalidCutoff,
+    InvalidDimension,
+    InvalidGrading,
+    InvalidStep,
+    InvalidVariant,
     LoophomError,
     NegativeCutoff,
 )
@@ -382,6 +386,29 @@ def test_checks_refuse_a_bool_or_non_int_k(call, monkeypatch):
     for k in (True, False, 2.0):
         with pytest.raises(ValueError, match="k must be"):
             call(k)
+
+
+@pytest.mark.parametrize(
+    "call,error",
+    [
+        (lambda: SpaceSpec(LOOP, 0, GF2), InvalidDimension),
+        (lambda: SpaceSpec(HOL, 1.0, GF2), InvalidDimension),
+        (lambda: SpaceSpec(LOOP, True, GF2), InvalidDimension),
+        (lambda: SpaceSpec("free", 2, GF2), InvalidVariant),
+        (lambda: betti_table(SpaceSpec(LOOP, 1, GF2), [0], 4, "internal"), InvalidGrading),
+        (lambda: betti_table(SpaceSpec(LOOP, 1, GF2), [0], 4).to_grading("x"), InvalidGrading),
+        (lambda: check_periodicity(1, 2, 2.0, [0], 8), InvalidStep),
+        (lambda: unit_check(1, 2, 0, 8), InvalidStep),
+        (lambda: unit_check(1, 2, True, 8), InvalidStep),
+        (lambda: Field(2**89 - 1), InvalidCharacteristic),
+    ],
+    ids=["n-0", "n-float", "n-bool", "variant", "grading", "to-grading",
+         "periodicity-k", "unit-k-0", "unit-k-bool", "past-a-word"],
+)
+def test_input_refusals_are_typed_value_errors(call, error):
+    with pytest.raises(error) as info:
+        call()
+    assert isinstance(info.value, LoophomError) and isinstance(info.value, ValueError)
 
 
 @pytest.mark.parametrize(

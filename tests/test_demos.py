@@ -1,6 +1,9 @@
-"""The demo scripts run to completion."""
+"""The demo scripts run to completion, and the README's quick start shows
+what its comments say."""
 
+import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -18,3 +21,31 @@ def test_every_demo_runs_and_prints():
         )
         assert result.returncode == 0, f"{script.name}: {result.stderr}"
         assert result.stdout.strip(), f"{script.name} printed nothing"
+
+
+def _run_quick_start() -> dict:
+    """Run README's library quick start one statement at a time; returns
+    the value of each expression statement, keyed by its source."""
+    readme = (ROOT / "README.md").read_text()
+    block = re.search(r"## Library quick start\n\n```python\n(.*?)```", readme, re.S)[1]
+    namespace, values = {}, {}
+    for stmt in ast.parse(block).body:
+        if isinstance(stmt, ast.Expr):
+            code = compile(ast.Expression(stmt.value), "README.md", "eval")
+            values[ast.get_source_segment(block, stmt)] = eval(code, namespace)
+        else:
+            exec(compile(ast.Module([stmt], []), "README.md", "exec"), namespace)
+    return values
+
+
+def test_readme_quick_start_shows_what_its_comments_say(capsys):
+    values = _run_quick_start()
+    assert capsys.readouterr().out == "1 + t^2 + t^5 + t^7\n"
+    column = list(values["table.column(1)"].items())
+    assert column[:5] == [(0, 1), (2, 1), (5, 1), (6, 1), (7, 2)]
+    witness = values["check_dichotomy(2, 2, range(-3, 4)).witness"]
+    assert witness == {k: k % 2 for k in range(-3, 4)}
+    # the four .passed/.injective results, and the oracle's table == the engine's
+    ends = (".passed", ".injective", ".entries")
+    flags = {src: v for src, v in values.items() if src.endswith(ends)}
+    assert len(flags) == 5 and all(v is True for v in flags.values()), flags

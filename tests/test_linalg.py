@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from dense_reference import rank_dense
 from loophom.errors import InvalidShape
-from loophom.linalg import Matrix, _integer_rows, kernel_basis, rank_of_columns, rank_sparse
+from loophom.linalg import Matrix, _eliminate, _integer_rows, kernel_basis, rank_of_columns
+from loophom.linalg import rank_sparse
 from loophom.scalars import GF2, RATIONALS, Field
 
 F5 = Field(5)
@@ -89,6 +90,12 @@ def test_kernel_vectors_are_killed_and_independent(field, nrows, ncols, density,
     # dense draws make back-substitution run through several pivot rows
     # whose entries filled in during the elimination
     m = random_matrix(rng, field, nrows, ncols, density)
+    # the contract back-substitution relies on
+    pivots = _eliminate(m)
+    pivot_cols = [c for c, _ in pivots]
+    assert len(set(pivot_cols)) == len(pivot_cols)
+    for k, (_, row) in enumerate(pivots):
+        assert not set(row) & set(pivot_cols[:k])
     basis = kernel_basis(m)
     assert len(basis) == m.ncols - rank_dense(m)
     for vec in basis:
@@ -96,6 +103,31 @@ def test_kernel_vectors_are_killed_and_independent(field, nrows, ncols, density,
         assert all(not x for x in matvec(m, vec))
     cols = [{i: v for i, v in enumerate(vec) if v} for vec in basis]
     assert rank_dense(Matrix.from_columns(field, m.ncols, cols)) == len(basis)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    field=st.sampled_from([RATIONALS, GF2, Field(3), F5]),
+    nrows=st.integers(0, 300),
+    ncols=st.integers(0, 300),
+    rng=st.randoms(use_true_random=False),
+)
+def test_partial_permutations_have_full_rank_and_unit_kernels(field, nrows, ncols, rng):
+    # the engine's traffic: d sends each monomial to at most one monomial
+    # and no two to the same one, so each row and column has at most one entry
+    cols = rng.sample(range(ncols), rng.randint(0, min(nrows, ncols)))
+    rows = rng.sample(range(nrows), len(cols))
+    p = field.characteristic
+    entries = {
+        (i, j): field(Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 7))
+                      if not p else rng.randrange(1, p))
+        for i, j in zip(rows, cols)
+    }
+    m = Matrix(field, nrows, ncols, entries)
+    assert rank_sparse(m) == len(m.entries)
+    basis = kernel_basis(m)
+    assert [vec.index(field.one) for vec in basis] == [j for j in range(ncols) if j not in cols]
+    assert all(sum(map(bool, vec)) == 1 for vec in basis)
 
 
 def test_kernel_deterministic():
