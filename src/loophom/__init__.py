@@ -38,11 +38,13 @@ from .errors import (
     DuplicateName,
     FieldMismatch,
     InfiniteBasis,
+    InhomogeneousElement,
     InhomogeneousImage,
     InvalidCharacteristic,
     InvalidComponent,
     InvalidCutoff,
     InvalidDimension,
+    InvalidExponent,
     InvalidFieldSpec,
     InvalidGenerator,
     InvalidGrading,

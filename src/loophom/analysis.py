@@ -382,8 +382,8 @@ def unit_check(n: int, p: int, k: int, cutoff: int = DEFAULT_CUTOFF) -> Verifica
     # a degree-0 monomial bounds iff deleting its row lowers the rank of d in
     bounds = set()
     for w, spots in _passes(page, [0], classes):
-        _, _, rank_in, m_in = spots[0]
-        if m_in is not None and _rank_without_rows(page, 0, w, m_in, {classes[w]}) < rank_in:
+        _, _, rank_in, inward = spots[0]
+        if inward is not None and _rank_without_rows(inward, [classes[w]]) < rank_in:
             bounds.add(w)
     problems = []
     if d(alg.monomial_element(pos)):

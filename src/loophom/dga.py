@@ -5,6 +5,14 @@ lowers degree by one, preserves weight, and satisfies the signed Leibniz
 rule. It is determined by its values on generators, and d(d(g)) = 0 on
 generators already forces d*d = 0 everywhere, because d*d is itself a
 derivation.
+
+Matrices of d come from one Leibniz skeleton per degree (`_Skeleton`).
+Every basis monomial of a spot is y*m, with m in the degree's
+`graded_monomials` and y a block of the free (degree-0, even) generators,
+so d(y*m) = y*d(m) + sum over free g of e_g*(y/g)*(d(g)*m). The skeleton
+expands d(m) and each d(g)*m once per degree and call; a weight's matrix
+is then block arithmetic on those terms, with its rows keyed by monomial
+in the order they first appear. No target basis is enumerated.
 """
 
 from __future__ import annotations
@@ -16,13 +24,14 @@ from .errors import (
     AlgebraMismatch,
     CutoffTooTight,
     FieldMismatch,
+    InhomogeneousElement,
     InhomogeneousImage,
     NotAChainMap,
     NotSquareZero,
     UnknownGenerator,
     WrongBidegree,
 )
-from .graded_algebra import Element, GradedAlgebra, Monomial
+from .graded_algebra import Element, GradedAlgebra, Monomial, _free_exponents
 # kernel_basis and rank_of_columns have no caller here; the bench tracer wraps them by name
 from .linalg import Matrix, kernel_basis, rank_of_columns
 
@@ -47,12 +56,6 @@ class Derivation:
             ]
             for gid, img in images.items()
         }
-        # the bounded blocks of every image term of a free generator
-        self._free_terms = [
-            bounded
-            for g in algebra.free_generators()
-            for _, _, bounded in self._image_terms.get(g.gid, ())
-        ]
 
     @classmethod
     def from_generator_images(
@@ -67,7 +70,7 @@ class Derivation:
                 continue
             try:
                 bideg = img.bidegree()
-            except ValueError as exc:
+            except InhomogeneousElement as exc:
                 raise InhomogeneousImage(f"image of {g.name!r}: {exc}") from None
             expected = (g.degree - 1, g.weight)
             if bideg != expected:
@@ -142,16 +145,6 @@ class Derivation:
             prefix_degree += block_degree
         return Element(alg, out)
 
-    def is_active(self, m: Monomial) -> bool:
-        """Whether d is nonzero on some free multiple y*m of m, y a block
-        of degree-0 free generators: d(y*m) = y*d(m) + d(y)*m, and d(y) is
-        a sum of multiples of (y/g)*t over the terms t of d(g), g free. So
-        iff d(m) != 0 or some such t*m survives the bounds."""
-        exps = dict(m.exps)
-        if any(_fits(exps, None, bounded) for bounded in self._free_terms):
-            return True
-        return bool(self.apply_monomial(m))
-
     def __call__(self, x: Element) -> Element:
         if x.algebra is not self.algebra:
             raise AlgebraMismatch("element of a different algebra")
@@ -191,34 +184,100 @@ class RankProfile:
         return self.dim - self.rank_d_here - self.rank_d_above
 
 
-def differential_matrix(page: DgaPage, degree: int, weight: int, *, source=None) -> Matrix:
-    """Matrix of d from (degree, weight) to (degree - 1, weight), columns
-    in the order of `source` and rows always the whole basis below, as
-    `enumerate_basis` lists it.
+class _Skeleton:
+    """d on the free multiples y*m of each degree's monomials m, for one
+    call. Each m of `graded_monomials` that a requested weight reaches
+    keeps the terms (exponents, coefficient) of d(m), by `apply_monomial`,
+    and of d(g)*m for each free g with an image; an m where all are 0 is
+    dropped. `rows[(degree, weight)]` maps the exponents of each row of
+    a matrix `differential_matrix` built from it to the row's index."""
 
-    `source`, when given, may be any list of basis monomials of the spot;
-    omitted, it is the whole basis as `enumerate_basis` lists it.
+    def __init__(self, page: DgaPage, degrees, weights):
+        alg, der = page.algebra, page.differential
+        self.field, self.free = alg.field, alg.free_generators()
+        self.rows, self.entries = {}, {}
+        images = [(g.gid, der._image_terms.get(g.gid, ())) for g in self.free]
+        reach: dict = {}  # m.weight -> whether a requested weight is reachable
+        for d in degrees:
+            found = self.entries[d] = []
+            for m in alg.graded_monomials(d):
+                if m.weight not in reach:
+                    reach[m.weight] = any(_free_exponents(self.free, w - m.weight) for w in weights)
+                if not reach[m.weight]:
+                    continue
+                exps, moves = dict(m.exps), {}
+                for gid, terms in images:
+                    for im, c, bounded in terms:
+                        if _fits(exps, None, bounded):  # apply_monomial's pre-test
+                            sign, t = alg.multiply_monomials(im, m)
+                            moves.setdefault(gid, []).append((t.exps, c if sign > 0 else -c))
+                here = [(t.exps, c) for t, c in der.apply_monomial(m).terms.items()]
+                if here or moves:
+                    found.append((m.weight, here, moves))
+
+    def columns(self, degree: int, weight: int):
+        """The column of each free multiple y*m of the weight that d does
+        not kill by its shape, as (exponents, coefficient) terms: y*d(m),
+        and e_g*(y/g)*(d(g)*m) for each free g in y whose exponent e_g
+        the characteristic does not divide."""
+        p, blocks = self.field.characteristic, {}
+        for mw, here, moves in self.entries[degree]:
+            if mw not in blocks:
+                blocks[mw] = _free_exponents(self.free, weight - mw)
+            for y in blocks[mw]:
+                terms = [(_times(t, y), c) for t, c in here]
+                for g, e in y:
+                    if g in moves and (not p or e % p):
+                        k, lowered = self.field.scalar(e), _times(y, ((g, -1),))
+                        terms += [(_times(t, lowered), k * c) for t, c in moves[g]]
+                if terms:
+                    yield terms
+
+
+def _times(a: tuple, b: tuple) -> tuple:
+    """Exponents of a product with a free block, which no bound can kill:
+    exponents add, and zeros drop."""
+    if not b:
+        return a
+    merged = dict(a)
+    for g, e in b:
+        e += merged.get(g, 0)
+        if e:
+            merged[g] = e
+        else:
+            del merged[g]
+    return tuple(sorted(merged.items()))
+
+
+def differential_matrix(page: DgaPage, degree: int, weight: int, *, skeleton=None) -> Matrix:
+    """Matrix of d from (degree, weight) to (degree - 1, weight).
+
+    The columns are the free multiples y*m of the spot (y a block of free
+    generators, m in the degree's `graded_monomials`) that d does not
+    kill by their shape, as `_Skeleton.columns` lists them; the rows are
+    the monomials those reach, numbered in the order they first appear,
+    and `skeleton.rows[(degree, weight)]` labels them. The columns left
+    out are zero, so the rank is that of d at the spot. `skeleton` hands
+    over a pass's `_Skeleton`; omitted, one is built for this spot alone.
     """
-    alg = page.algebra
-    if source is None:
-        source = alg.enumerate_basis(degree, weight)
-    target = alg.enumerate_basis(degree - 1, weight)
-    index = {m: i for i, m in enumerate(target)}
-    entries = {}
-    for j, m in enumerate(source):
-        for mt, c in page.differential.apply_monomial(m).terms.items():
-            entries[(index[mt], j)] = c
-    return Matrix(alg.field, len(target), len(source), entries)
+    if skeleton is None:
+        skeleton = _Skeleton(page, [degree], [weight])
+    rows, entries, ncols = {}, {}, 0
+    for j, terms in enumerate(skeleton.columns(degree, weight)):
+        for t, c in terms:
+            ij = (rows.setdefault(t, len(rows)), j)
+            entries[ij] = entries[ij] + c if ij in entries else c  # Matrix drops 0
+        ncols = j + 1
+    skeleton.rows[(degree, weight)] = rows
+    return Matrix(page.algebra.field, len(rows), ncols, entries)
 
 
-def _rank_without_rows(
-    page: DgaPage, degree: int, weight: int, matrix: Matrix, monomials
-) -> int:
-    """Rank of `matrix`, a matrix of d into (degree, weight), with the rows
-    of the given basis monomials deleted. With S their span and B the
-    image of d, dim(S meet B) = rank B - this rank."""
-    basis = page.algebra.enumerate_basis(degree, weight)  # the rows of matrix
-    rows = {i for i, m in enumerate(basis) if m in monomials}
+def _rank_without_rows(inward: tuple, monomials) -> int:
+    """Rank of a pass's matrix of d into a spot, `inward` = (matrix, row
+    labels), without the rows of the given monomials. With S their span
+    and B the image of d, dim(S meet B) = rank B - this rank."""
+    matrix, labels = inward
+    rows = {labels.get(m.exps) for m in monomials}
     kept = {(i, j): c for (i, j), c in matrix.entries.items() if i not in rows}
     return Matrix(matrix.field, matrix.nrows, matrix.ncols, kept).rank()
 
@@ -227,27 +286,22 @@ _EMPTY = RankProfile(0, 0, 0)
 
 
 def _passes(page: DgaPage, degrees: Iterable[int], weights: Iterable[int]):
-    """Yield (weight, {degree: (dim, rank of d out, rank of d in, matrix of
-    d in or None)}) for each requested weight, over the requested degrees,
-    both ascending without repeats. d in needs a complete basis one degree
-    above the top; the horizon is checked on the call, not on first use.
+    """Yield (weight, {degree: (dim, rank of d out, rank of d in, d in)})
+    for each requested weight, over the requested degrees, both ascending
+    without repeats; d in is (matrix, row labels), or None where d into
+    the spot has no column. d in needs a complete basis one degree above
+    the top; the horizon is checked on the call, not on first use.
 
-    Every basis monomial of a spot is a free multiple of a monomial in
-    the degree's `graded_monomials`, and d is zero on all of them unless
-    that monomial is active (`Derivation.is_active`). Dimensions are
-    counted (`GradedAlgebra.dimensions`). The matrix takes only the free
-    multiples of the active monomials as its columns; every other column
-    is zero, so the rank is unchanged. A spot without an active column
-    gets rank 0 and no matrix.
-
-    The active monomials are found once per degree and call, and a
-    weight's matrices are dropped when the next weight starts. Nothing
-    is kept past the call.
+    Dimensions are counted (`GradedAlgebra.dimensions`). One `_Skeleton`
+    serves every spot of the call, and a spot where it lists a column
+    gets its matrix from `differential_matrix`; any other spot has rank 0
+    and no matrix. A weight's matrices are dropped when the next weight
+    starts, and nothing is kept past the call.
     """
     degs = sorted(set(degrees))
     if not degs:
         return iter(())
-    alg, der = page.algebra, page.differential
+    alg = page.algebra
     top, horizon = degs[-1], alg.complete_through_degree
     if horizon is not None and top + 1 > horizon:
         raise CutoffTooTight(
@@ -257,15 +311,16 @@ def _passes(page: DgaPage, degrees: Iterable[int], weights: Iterable[int]):
     needed = sorted(set(degs) | {d + 1 for d in degs})
     ws = sorted(set(weights))
     dims = {d: alg.dimensions(d, ws) for d in needed}
-    moving = {d: [m for m in alg.graded_monomials(d) if der.is_active(m)] for d in needed}
+    skeleton = _Skeleton(page, needed, ws)
 
     def spots(w):
-        rank, mat = {}, {}
-        for d in needed:
-            source = alg.free_multiples(moving[d], w) if moving[d] else None
-            mat[d] = differential_matrix(page, d, w, source=source) if source else None
-            rank[d] = 0 if mat[d] is None else mat[d].rank()
-        return w, {d: (dims[d][w], rank[d], rank[d + 1], mat[d + 1]) for d in degs}
+        rank, inward = dict.fromkeys(needed, 0), {}
+        for d, found in skeleton.entries.items():
+            if found and next(skeleton.columns(d, w), None) is not None:
+                matrix = differential_matrix(page, d, w, skeleton=skeleton)
+                inward[d] = (matrix, skeleton.rows.pop((d, w)))
+                rank[d] = matrix.rank()
+        return w, {d: (dims[d][w], rank[d], rank[d + 1], inward.get(d + 1)) for d in degs}
 
     return map(spots, ws)
 
@@ -369,16 +424,16 @@ def induced_map_on_homology(
     for (w, sub_spots), (_, big_spots) in passes:
         for d, (sub_dim, sub_here, sub_above, _) in sub_spots.items():
             betti_sub = sub_dim - sub_here - sub_above
-            big_dim, big_here, r_bound, m_big_above = big_spots[d]  # d in: the boundaries
+            big_dim, big_here, r_bound, inward = big_spots[d]  # d in: the boundaries
             betti_big = big_dim - big_here - r_bound
             if not betti_sub:
                 report[(d, w)] = InducedCell(0, 0, betti_big)
                 continue
 
-            dropped = 0  # no boundaries without an active column at d + 1
-            if m_big_above is not None:
-                image = {_translate_monomial(m, mapping) for m in sub.enumerate_basis(d, w)}
-                dropped = _rank_without_rows(big_page, d, w, m_big_above, image)
+            dropped = 0  # no boundaries without a column at d + 1
+            if inward is not None:
+                image = [_translate_monomial(m, mapping) for m in sub.enumerate_basis(d, w)]
+                dropped = _rank_without_rows(inward, image)
             rank = sub_dim - sub_here - r_bound + dropped
             report[(d, w)] = InducedCell(rank, betti_sub, betti_big)
     return InducedMapReport(report)

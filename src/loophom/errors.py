@@ -70,6 +70,15 @@ class InfiniteBasis(LoophomError, ValueError):
     """The finiteness certificate fails: some bigraded piece is infinite."""
 
 
+class InvalidExponent(LoophomError, ValueError):
+    """An exponent is negative on a generator that is not laurent, or the
+    power of an element is not an int >= 0 (a bool is not an int)."""
+
+
+class InhomogeneousElement(LoophomError, ValueError):
+    """An element that mixes bidegrees was asked for its one bidegree."""
+
+
 class InhomogeneousImage(LoophomError, ValueError):
     """A differential was given a generator image that mixes bidegrees."""
 

@@ -29,6 +29,8 @@ from .errors import (
     AlgebraMismatch,
     DuplicateName,
     InfiniteBasis,
+    InhomogeneousElement,
+    InvalidExponent,
     InvalidGenerator,
     InvalidHorizon,
     LaurentNonzeroDegree,
@@ -189,8 +191,8 @@ class GradedAlgebra:
 
         Exponents past an exterior or truncated bound make the monomial
         zero in the quotient, hence the None. A negative exponent on a
-        generator that is not laurent raises ValueError, even where a bound
-        would make the monomial zero.
+        generator that is not laurent raises InvalidExponent, even where a
+        bound would make the monomial zero.
         """
         merged: dict[int, int] = {}
         for key, e in exponents.items():
@@ -200,7 +202,7 @@ class GradedAlgebra:
         for gid, e in merged.items():
             g = self.generators[gid]
             if e < 0 and g.kind != "laurent":
-                raise ValueError(f"negative exponent on {g.kind} generator {g.name!r}")
+                raise InvalidExponent(f"negative exponent on {g.kind} generator {g.name!r}")
             degree += e * g.degree
             weight += e * g.weight
         return self._canonical(merged, degree, weight)
@@ -385,27 +387,6 @@ class GradedAlgebra:
         self._by_degree[degree] = found
         return found
 
-    def free_multiples(self, monomials: list, weight: int) -> list[Monomial]:
-        """The products y*m of weight `weight`, sorted like
-        `enumerate_basis`, in a fresh list: m runs over `monomials`, from
-        one degree's `graded_monomials`, and y over the free generators'
-        exponent blocks that make up the rest of the weight."""
-        free = self.free_generators()
-        solutions: dict = {}
-        found: list[Monomial] = []
-        for m in monomials:
-            rest = weight - m.weight
-            blocks = solutions.get(rest)
-            if blocks is None:
-                blocks = solutions[rest] = _free_exponents(free, rest)
-            for block in blocks:
-                if block:
-                    found.append(Monomial(tuple(sorted(m.exps + block)), m.degree, weight))
-                else:
-                    found.append(m)
-        found.sort(key=self.exponent_vector)
-        return found
-
     def dimensions(self, degree: int, weights) -> dict:
         """weight -> len(enumerate_basis(degree, weight)) for each given
         weight, counted without building a monomial: the degree's
@@ -430,11 +411,19 @@ class GradedAlgebra:
     def enumerate_basis(self, degree: int, weight: int) -> list[Monomial]:
         """All basis monomials of the given (degree, weight), sorted
         lexicographically on full exponent vectors, in a fresh list: the
-        `free_multiples` of the degree's `graded_monomials`. The
+        products y*m, with m in the degree's `graded_monomials` and y a
+        block of free generators that makes up the rest of the weight. The
         certificate in `_certificate`, checked once per generator set,
         guarantees the lists are finite and complete.
         """
-        return self.free_multiples(self.graded_monomials(degree), weight)
+        free, blocks = self.free_generators(), {}
+        found = []
+        for m in self.graded_monomials(degree):
+            rest = weight - m.weight
+            if rest not in blocks:
+                blocks[rest] = _free_exponents(free, rest)
+            found += [Monomial(tuple(sorted(m.exps + y)), degree, weight) for y in blocks[rest]]
+        return sorted(found, key=self.exponent_vector)
 
     def __repr__(self):
         names = ", ".join(g.name for g in self.generators)
@@ -522,8 +511,8 @@ class Element:
         return NotImplemented
 
     def __pow__(self, n: int) -> "Element":
-        if n < 0:
-            raise ValueError("negative powers of elements are not defined")
+        if not is_int(n) or n < 0:
+            raise InvalidExponent(f"the power of an element must be an int >= 0, got {n!r}")
         out = self.algebra.one()
         for _ in range(n):
             out = out * self
@@ -551,7 +540,7 @@ class Element:
         if not seen:
             return None
         if len(seen) > 1:
-            raise ValueError(f"inhomogeneous element spans {sorted(seen)}")
+            raise InhomogeneousElement(f"inhomogeneous element spans {sorted(seen)}")
         return seen.pop()
 
     def coefficient(self, m: Monomial) -> Scalar:

@@ -1,8 +1,26 @@
-"""A naive dense row reduction: the reference the tests compare the
-library's sparse elimination with. It shares no code with `loophom.linalg`
-beyond the `Matrix` container and the field arithmetic."""
+"""Naive references the tests compare the library with.
+
+`rref` and `rank_dense` are a dense row reduction, sharing no code with
+`loophom.linalg` beyond the `Matrix` container and the field arithmetic.
+`reference_matrix` builds a matrix of d over whole bases, sharing no code
+with `loophom.dga`'s matrix builder: it uses only `enumerate_basis` and
+`Derivation.apply_monomial`."""
 
 from loophom.linalg import Matrix
+
+
+def reference_matrix(page, degree: int, weight: int) -> Matrix:
+    """Matrix of d from (degree, weight) to (degree - 1, weight) with every
+    basis monomial as a column and every one below as a row, both in
+    `enumerate_basis` order: each column is apply_monomial of its monomial."""
+    alg = page.algebra
+    source = alg.enumerate_basis(degree, weight)
+    index = {m: i for i, m in enumerate(alg.enumerate_basis(degree - 1, weight))}
+    entries = {}
+    for j, m in enumerate(source):
+        for t, c in page.differential.apply_monomial(m).terms.items():
+            entries[(index[t], j)] = c
+    return Matrix(alg.field, len(index), len(source), entries)
 
 
 def rref(matrix: Matrix) -> tuple:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dense_reference import rank_dense
+from dense_reference import rank_dense, reference_matrix
 from leibniz_reference import leibniz
 from loophom import dga
 from loophom.dga import (
@@ -215,12 +215,13 @@ def test_weight_one_rational_homology_table():
 
 
 def dense_profiles(page, degrees, weights):
-    """RankProfile of every spot from two matrices and the dense rank."""
+    """RankProfile of every spot from two whole-basis reference matrices
+    and the dense rank."""
     out = {}
     for w in weights:
         for d in degrees:
-            here = differential_matrix(page, d, w)
-            above = differential_matrix(page, d + 1, w)
+            here = reference_matrix(page, d, w)
+            above = reference_matrix(page, d + 1, w)
             out[(d, w)] = RankProfile(here.ncols, rank_dense(here), rank_dense(above))
     return out
 
@@ -382,17 +383,17 @@ def test_induced_map_detects_noninjective_spot():
 
 
 def four_matrix_induced(sub_page, big_page, degrees, weights):
-    """The induced map cell by cell from four differential matrices and
-    two rank computations per spot, with no reuse."""
+    """The induced map cell by cell from four whole-basis reference
+    matrices and two rank computations per spot, with no reuse."""
     sub, big = sub_page.algebra, big_page.algebra
     mapping = _generator_translation(sub, big)
     report = {}
     for w in sorted(set(weights)):
         for d in sorted(set(degrees)):
-            m_sub_here = differential_matrix(sub_page, d, w)
-            m_sub_above = differential_matrix(sub_page, d + 1, w)
-            m_big_here = differential_matrix(big_page, d, w)
-            m_big_above = differential_matrix(big_page, d + 1, w)
+            m_sub_here = reference_matrix(sub_page, d, w)
+            m_sub_above = reference_matrix(sub_page, d + 1, w)
+            m_big_here = reference_matrix(big_page, d, w)
+            m_big_above = reference_matrix(big_page, d + 1, w)
             betti_sub = m_sub_here.ncols - m_sub_here.rank() - m_sub_above.rank()
             betti_big = m_big_here.ncols - m_big_here.rank() - m_big_above.rank()
 
@@ -521,7 +522,7 @@ def test_apply_monomial_equals_leibniz_reference(case):
     ]
 
 
-# -- the active-column pass ---------------------------------------------------------
+# -- the skeleton pass ---------------------------------------------------------------
 
 
 def active_degrees(page, degrees):
@@ -552,47 +553,64 @@ def test_active_pass_builds_only_what_d_can_move(n, degrees, monkeypatch):
     needed = sorted(set(degrees) | {d + 1 for d in degrees})
     moving = active_degrees(page, needed)
     assert bool(moving) == (n == 3) and set(needed) - moving
-    built, enumerated, tested = Counter(), Counter(), Counter()
-    inside = []
+    built, enumerated, applied = Counter(), Counter(), Counter()
     real_matrix, real_enumerate = dga.differential_matrix, GradedAlgebra.enumerate_basis
     real_apply = Derivation.apply_monomial
 
-    def matrix(page_, degree, weight, **bases):
+    def matrix(page_, degree, weight, **handed):
         built[(degree, weight)] += 1
-        inside.append(True)
-        try:
-            return real_matrix(page_, degree, weight, **bases)
-        finally:
-            inside.pop()
+        return real_matrix(page_, degree, weight, **handed)
 
     def enumerate_basis(algebra, degree, weight):
         enumerated[(degree, weight)] += 1
         return real_enumerate(algebra, degree, weight)
 
     def apply_monomial(der, m):
-        if not inside:
-            tested[m] += 1
+        applied[m] += 1
         return real_apply(der, m)
 
     monkeypatch.setattr(dga, "differential_matrix", matrix)
     monkeypatch.setattr(GradedAlgebra, "enumerate_basis", enumerate_basis)
     monkeypatch.setattr(Derivation, "apply_monomial", apply_monomial)
     profiles = homology_dimensions(page, degrees, weights)
-    # matrices only at active degrees, and no basis but their targets
+    # matrices only at active degrees, each once, and no basis enumerated
+    assert bool(built) == (n == 3)
     assert {d for d, _ in built} <= moving and max(built.values(), default=1) == 1
-    assert set(enumerated) == {(d - 1, w) for d, w in built}
+    assert not enumerated
     assert all(profiles[(d, w)].rank_d_here == 0 for d in degrees if d not in moving
                for w in weights)
-    # the active test applies d at most once to each degree monomial
+    # d is applied at most once to each degree monomial, and to nothing else
     degree_monomials = [m for d in needed for m in alg.graded_monomials(d)]
-    assert tested and max(tested.values()) == 1
-    assert set(tested) <= set(degree_monomials)
+    assert applied and max(applied.values()) == 1
+    assert set(applied) <= set(degree_monomials)
     # nothing is kept: a second identical call applies d again
-    first = sum(tested.values())
-    tested.clear()
+    first = sum(applied.values())
+    applied.clear()
     assert homology_dimensions(page, degrees, weights) == profiles
-    assert sum(tested.values()) == first
+    assert sum(applied.values()) == first
     monkeypatch.undo()
+    assert profiles == dense_profiles(page, degrees, weights)
+
+
+def test_pass_expands_no_monomial_that_misses_the_requested_weights(monkeypatch):
+    # on a hol page iota is the only free generator, polynomial of weight
+    # 1, so a monomial of weight above 2 has no free multiple of weight 0..2
+    page = e2_page(2, GF2, HOL, cutoff=40)
+    alg = page.algebra
+    assert alg.free_generators() == [alg.generator("iota")]
+    degrees, weights = range(-4, 30), range(0, 3)
+    assert any(m.weight > 2 for d in range(-4, 31) for m in alg.graded_monomials(d))
+    expanded = []
+    real_apply = Derivation.apply_monomial
+
+    def apply_monomial(der, m):
+        expanded.append(m)
+        return real_apply(der, m)
+
+    monkeypatch.setattr(Derivation, "apply_monomial", apply_monomial)
+    profiles = homology_dimensions(page, degrees, weights)
+    monkeypatch.undo()
+    assert expanded and max(m.weight for m in expanded) == 2
     assert profiles == dense_profiles(page, degrees, weights)
 
 
@@ -668,12 +686,54 @@ def test_homology_dimensions_equal_dense_reference_on_certified_pages(page, data
     )
 
 
-def test_matrix_from_handed_bases_equals_matrix_built_alone():
-    for page in (e2_page(2, F3, LOOP, 30), e2_page(1, GF2, HOL, 20), circle_like_page()):
-        alg = page.algebra
-        for w in range(-1, 4):
-            for d in range(-4, 12):
+def labelled_columns(matrix, labels):
+    """The nonzero columns of a matrix, each as the set of its (row
+    label, coefficient) pairs, counted: equal for two matrices that
+    differ only in the order of their rows and columns and in zero ones."""
+    exps = {i: key for key, i in labels.items()}
+    columns = {}
+    for (i, j), c in matrix.entries.items():
+        columns.setdefault(j, set()).add((exps[i], c))
+    return Counter(frozenset(col) for col in columns.values())
+
+
+def reference_columns(page, d, w):
+    rows = page.algebra.enumerate_basis(d - 1, w)
+    return labelled_columns(reference_matrix(page, d, w), {m.exps: i for i, m in enumerate(rows)})
+
+
+@given(certified_pages(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_differential_matrix_equals_reference_on_certified_pages(page, data):
+    lo = data.draw(st.integers(-5, 3))
+    weights = data.draw(st.lists(st.integers(-3, 4), min_size=1, max_size=3, unique=True))
+    for d in range(lo, lo + data.draw(st.integers(1, 5))):
+        skeleton = dga._Skeleton(page, [d], weights)
+        for w in weights:
+            matrix = differential_matrix(page, d, w, skeleton=skeleton)
+            assert matrix.rank() == rank_dense(reference_matrix(page, d, w))
+            labels = skeleton.rows[(d, w)]
+            assert labelled_columns(matrix, labels) == reference_columns(page, d, w)
+
+
+def test_matrix_from_handed_skeleton_equals_matrix_built_alone():
+    pages = (
+        e2_page(3, F3, LOOP, 30),
+        e2_page(2, GF2, HOL, 20),
+        e2_page(1, RATIONALS, LOOP, 12),
+        circle_like_page(),
+    )
+    degrees, weights = range(-6, 12), range(-1, 4)
+    built = 0
+    for page in pages:
+        skeleton = dga._Skeleton(page, degrees, weights)
+        for d in degrees:
+            for w in weights:
                 alone = differential_matrix(page, d, w)
-                handed = differential_matrix(page, d, w, source=alg.enumerate_basis(d, w))
+                handed = differential_matrix(page, d, w, skeleton=skeleton)
                 assert (handed.nrows, handed.ncols) == (alone.nrows, alone.ncols)
                 assert list(handed.entries.items()) == list(alone.entries.items())
+                labels = skeleton.rows[(d, w)]
+                assert labelled_columns(handed, labels) == reference_columns(page, d, w)
+                built += bool(handed.entries)
+    assert built

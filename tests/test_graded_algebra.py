@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from loophom.errors import (
     DuplicateName,
     InfiniteBasis,
+    InhomogeneousElement,
+    InvalidExponent,
     InvalidGenerator,
     InvalidHorizon,
     LaurentNonzeroDegree,
@@ -144,6 +146,25 @@ def test_monomial_canonical_form():
     assert alg.monomial({"u": 1, "c": 2}) is None  # past truncation
     with pytest.raises(ValueError):
         alg.monomial({"u": -1})
+
+
+@pytest.mark.parametrize(
+    "call,error",
+    [
+        (lambda alg: alg.monomial({"u": -1}), InvalidExponent),
+        (lambda alg: alg.monomial({"c": -1}), InvalidExponent),
+        (lambda alg: alg.one() ** -1, InvalidExponent),
+        (lambda alg: alg.gen("u") ** True, InvalidExponent),
+        (lambda alg: alg.gen("u") ** 2.5, InvalidExponent),
+        (lambda alg: (alg.gen("u") + alg.gen("Q1u")).bidegree(), InhomogeneousElement),
+    ],
+    ids=["negative-polynomial", "negative-truncated", "negative-power", "bool-power",
+         "float-power", "inhomogeneous"],
+)
+def test_algebra_refusals_are_typed_value_errors(call, error):
+    with pytest.raises(error) as info:
+        call(loop_like_algebra())
+    assert isinstance(info.value, LoophomError) and isinstance(info.value, ValueError)
 
 
 def test_monomial_merges_repeated_keys():
