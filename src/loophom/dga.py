@@ -12,7 +12,9 @@ Every basis monomial of a spot is y*m, with m in the degree's
 so d(y*m) = y*d(m) + sum over free g of e_g*(y/g)*(d(g)*m). The skeleton
 expands d(m) and each d(g)*m once per degree and call; a weight's matrix
 is then block arithmetic on those terms, with its rows keyed by monomial
-in the order they first appear. No target basis is enumerated.
+in the order they first appear, and each spot's columns are walked once.
+The same walk counts the degree's monomials by weight, so a dimension is
+a sum of counts times free blocks. No basis is enumerated.
 """
 
 from __future__ import annotations
@@ -189,20 +191,23 @@ class _Skeleton:
     call. Each m of `graded_monomials` that a requested weight reaches
     keeps the terms (exponents, coefficient) of d(m), by `apply_monomial`,
     and of d(g)*m for each free g with an image; an m where all are 0 is
-    dropped. `rows[(degree, weight)]` maps the exponents of each row of
-    a matrix `differential_matrix` built from it to the row's index."""
+    dropped. The same walk counts each degree's monomials by weight, so
+    `dimension` needs no basis. `rows[(degree, weight)]` maps the
+    exponents of each row of a matrix `differential_matrix` built from it
+    to the row's index."""
 
     def __init__(self, page: DgaPage, degrees, weights):
         alg, der = page.algebra, page.differential
         self.field, self.free = alg.field, alg.free_generators()
-        self.rows, self.entries = {}, {}
+        self.rows, self.entries, self.counts, self._blocks = {}, {}, {}, {}
         images = [(g.gid, der._image_terms.get(g.gid, ())) for g in self.free]
         reach: dict = {}  # m.weight -> whether a requested weight is reachable
         for d in degrees:
-            found = self.entries[d] = []
+            found, count = self.entries[d], self.counts[d] = [], {}
             for m in alg.graded_monomials(d):
+                count[m.weight] = count.get(m.weight, 0) + 1
                 if m.weight not in reach:
-                    reach[m.weight] = any(_free_exponents(self.free, w - m.weight) for w in weights)
+                    reach[m.weight] = any(self.blocks(w - m.weight) for w in weights)
                 if not reach[m.weight]:
                     continue
                 exps, moves = dict(m.exps), {}
@@ -215,16 +220,27 @@ class _Skeleton:
                 if here or moves:
                     found.append((m.weight, here, moves))
 
+    def blocks(self, rest: int) -> list:
+        """The free exponent blocks of total weight `rest`, kept for the
+        call: the reach test, `columns` and `dimension` share them."""
+        found = self._blocks.get(rest)
+        if found is None:
+            found = self._blocks[rest] = _free_exponents(self.free, rest)
+        return found
+
+    def dimension(self, degree: int, weight: int) -> int:
+        """len(enumerate_basis(degree, weight)), counted: the degree's
+        monomials of each weight times the free blocks of the rest."""
+        return sum(k * len(self.blocks(weight - mw)) for mw, k in self.counts[degree].items())
+
     def columns(self, degree: int, weight: int):
         """The column of each free multiple y*m of the weight that d does
         not kill by its shape, as (exponents, coefficient) terms: y*d(m),
         and e_g*(y/g)*(d(g)*m) for each free g in y whose exponent e_g
         the characteristic does not divide."""
-        p, blocks = self.field.characteristic, {}
+        p = self.field.characteristic
         for mw, here, moves in self.entries[degree]:
-            if mw not in blocks:
-                blocks[mw] = _free_exponents(self.free, weight - mw)
-            for y in blocks[mw]:
+            for y in self.blocks(weight - mw):
                 terms = [(_times(t, y), c) for t, c in here]
                 for g, e in y:
                     if g in moves and (not p or e % p):
@@ -292,9 +308,10 @@ def _passes(page: DgaPage, degrees: Iterable[int], weights: Iterable[int]):
     the spot has no column. d in needs a complete basis one degree above
     the top; the horizon is checked on the call, not on first use.
 
-    Dimensions are counted (`GradedAlgebra.dimensions`). One `_Skeleton`
-    serves every spot of the call, and a spot where it lists a column
-    gets its matrix from `differential_matrix`; any other spot has rank 0
+    One `_Skeleton` serves every spot of the call: it counts the
+    dimensions, and `differential_matrix` builds a matrix at each degree
+    where it holds entries, walking that spot's columns once. A matrix
+    with a column is kept and its rank taken; any other spot has rank 0
     and no matrix. A weight's matrices are dropped when the next weight
     starts, and nothing is kept past the call.
     """
@@ -310,17 +327,21 @@ def _passes(page: DgaPage, degrees: Iterable[int], weights: Iterable[int]):
         )
     needed = sorted(set(degs) | {d + 1 for d in degs})
     ws = sorted(set(weights))
-    dims = {d: alg.dimensions(d, ws) for d in needed}
     skeleton = _Skeleton(page, needed, ws)
 
     def spots(w):
         rank, inward = dict.fromkeys(needed, 0), {}
         for d, found in skeleton.entries.items():
-            if found and next(skeleton.columns(d, w), None) is not None:
+            if found:
                 matrix = differential_matrix(page, d, w, skeleton=skeleton)
-                inward[d] = (matrix, skeleton.rows.pop((d, w)))
-                rank[d] = matrix.rank()
-        return w, {d: (dims[d][w], rank[d], rank[d + 1], inward.get(d + 1)) for d in degs}
+                labels = skeleton.rows.pop((d, w))
+                if matrix.ncols:
+                    inward[d] = (matrix, labels)
+                    rank[d] = matrix.rank()
+        return w, {
+            d: (skeleton.dimension(d, w), rank[d], rank[d + 1], inward.get(d + 1))
+            for d in degs
+        }
 
     return map(spots, ws)
 

@@ -317,11 +317,9 @@ class GradedAlgebra:
 
         `free` holds the degree-0 polynomial and laurent generators, whose
         exponents are solved from the weight. `steps` has one entry
-        (g, top, low, high) for every other generator g, in gid order: its
+        (g, top) for every other generator g, in gid order, with top its
         largest exponent (None for polynomial generators, whose degree is
-        positive) and the lowest and highest degree that the generators
-        after it can reach together. `reach` is the same (low, high) for
-        the whole generator set.
+        positive). `reach` is the (low, high) of `degree_reach`.
         """
         if self._plan is None:
             self._certificate()
@@ -329,19 +327,15 @@ class GradedAlgebra:
                 g for g in self.generators
                 if g.degree == 0 and g.kind in ("polynomial", "laurent")
             ]
-            steps = []
+            steps = [(g, g.top) for g in self.generators if g not in free]
             low = high = 0
-            for g in reversed(self.generators):
-                if g in free:
-                    continue
-                top = g.top
-                steps.append((g, top, low, high))
+            for g, top in steps:
                 if top is None:
                     high = math.inf
                 else:
                     low += min(g.degree * top, 0)
                     high += max(g.degree * top, 0)
-            self._plan = (free, steps[::-1], (low, high))
+            self._plan = (free, steps, (low, high))
         return self._plan
 
     def degree_reach(self) -> tuple:
@@ -360,53 +354,44 @@ class GradedAlgebra:
         generators that are not free. The list is cached on the algebra
         until the next `declare_generator`; callers must not change it.
 
-        A recursion over the generators in gid order tries only the
-        exponents which leave the remaining degree between the lowest and
-        highest degree the later generators can reach.
+        Exact reach: every remainder the recursion over the steps meets
+        lies in low..degree - low (low from `degree_reach`). For this
+        degree, bit r - low of reach[i] says that the generators from
+        step i on can sum to r exactly, so the recursion enters only
+        remainders that some monomial completes. Nothing but the list is
+        kept.
         """
         found = self._by_degree.get(degree)
         if found is not None:
             return found
-        steps = self._enumeration_plan()[1]
-        found = []
+        _, steps, (low, _) = self._enumeration_plan()
+        if degree < low:
+            return []
+        width = degree - 2 * low + 1
+        reach = [1 << -low]  # past the last step only 0 is left
+        for g, top in reversed(steps):
+            later, mask = reach[-1], 0
+            for e in range((width - 1) // g.degree + 1 if top is None else top + 1):
+                shift = e * g.degree
+                mask |= later << shift if shift >= 0 else later >> -shift
+            reach.append(mask & ((1 << width) - 1))
+        reach.reverse()
 
         def rec(i, rem, weight, acc):
             if i == len(steps):
-                if rem == 0:
-                    found.append(Monomial(acc, degree, weight))
+                found.append(Monomial(acc, degree, weight))
                 return
-            g, top, low, high = steps[i]
-            if top is None:
-                top = (rem - low) // g.degree
-            for e in range(top + 1):
+            (g, top), later = steps[i], reach[i + 1]
+            for e in range((rem - low) // g.degree + 1 if top is None else top + 1):
                 left = rem - e * g.degree
-                if low <= left <= high:
+                if left >= low and later >> (left - low) & 1:
                     rec(i + 1, left, weight + e * g.weight, acc + ((g.gid, e),) if e else acc)
 
-        rec(0, degree, 0, ())
+        found = []
+        if reach[0] >> (degree - low) & 1:
+            rec(0, degree, 0, ())
         self._by_degree[degree] = found
         return found
-
-    def dimensions(self, degree: int, weights) -> dict:
-        """weight -> len(enumerate_basis(degree, weight)) for each given
-        weight, counted without building a monomial: the degree's
-        `graded_monomials` grouped by weight, times the number of free
-        exponent blocks that make up the rest of the weight."""
-        free = self.free_generators()
-        by_weight: dict = {}
-        for m in self.graded_monomials(degree):
-            by_weight[m.weight] = by_weight.get(m.weight, 0) + 1
-        blocks: dict = {}  # rest of the weight -> number of free blocks
-        out = {}
-        for w in weights:
-            total = 0
-            for mw, k in by_weight.items():
-                n = blocks.get(w - mw)
-                if n is None:
-                    n = blocks[w - mw] = len(_free_exponents(free, w - mw))
-                total += k * n
-            out[w] = total
-        return out
 
     def enumerate_basis(self, degree: int, weight: int) -> list[Monomial]:
         """All basis monomials of the given (degree, weight), sorted
@@ -432,13 +417,15 @@ class GradedAlgebra:
 
 def _free_exponents(free: list, weight: int) -> list:
     """Every exponent block ((gid, e), ...) of the degree-0 generators
-    `free` with total weight `weight`, blocks in gid order."""
+    `free` with total weight `weight`, blocks in gid order. The last
+    generator's exponent is solved by division; the certificate makes a
+    laurent generator the only one."""
     if not free:
         return [()] if weight == 0 else []
     g, later = free[0], free[1:]
-    if g.kind == "laurent":  # the certificate makes it the only free generator
+    if not later:
         q, r = divmod(weight, g.weight)
-        return [] if r else [((g.gid, q),) if q else ()]
+        return [] if r or (q < 0 and g.kind != "laurent") else [((g.gid, q),) if q else ()]
     out = []
     for e in range(weight // g.weight + 1):
         head = ((g.gid, e),) if e else ()

@@ -51,6 +51,22 @@ def test_betti_table_frozen_rational_loop():
     assert table.grading == "ordinary"
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_rational_loop_components_match_moller_raussen(n):
+    """Moller and Raussen ("Rational homotopy of spaces of maps into
+    spheres and complex projective spaces", Trans. AMS 292, 1985):
+    Map_k(S^2, CP^n) is rationally CP^(n-1) x S^(2n+1) for k != 0, and
+    CP^n x S^(2n-1) for k = 0."""
+
+    def poincare(cp, sphere):  # of CP^cp x S^sphere
+        return {2 * i + sphere * j: 1 for i in range(cp + 1) for j in (0, 1)}
+
+    table = betti_table(SpaceSpec(LOOP, n, RATIONALS), range(-5, 6), cutoff=12 * n)
+    for k in range(-5, 6):
+        want = poincare(n, 2 * n - 1) if k == 0 else poincare(n - 1, 2 * n + 1)
+        assert table.column(k) == want, k
+
+
 def test_betti_table_grading_shift_and_involution():
     spec = SpaceSpec(LOOP, 2, RATIONALS)
     ordinary = betti_table(spec, [1], cutoff=12)
@@ -668,8 +684,9 @@ def test_mod2_oracle_check_against_engine():
         (3, RATIONALS, range(-120, 121), 480),
         (5, F3, range(-2, 3), 120),
         (3, F7, range(-3, 4), 150),
+        (1, F3, range(-6, 7), 200),
     ],
-    ids=["n2-f2", "n1-f3", "n3-q-480", "n5-f3-120", "n3-f7-150"],
+    ids=["n2-f2", "n1-f3", "n3-q-480", "n5-f3-120", "n3-f7-150", "n1-f3-200"],
 )
 def test_oracle_check_at_depth(n, field, comps, cutoff):
     assert check_oracle(n, field, comps, cutoff).passed

@@ -19,7 +19,8 @@ from loophom.errors import (
     ParityViolation,
     UnknownGenerator,
 )
-from loophom.graded_algebra import GradedAlgebra, Generator
+from loophom.dga import DgaPage, Derivation, homology_dimensions
+from loophom.graded_algebra import GradedAlgebra, Generator, _free_exponents
 from loophom.scalars import GF2, RATIONALS, Field
 
 F3 = Field(3)
@@ -282,11 +283,12 @@ def test_power_of_laurent_inverse():
 # -- basis enumeration --------------------------------------------------------
 
 
-def exponent_box(alg, bound):
-    """Every exponent vector with each exponent in its kind's range, and
-    polynomial (laurent) exponents within 0..bound (-bound..bound)."""
+def exponent_box(generators, bound):
+    """Every exponent vector of these generators with each exponent in its
+    kind's range, and polynomial (laurent) exponents within 0..bound
+    (-bound..bound)."""
     ranges = []
-    for g in alg.generators:
+    for g in generators:
         if g.kind == "laurent":
             ranges.append(range(-bound, bound + 1))
         elif g.kind == "exterior":
@@ -298,15 +300,31 @@ def exponent_box(alg, bound):
     return itertools.product(*ranges)
 
 
-def brute_force_basis(alg, degree, weight, bound=12):
-    """Box scan over exponent ranges, wide enough for small (degree, weight)."""
-    hits = set()
-    for combo in exponent_box(alg, bound):
-        d = sum(e * g.degree for e, g in zip(combo, alg.generators))
-        w = sum(e * g.weight for e, g in zip(combo, alg.generators))
-        if d == degree and w == weight:
-            hits.add(tuple((g.gid, e) for g, e in zip(alg.generators, combo) if e))
-    return hits
+def brute_force_basis(alg, degree, weight=None, bound=12):
+    """Box scan over exponent ranges, wide enough for small (degree, weight).
+
+    The free generators (degree-0 polynomial and laurent) move only the
+    weight, so their box is scanned apart from the others' and the hits
+    are multiplied: the same set as one scan of the whole box. With
+    weight None: the monomials of the degree in the other generators
+    alone, over every weight (what `graded_monomials` lists)."""
+
+    def scan(generators):
+        for combo in exponent_box(generators, bound):
+            pairs = list(zip(generators, combo))
+            yield (
+                sum(e * g.degree for g, e in pairs),
+                sum(e * g.weight for g, e in pairs),
+                tuple((g.gid, e) for g, e in pairs if e),
+            )
+
+    is_free = lambda g: g.degree == 0 and g.kind in ("polynomial", "laurent")
+    rest = [(w, exps) for d, w, exps in scan([g for g in alg.generators if not is_free(g)])
+            if d == degree]
+    if weight is None:
+        return {exps for _, exps in rest}
+    free = [(w, exps) for _, w, exps in scan([g for g in alg.generators if is_free(g)])]
+    return {tuple(sorted(a + b)) for w, a in rest for fw, b in free if w + fw == weight}
 
 
 @pytest.mark.parametrize(
@@ -387,7 +405,50 @@ def test_enumerate_matches_brute_force_random(alg, degree, weight):
     assert vecs == sorted(set(vecs))
     assert all((m.degree, m.weight) == (degree, weight) for m in basis)
     assert {m.exps for m in basis} == brute_force_basis(alg, degree, weight)
-    assert alg.dimensions(degree, [weight]) == {weight: len(basis)}
+    # the pass counts the same dimension without a basis
+    page = DgaPage(alg, Derivation(alg, {}))
+    assert homology_dimensions(page, [degree], [weight])[(degree, weight)].dim == len(basis)
+
+
+@given(certified_algebras(), st.integers(-8, 16), st.integers(-4, 4))
+@settings(max_examples=150, deadline=None)
+def test_exact_reach_matches_brute_force_on_a_wide_degree_window(alg, degree, weight):
+    """Degrees -8..16, where a positive-degree polynomial generator meets
+    negative-degree truncated ones. No exponent of a hit passes 24: the
+    bounded generators add at least degree -8, so the polynomial one
+    (degree >= 1) has at most 24, and a free one at most 16 in size."""
+    listed = alg.graded_monomials(degree)
+    assert all(m.degree == degree for m in listed)
+    assert len({m.exps for m in listed}) == len(listed)
+    assert {m.exps for m in listed} == brute_force_basis(alg, degree, None, bound=24)
+    basis = alg.enumerate_basis(degree, weight)
+    assert {m.exps for m in basis} == brute_force_basis(alg, degree, weight, bound=24)
+
+
+@given(st.lists(st.integers(1, 3), min_size=1, max_size=3), st.integers(-2, 9))
+@settings(max_examples=100, deadline=None)
+def test_free_exponents_match_brute_force(weights, rest):
+    alg = GradedAlgebra(GF2)
+    for i, w in enumerate(weights):
+        alg.declare_generator(f"t{i}", 0, w, "polynomial")
+    free = alg.free_generators()
+    blocks = _free_exponents(free, rest)
+    box = itertools.product(*(range(max(rest, 0) + 1) for _ in free))
+    want = {
+        tuple((g.gid, e) for g, e in zip(free, combo) if e)
+        for combo in box
+        if sum(e * g.weight for g, e in zip(free, combo)) == rest
+    }
+    assert len(blocks) == len(set(blocks))
+    assert set(blocks) == want
+
+
+@given(st.sampled_from([-3, -2, -1, 1, 2, 3]), st.integers(-12, -1))
+def test_free_exponents_solve_a_laurent_generator_at_a_negative_rest(weight, rest):
+    alg = GradedAlgebra(GF2)
+    alg.declare_generator("s", 0, weight, "laurent")
+    want = [((0, e),) for e in range(-12, 13) if e * weight == rest]
+    assert _free_exponents(alg.free_generators(), rest) == want
 
 
 @given(certified_algebras())
@@ -396,7 +457,7 @@ def test_degree_reach_bounds_every_monomial(alg):
     low, high = alg.degree_reach()
     degrees = {
         sum(e * g.degree for e, g in zip(combo, alg.generators))
-        for combo in exponent_box(alg, 4)
+        for combo in exponent_box(alg.generators, 4)
     }
     assert low <= min(degrees) and max(degrees) <= high
     # the ends are attained: only bounded generators reach them
