@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Union
 
-from .dga import DgaPage, _passes, _rank_without_rows, homology_dimensions
+from .dga import DgaPage, _passes, homology_dimensions
 # differential_matrix and rank_of_columns have no caller here; the bench
 # tracer wraps them by name
 from .dga import differential_matrix
@@ -378,13 +378,10 @@ def unit_check(n: int, p: int, k: int, cutoff: int = DEFAULT_CUTOFF) -> Verifica
     page = _page(n, field, LOOP, cutoff)
     alg, d = page.algebra, page.differential
     pos, neg = alg.monomial({"iota": k}), alg.monomial({"iota": -k})
-    classes = {k: pos, -k: neg, 0: alg.unit_monomial}
-    # a degree-0 monomial bounds iff deleting its row lowers the rank of d in
-    bounds = set()
-    for w, spots in _passes(page, [0], classes):
-        _, _, rank_in, inward = spots[0]
-        if inward is not None and _rank_without_rows(inward, [classes[w]]) < rank_in:
-            bounds.add(w)
+    # a monomial bounds iff its line meets the boundaries; weights k, -k, 0 hold one each
+    classes = {pos.exps, neg.exps, alg.unit_monomial.exps}
+    passes = _passes(page, [0], [k, -k, 0])
+    bounds = {w for w, _, meet in passes if meet(0, classes.__contains__)}
     problems = []
     if d(alg.monomial_element(pos)):
         problems.append("d(iota^k) != 0")

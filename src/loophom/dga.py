@@ -15,6 +15,11 @@ is then block arithmetic on those terms, with its rows keyed by monomial
 in the order they first appear, and each spot's columns are walked once.
 The same walk counts the degree's monomials by weight, so a dimension is
 a sum of counts times free blocks. No basis is enumerated.
+
+Maps on homology need one more number per spot, dim(S meet B) for S a
+span of basis monomials and B the boundaries: `_passes` answers it from
+the matrix of d it holds (`meet`), and `_inclusion` gives the S of an
+inclusion of pages.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ from typing import Iterable, Mapping, Union
 from .errors import (
     AlgebraMismatch,
     CutoffTooTight,
+    DuplicateName,
     FieldMismatch,
     InhomogeneousElement,
     InhomogeneousImage,
@@ -64,8 +70,12 @@ class Derivation:
         cls, algebra: GradedAlgebra, images: Mapping[Union[int, str], Element]
     ) -> "Derivation":
         clean: dict[int, Element] = {}
+        keyed = set()
         for key, img in images.items():
             g = algebra.generator(key)
+            if g.gid in keyed:
+                raise DuplicateName(f"generator {g.name!r} is given two images")
+            keyed.add(g.gid)
             if img.algebra is not algebra:
                 raise AlgebraMismatch(f"image of {g.name!r} lives in a different algebra")
             if not img:
@@ -168,6 +178,10 @@ class DgaPage:
 
     algebra: GradedAlgebra
     differential: Derivation
+
+    def __post_init__(self):
+        if self.differential.algebra is not self.algebra:
+            raise AlgebraMismatch("the differential acts on a different algebra")
 
 
 @dataclass(frozen=True)
@@ -288,32 +302,25 @@ def differential_matrix(page: DgaPage, degree: int, weight: int, *, skeleton=Non
     return Matrix(page.algebra.field, len(rows), ncols, entries)
 
 
-def _rank_without_rows(inward: tuple, monomials) -> int:
-    """Rank of a pass's matrix of d into a spot, `inward` = (matrix, row
-    labels), without the rows of the given monomials. With S their span
-    and B the image of d, dim(S meet B) = rank B - this rank."""
-    matrix, labels = inward
-    rows = {labels.get(m.exps) for m in monomials}
-    kept = {(i, j): c for (i, j), c in matrix.entries.items() if i not in rows}
-    return Matrix(matrix.field, matrix.nrows, matrix.ncols, kept).rank()
-
-
 _EMPTY = RankProfile(0, 0, 0)
 
 
 def _passes(page: DgaPage, degrees: Iterable[int], weights: Iterable[int]):
-    """Yield (weight, {degree: (dim, rank of d out, rank of d in, d in)})
+    """Yield (weight, {degree: (dim, rank of d out, rank of d in)}, meet)
     for each requested weight, over the requested degrees, both ascending
-    without repeats; d in is (matrix, row labels), or None where d into
-    the spot has no column. d in needs a complete basis one degree above
-    the top; the horizon is checked on the call, not on first use.
+    without repeats. `meet(degree, in_s)`, at a requested degree, is
+    dim(S meet B), S spanned by the monomials whose exponent tuples pass
+    `in_s` and B the image of d: rank B - rank(B without S's rows), from
+    the matrix of d in and its row labels, or 0 where it has no column.
+    d in needs a complete basis one degree above the top; the horizon is
+    checked on the call, not on first use.
 
     One `_Skeleton` serves every spot of the call: it counts the
     dimensions, and `differential_matrix` builds a matrix at each degree
     where it holds entries, walking that spot's columns once. A matrix
     with a column is kept and its rank taken; any other spot has rank 0
-    and no matrix. A weight's matrices are dropped when the next weight
-    starts, and nothing is kept past the call.
+    and no matrix. A weight's matrices live as long as its `meet`, and
+    nothing is kept past the call.
     """
     degs = sorted(set(degrees))
     if not degs:
@@ -338,10 +345,16 @@ def _passes(page: DgaPage, degrees: Iterable[int], weights: Iterable[int]):
                 if matrix.ncols:
                     inward[d] = (matrix, labels)
                     rank[d] = matrix.rank()
-        return w, {
-            d: (skeleton.dimension(d, w), rank[d], rank[d + 1], inward.get(d + 1))
-            for d in degs
-        }
+
+        def meet(degree, in_s):
+            if degree + 1 not in inward:
+                return 0
+            matrix, labels = inward[degree + 1]
+            rows = {i for exps, i in labels.items() if in_s(exps)}
+            kept = {ij: c for ij, c in matrix.entries.items() if ij[0] not in rows}
+            return rank[degree + 1] - Matrix(matrix.field, matrix.nrows, matrix.ncols, kept).rank()
+
+        return w, {d: (skeleton.dimension(d, w), rank[d], rank[d + 1]) for d in degs}, meet
 
     return map(spots, ws)
 
@@ -355,8 +368,8 @@ def homology_dimensions(
     incoming rank is exact there. Spots of dimension 0 share one profile.
     """
     out = {}
-    for w, spots in _passes(page, degrees, weights):
-        for d, (dim, here, above, _) in spots.items():
+    for w, spots, _ in _passes(page, degrees, weights):
+        for d, (dim, here, above) in spots.items():
             out[(d, w)] = RankProfile(dim, here, above) if dim else _EMPTY
     return out
 
@@ -411,50 +424,46 @@ def _translate_monomial(m: Monomial, mapping: dict) -> Monomial:
     return Monomial(tuple(exps), m.degree, m.weight)
 
 
-def translate_element(x: Element, big: GradedAlgebra, mapping: dict) -> Element:
-    return big.element({_translate_monomial(m, mapping): c for m, c in x.terms.items()})
+def _inclusion(sub_page: DgaPage, big_page: DgaPage):
+    """Check the inclusion sub -> big, which sends each sub generator to
+    the big generator of the same name, and return `in_sub`: whether a big
+    exponent tuple is a sub monomial's, that is, every generator in it
+    comes from sub, and is negative only where the sub one is laurent.
+
+    The inclusion must commute with the differentials; checking that on
+    generators suffices since both sides are derivations along an algebra
+    map.
+    """
+    sub, big = sub_page.algebra, big_page.algebra
+    mapping = _generator_translation(sub, big)
+    for g in sub.generators:
+        image = sub_page.differential(sub.gen(g.gid))
+        lhs = big.element({_translate_monomial(m, mapping): c for m, c in image.terms.items()})
+        if lhs != big_page.differential(big.gen(mapping[g.gid])):
+            raise NotAChainMap(f"differentials disagree on generator {g.name!r}")
+    laurent = {mapping[g.gid]: g.kind == "laurent" for g in sub.generators}
+    return lambda exps: all(h in laurent and (e > 0 or laurent[h]) for h, e in exps)
 
 
 def induced_map_on_homology(
     sub_page: DgaPage, big_page: DgaPage, degrees: Iterable[int], weights: Iterable[int]
 ) -> InducedMapReport:
-    """Homology of the inclusion sub -> big, per (degree, weight).
+    """Homology of the inclusion sub -> big (see `_inclusion`), per
+    (degree, weight), from ranks only.
 
-    The inclusion sends each sub generator to the big generator of the
-    same name. It must commute with the differentials; checking that on
-    generators suffices since both sides are derivations along an algebra
-    map.
-
-    The rank at a spot needs ranks only. The sub basis goes to distinct
-    big basis monomials, spanning a coordinate subspace S, so the sub
-    cycles map onto S meet Z, and that meets the boundaries B in S meet B,
-    of dimension rank B - rank(B without the rows of S). So the rank is
-    dim(sub cycles) - rank B + rank(B without the rows of S); it is 0
-    without further matrix work where the sub homology is zero.
+    The sub basis goes to distinct big basis monomials, spanning a
+    coordinate subspace S, so the sub cycles map onto S meet Z, and the
+    rank is dim(sub cycles) - dim(S meet B): the big pass's `meet`. It is
+    0 without further matrix work where the sub homology is zero.
     """
-    sub, big = sub_page.algebra, big_page.algebra
-    mapping = _generator_translation(sub, big)
-    for g in sub.generators:
-        lhs = translate_element(sub_page.differential(sub.gen(g.gid)), big, mapping)
-        rhs = big_page.differential(big.gen(mapping[g.gid]))
-        if lhs != rhs:
-            raise NotAChainMap(f"differentials disagree on generator {g.name!r}")
+    in_sub = _inclusion(sub_page, big_page)
     degrees, weights = list(degrees), list(weights)  # read by both passes
     passes = zip(_passes(sub_page, degrees, weights), _passes(big_page, degrees, weights))
     report = {}
-    for (w, sub_spots), (_, big_spots) in passes:
-        for d, (sub_dim, sub_here, sub_above, _) in sub_spots.items():
+    for (w, sub_spots, _), (_, big_spots, meet) in passes:
+        for d, (sub_dim, sub_here, sub_above) in sub_spots.items():
+            big_dim, big_here, big_above = big_spots[d]
             betti_sub = sub_dim - sub_here - sub_above
-            big_dim, big_here, r_bound, inward = big_spots[d]  # d in: the boundaries
-            betti_big = big_dim - big_here - r_bound
-            if not betti_sub:
-                report[(d, w)] = InducedCell(0, 0, betti_big)
-                continue
-
-            dropped = 0  # no boundaries without a column at d + 1
-            if inward is not None:
-                image = [_translate_monomial(m, mapping) for m in sub.enumerate_basis(d, w)]
-                dropped = _rank_without_rows(inward, image)
-            rank = sub_dim - sub_here - r_bound + dropped
-            report[(d, w)] = InducedCell(rank, betti_sub, betti_big)
+            rank = sub_dim - sub_here - meet(d, in_sub) if betti_sub else 0
+            report[(d, w)] = InducedCell(rank, betti_sub, big_dim - big_here - big_above)
     return InducedMapReport(report)

@@ -38,7 +38,8 @@ class ParityViolation(LoophomError, ValueError):
 
 
 class DuplicateName(LoophomError, ValueError):
-    """Two generators of one algebra were declared with the same name."""
+    """Two generators of one algebra were declared with the same name, or
+    one generator was given two images, once by name and once by id."""
 
 
 class InvalidGenerator(LoophomError, ValueError):

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .dga import Derivation, DgaPage, InducedMapReport, induced_map_on_homology
+from .dga import Derivation, DgaPage, InducedMapReport, _inclusion, induced_map_on_homology
 from .errors import InvalidComponent, InvalidCutoff, InvalidDimension, InvalidVariant
 from .errors import NegativeCutoff
 from .graded_algebra import GradedAlgebra
@@ -156,6 +156,9 @@ class HolLoopInclusion:
     sub_page: DgaPage
     big_page: DgaPage
 
+    def __post_init__(self):
+        _inclusion(self.sub_page, self.big_page)
+
     def induced_homology(self, degrees, weights) -> InducedMapReport:
         return induced_map_on_homology(self.sub_page, self.big_page, degrees, weights)
 
@@ -165,8 +168,6 @@ def hol_to_loop_inclusion(
 ) -> HolLoopInclusion:
     sub = e2_page(n, field, HOL, cutoff)
     big = e2_page(n, field, LOOP, cutoff)
-    # empty ranges still run the generator-matching and chain-map checks
-    induced_map_on_homology(sub, big, [], [])
     return HolLoopInclusion(sub, big)
 
 

@@ -2,7 +2,9 @@
 what its comments say."""
 
 import ast
+import importlib
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -49,3 +51,26 @@ def test_readme_quick_start_shows_what_its_comments_say(capsys):
     ends = (".passed", ".injective", ".entries")
     flags = {src: v for src, v in values.items() if src.endswith(ends)}
     assert len(flags) == 5 and all(v is True for v in flags.values()), flags
+
+
+def test_every_dotted_name_in_readme_exists():
+    """Each backticked `a.b...` in README.md resolves by getattr from its
+    head: `loophom`, a loophom module or export, or a standard library
+    module."""
+    import loophom
+
+    roots = {m.name: importlib.import_module(f"loophom.{m.name}")
+             for m in pkgutil.iter_modules(loophom.__path__)}
+    roots["loophom"] = loophom
+    readme = (ROOT / "README.md").read_text()
+    missing, absent = [], object()
+    for name in sorted(set(re.findall(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)`", readme))):
+        head, *rest = name.split(".")
+        obj = roots.get(head, getattr(loophom, head, absent))
+        if obj is absent and head in sys.stdlib_module_names:
+            obj = importlib.import_module(head)
+        for attr in rest:
+            obj = getattr(obj, attr, absent)
+        if obj is absent:
+            missing.append(name)
+    assert missing == []

@@ -16,6 +16,7 @@ from loophom.dga import (
     InducedCell,
     RankProfile,
     _generator_translation,
+    _inclusion,
     _translate_monomial,
     differential_matrix,
     homology_dimensions,
@@ -24,6 +25,7 @@ from loophom.dga import (
 from loophom.errors import (
     AlgebraMismatch,
     CutoffTooTight,
+    DuplicateName,
     FieldMismatch,
     InhomogeneousImage,
     NotAChainMap,
@@ -98,6 +100,26 @@ def test_apply_rejects_foreign_element():
     other = circle_like_page()
     with pytest.raises(AlgebraMismatch):
         page.differential(other.algebra.gen("t"))
+
+
+@pytest.mark.parametrize("name_first", [True, False], ids=["name-first", "gid-first"])
+def test_generator_keyed_twice_is_refused(name_first):
+    # by name and by gid: neither a later nonzero image nor a zero one wins
+    alg = circle_like_page().algebra
+    keys = ("t", alg.generator("t").gid)
+    if not name_first:
+        keys = keys[::-1]
+    for images in ((alg.gen("e"), alg.zero()), (alg.zero(), alg.gen("e"))):
+        with pytest.raises(DuplicateName):
+            Derivation.from_generator_images(alg, dict(zip(keys, images)))
+
+
+def test_page_refuses_a_differential_of_another_algebra():
+    alg, other = circle_like_page().algebra, circle_like_page().algebra
+    with pytest.raises(AlgebraMismatch):
+        DgaPage(alg, Derivation.from_generator_images(other, {}))
+    with pytest.raises(AlgebraMismatch):
+        DgaPage(alg, Derivation(other, {}))
 
 
 # -- Leibniz and square zero on real pages -------------------------------------
@@ -448,6 +470,64 @@ def test_induced_map_builds_each_matrix_once(monkeypatch):
     assert incl.big_page.algebra.degree_reach() == (-2, 1)
     assert cells[(1, 1)] == InducedCell(1, 1, 1)
     assert (id(incl.big_page), 2, 1) not in builds
+
+
+def check_membership(sub_page, big_page, degrees, weights):
+    """At each spot, `in_sub` selects exactly the translated sub basis:
+    among the row labels of d into the spot, and among its whole big
+    basis. Returns the labels it rejects."""
+    sub, big = sub_page.algebra, big_page.algebra
+    in_sub, mapping = _inclusion(sub_page, big_page), _generator_translation(sub, big)
+    rejected = set()
+    for d in degrees:
+        for w in weights:
+            image = {_translate_monomial(m, mapping).exps for m in sub.enumerate_basis(d, w)}
+            skeleton = dga._Skeleton(big_page, [d + 1], [w])
+            differential_matrix(big_page, d + 1, w, skeleton=skeleton)
+            labels = set(skeleton.rows[(d + 1, w)])
+            assert {t for t in labels if in_sub(t)} == image & labels
+            basis = {m.exps for m in big.enumerate_basis(d, w)}
+            assert {t for t in basis if in_sub(t)} == image
+            rejected |= labels - image
+    return rejected
+
+
+_INCLUSIONS = {}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([RATIONALS, GF2, F3]), st.integers(1, 3), st.data())
+def test_in_sub_selects_the_translated_sub_basis(field, n, data):
+    key = (n, field.characteristic)
+    if key not in _INCLUSIONS:
+        _INCLUSIONS[key] = hol_to_loop_inclusion(n, field, cutoff=16)
+    incl = _INCLUSIONS[key]
+    # from below the lowest degree -2n up to where d + 1 is in the horizon
+    d = data.draw(st.integers(-2 * n - 1, 15 - 2 * n), label="degree")
+    check_membership(incl.sub_page, incl.big_page, [d], [data.draw(st.integers(-3, 4))])
+
+
+def test_in_sub_on_a_widened_laurent_and_a_big_only_generator():
+    # t is polynomial in sub and laurent in big; s and b exist only in big.
+    # d(b) = a, so the labels of d into a spot hold t^e a^i s^j, e < 0 too
+    degrees, weights = range(-1, 10), range(-2, 5)
+    for field in (RATIONALS, GF2, F3):
+        b_kind = "polynomial" if field.characteristic == 2 else "exterior"
+        sub_alg, big_alg = GradedAlgebra(field), GradedAlgebra(field)
+        big_alg.declare_generator("s", 2, 1, "polynomial")
+        sub_alg.declare_generator("t", 0, 1, "polynomial")
+        big_alg.declare_generator("t", 0, 1, "laurent")
+        for alg in (sub_alg, big_alg):
+            alg.declare_generator("a", 2, 1, "polynomial")
+        big_alg.declare_generator("b", 3, 1, b_kind)
+        sub = DgaPage(sub_alg, Derivation(sub_alg, {}))
+        big = DgaPage(big_alg, Derivation.from_generator_images(big_alg, {"b": big_alg.gen("a")}))
+        rejected = check_membership(sub, big, degrees, weights)
+        t, s = big_alg.generator("t").gid, big_alg.generator("s").gid
+        assert any(dict(exps).get(t, 0) < 0 and s not in dict(exps) for exps in rejected)
+        assert any(s in dict(exps) and dict(exps).get(t, 0) >= 0 for exps in rejected)
+        cells = induced_map_on_homology(sub, big, degrees, weights).cells
+        assert cells == four_matrix_induced(sub, big, degrees, weights)
 
 
 # -- apply_monomial against the naive Leibniz reference ----------------------------

@@ -3,12 +3,13 @@
 import pytest
 
 from loophom import analysis, spaces
-from loophom.dga import homology_dimensions
-from loophom.errors import CutoffTooTight, InvalidCutoff, NegativeCutoff
+from loophom.dga import Derivation, DgaPage, homology_dimensions
+from loophom.errors import CutoffTooTight, InvalidCutoff, NegativeCutoff, NotAChainMap
 from loophom.scalars import GF2, RATIONALS, Field
 from loophom.spaces import (
     HOL,
     LOOP,
+    HolLoopInclusion,
     closed_form_rational_hol_betti,
     e2_page,
     generator_schedule,
@@ -233,6 +234,16 @@ def test_inclusion_chain_map_checked_on_creation():
     incl = hol_to_loop_inclusion(2, F5, cutoff=16)
     assert incl.sub_page.algebra.generator("iota").kind == "polynomial"
     assert incl.big_page.algebra.generator("iota").kind == "laurent"
+
+
+def test_inclusion_built_directly_is_checked():
+    sub, big = e2_page(2, F5, HOL, cutoff=16), e2_page(2, F5, LOOP, cutoff=16)
+    flat = DgaPage(big.algebra, Derivation(big.algebra, {}))
+    with pytest.raises(NotAChainMap):
+        HolLoopInclusion(sub, flat)  # d(iota) disagrees
+    with pytest.raises(NotAChainMap):
+        HolLoopInclusion(big, sub)  # a laurent iota cannot narrow to a polynomial one
+    assert HolLoopInclusion(sub, big).induced_homology([0], [1]).injective
 
 
 def test_inclusion_induced_homology_injective():
