@@ -25,6 +25,7 @@ monomial count of `analysis.betti_oracle`, for any field and any n.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Optional
@@ -115,7 +116,10 @@ def _write_output(text: str, path: Optional[str]) -> None:
         fh.write(text)
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line grammar, built once per process: every parse
+    returns a fresh namespace, so calls share it safely."""
     parser = argparse.ArgumentParser(
         prog="loophom",
         description="Exact homology of sphere mapping spaces into projective space.",
@@ -210,10 +214,9 @@ def _glue_negative_values(argv: list) -> list:
 
 
 def main(argv: Optional[list] = None) -> int:
-    parser = _build_parser()
     if argv is None:
         argv = sys.argv[1:]
-    args = parser.parse_args(_glue_negative_values(list(argv)))
+    args = _parser().parse_args(_glue_negative_values(list(argv)))
     try:
         if args.command == "compute":
             return _cmd_compute(args)

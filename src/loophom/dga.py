@@ -13,8 +13,11 @@ so d(y*m) = y*d(m) + sum over free g of e_g*(y/g)*(d(g)*m). The skeleton
 expands d(m) and each d(g)*m once per degree and call; a weight's matrix
 is then block arithmetic on those terms, with its rows keyed by monomial
 in the order they first appear, and each spot's columns are walked once.
-The same walk counts the degree's monomials by weight, so a dimension is
-a sum of counts times free blocks. No basis is enumerated.
+The same walk counts the degree's monomials by weight, and the reach test
+fills a table of free-block counts for every requested weight, so a
+dimension is a plain sum of counts times table entries. No basis is
+enumerated, and `homology_dimensions` shares one profile among the spots
+with the same numbers.
 
 Maps on homology need one more number per spot, dim(S meet B) for S a
 span of basis monomials and B the boundaries: `_passes` answers it from
@@ -205,23 +208,25 @@ class _Skeleton:
     call. Each m of `graded_monomials` that a requested weight reaches
     keeps the terms (exponents, coefficient) of d(m), by `apply_monomial`,
     and of d(g)*m for each free g with an image; an m where all are 0 is
-    dropped. The same walk counts each degree's monomials by weight, so
-    `dimension` needs no basis. `rows[(degree, weight)]` maps the
-    exponents of each row of a matrix `differential_matrix` built from it
-    to the row's index."""
+    dropped. The same walk counts each degree's monomials by weight
+    (`counts`), and the reach test lists the free blocks of every
+    requested weight's rest and keeps their number (`sizes`), so
+    `dimension` is a sum of int products. `rows[(degree, weight)]` maps
+    the exponents of each row of a matrix `differential_matrix` built
+    from it to the row's index."""
 
     def __init__(self, page: DgaPage, degrees, weights):
         alg, der = page.algebra, page.differential
         self.field, self.free = alg.field, alg.free_generators()
-        self.rows, self.entries, self.counts, self._blocks = {}, {}, {}, {}
+        self.rows, self.entries, self.counts, self._blocks, self.sizes = {}, {}, {}, {}, {}
         images = [(g.gid, der._image_terms.get(g.gid, ())) for g in self.free]
         reach: dict = {}  # m.weight -> whether a requested weight is reachable
         for d in degrees:
             found, count = self.entries[d], self.counts[d] = [], {}
             for m in alg.graded_monomials(d):
                 count[m.weight] = count.get(m.weight, 0) + 1
-                if m.weight not in reach:
-                    reach[m.weight] = any(self.blocks(w - m.weight) for w in weights)
+                if m.weight not in reach:  # a list: `dimension` reads every weight's size
+                    reach[m.weight] = any([self.blocks(w - m.weight) for w in weights])
                 if not reach[m.weight]:
                     continue
                 exps, moves = dict(m.exps), {}
@@ -236,16 +241,23 @@ class _Skeleton:
 
     def blocks(self, rest: int) -> list:
         """The free exponent blocks of total weight `rest`, kept for the
-        call: the reach test, `columns` and `dimension` share them."""
+        call and shared by the reach test and `columns`; `sizes[rest]`
+        keeps their number."""
         found = self._blocks.get(rest)
         if found is None:
             found = self._blocks[rest] = _free_exponents(self.free, rest)
+            self.sizes[rest] = len(found)
         return found
 
     def dimension(self, degree: int, weight: int) -> int:
         """len(enumerate_basis(degree, weight)), counted: the degree's
-        monomials of each weight times the free blocks of the rest."""
-        return sum(k * len(self.blocks(weight - mw)) for mw, k in self.counts[degree].items())
+        monomials of each weight times the free blocks of the rest, read
+        from `sizes`, which the reach test filled for every requested
+        weight."""
+        total, sizes = 0, self.sizes
+        for mw, k in self.counts[degree].items():
+            total += k * sizes[weight - mw]
+        return total
 
     def columns(self, degree: int, weight: int):
         """The column of each free multiple y*m of the weight that d does
@@ -300,9 +312,6 @@ def differential_matrix(page: DgaPage, degree: int, weight: int, *, skeleton=Non
         ncols = j + 1
     skeleton.rows[(degree, weight)] = rows
     return Matrix(page.algebra.field, len(rows), ncols, entries)
-
-
-_EMPTY = RankProfile(0, 0, 0)
 
 
 def _passes(page: DgaPage, degrees: Iterable[int], weights: Iterable[int]):
@@ -365,12 +374,16 @@ def homology_dimensions(
     """RankProfile for every requested (degree, weight).
 
     One extra degree above the requested top is computed silently so the
-    incoming rank is exact there. Spots of dimension 0 share one profile.
+    incoming rank is exact there. Spots with the same (dim, rank of d
+    out, rank of d in) share one frozen profile.
     """
-    out = {}
+    out, shared = {}, {}
     for w, spots, _ in _passes(page, degrees, weights):
-        for d, (dim, here, above) in spots.items():
-            out[(d, w)] = RankProfile(dim, here, above) if dim else _EMPTY
+        for d, triple in spots.items():
+            profile = shared.get(triple)
+            if profile is None:
+                profile = shared[triple] = RankProfile(*triple)
+            out[(d, w)] = profile
     return out
 
 
@@ -419,9 +432,18 @@ def _generator_translation(sub: GradedAlgebra, big: GradedAlgebra) -> dict:
     return mapping
 
 
-def _translate_monomial(m: Monomial, mapping: dict) -> Monomial:
-    exps = sorted((mapping[gid], e) for gid, e in m.exps)
-    return Monomial(tuple(exps), m.degree, m.weight)
+def _translate_monomial(m: Monomial, mapping: dict, big: GradedAlgebra) -> tuple:
+    """(sign, monomial) of the sub monomial m in big: the product of its
+    blocks in sub's order, taken by `big.multiply_monomials`, which gives
+    the Koszul sign of moving odd blocks into big's gid order. The blocks
+    sit on distinct generators within their bounds, so it is never zero."""
+    sign, out = 1, big.unit_monomial
+    for gid, e in m.exps:
+        g = big.generators[mapping[gid]]
+        block = Monomial(((g.gid, e),), e * g.degree, e * g.weight)
+        flip, out = big.multiply_monomials(out, block)
+        sign *= flip
+    return sign, out
 
 
 def _inclusion(sub_page: DgaPage, big_page: DgaPage):
@@ -437,9 +459,11 @@ def _inclusion(sub_page: DgaPage, big_page: DgaPage):
     sub, big = sub_page.algebra, big_page.algebra
     mapping = _generator_translation(sub, big)
     for g in sub.generators:
-        image = sub_page.differential(sub.gen(g.gid))
-        lhs = big.element({_translate_monomial(m, mapping): c for m, c in image.terms.items()})
-        if lhs != big_page.differential(big.gen(mapping[g.gid])):
+        lhs = {}
+        for m, c in sub_page.differential(sub.gen(g.gid)).terms.items():
+            sign, t = _translate_monomial(m, mapping, big)
+            lhs[t] = c if sign > 0 else -c
+        if big.element(lhs) != big_page.differential(big.gen(mapping[g.gid])):
             raise NotAChainMap(f"differentials disagree on generator {g.name!r}")
     laurent = {mapping[g.gid]: g.kind == "laurent" for g in sub.generators}
     return lambda exps: all(h in laurent and (e > 0 or laurent[h]) for h, e in exps)

@@ -19,6 +19,7 @@ such pair, provided a finiteness certificate holds (see its docstring).
 
 from __future__ import annotations
 
+import itertools
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -149,6 +150,7 @@ class GradedAlgebra:
         # enumeration state, rebuilt lazily after every declare_generator
         self._plan: Optional[tuple] = None
         self._by_degree: dict[int, list[Monomial]] = {}
+        self._walked: Optional[int] = None  # every list through this degree is complete
 
     # -- construction -----------------------------------------------------
 
@@ -172,6 +174,7 @@ class GradedAlgebra:
         self._by_name[name] = gen
         self._plan = None
         self._by_degree.clear()
+        self._walked = None
         return gen
 
     def generator(self, key: Union[int, str]) -> Generator:
@@ -351,47 +354,62 @@ class GradedAlgebra:
 
     def graded_monomials(self, degree: int) -> list[Monomial]:
         """Monomials of the given degree, over every weight, in the
-        generators that are not free. The list is cached on the algebra
-        until the next `declare_generator`; callers must not change it.
+        generators that are not free, in lexicographic order of their
+        exponent vectors. The list is cached on the algebra until the
+        next `declare_generator`; callers must not change it.
 
-        Exact reach: every remainder the recursion over the steps meets
-        lies in low..degree - low (low from `degree_reach`). For this
-        degree, bit r - low of reach[i] says that the generators from
-        step i on can sum to r exactly, so the recursion enters only
-        remainders that some monomial completes. Nothing but the list is
-        kept.
+        The first request walks (`_walk`) through the horizon, or through
+        the finite top of `degree_reach` when there is no horizon, so it
+        lists every degree the next requests ask. A request past the walk
+        walks on from there.
         """
         found = self._by_degree.get(degree)
         if found is not None:
             return found
-        _, steps, (low, _) = self._enumeration_plan()
-        if degree < low:
+        _, _, (low, high) = self._enumeration_plan()
+        walked = low - 1 if self._walked is None else self._walked
+        if degree <= walked or degree > high:
             return []
-        width = degree - 2 * low + 1
-        reach = [1 << -low]  # past the last step only 0 is left
-        for g, top in reversed(steps):
-            later, mask = reach[-1], 0
-            for e in range((width - 1) // g.degree + 1 if top is None else top + 1):
-                shift = e * g.degree
-                mask |= later << shift if shift >= 0 else later >> -shift
-            reach.append(mask & ((1 << width) - 1))
-        reach.reverse()
+        target = high if self.complete_through_degree is None else self.complete_through_degree
+        top = degree if target == math.inf else min(max(degree, target), high)
+        self._walk(walked, top)
+        self._walked = top
+        return self._by_degree.get(degree, [])
 
-        def rec(i, rem, weight, acc):
-            if i == len(steps):
+    def _walk(self, floor: int, top: int) -> None:
+        """Append every monomial of degree floor + 1..top to its degree's
+        list in `_by_degree`, by one depth-first walk over the steps with
+        exponents ascending, so each list comes out in lexicographic
+        order. least[i] and most[i] are the lowest and highest degree the
+        steps from i on can add; a prefix is entered only when some
+        completion lands in the range, so every node leads to a monomial.
+        """
+        _, steps, _ = self._enumeration_plan()
+        least, most = [0], [0]
+        for g, bound in reversed(steps):
+            least.append(least[-1] + (0 if bound is None else min(g.degree * bound, 0)))
+            most.append(most[-1] + (math.inf if bound is None else max(g.degree * bound, 0)))
+        least.reverse()
+        most.reverse()
+        by_degree, last = self._by_degree, len(steps)
+
+        def rec(i, degree, weight, acc):
+            if i == last:
+                found = by_degree.get(degree)
+                if found is None:
+                    found = by_degree[degree] = []
                 found.append(Monomial(acc, degree, weight))
                 return
-            (g, top), later = steps[i], reach[i + 1]
-            for e in range((rem - low) // g.degree + 1 if top is None else top + 1):
-                left = rem - e * g.degree
-                if left >= low and later >> (left - low) & 1:
-                    rec(i + 1, left, weight + e * g.weight, acc + ((g.gid, e),) if e else acc)
+            (g, bound), low, high = steps[i], least[i + 1], most[i + 1]
+            for e in range(bound + 1) if bound is not None else itertools.count():
+                d = degree + e * g.degree
+                if d + low > top:
+                    if g.degree > 0:
+                        break
+                elif d + high > floor:
+                    rec(i + 1, d, weight + e * g.weight, acc + ((g.gid, e),) if e else acc)
 
-        found = []
-        if reach[0] >> (degree - low) & 1:
-            rec(0, degree, 0, ())
-        self._by_degree[degree] = found
-        return found
+        rec(0, 0, 0, ())
 
     def enumerate_basis(self, degree: int, weight: int) -> list[Monomial]:
         """All basis monomials of the given (degree, weight), sorted

@@ -364,3 +364,34 @@ def test_module_runs_as_a_process(argv, code, stdout, stderr_needle):
     assert result.returncode == code, result.stderr
     assert result.stdout == stdout
     assert stderr_needle in result.stderr
+
+
+def as_process(args):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=60
+    )
+
+
+def test_calls_in_one_process_print_what_each_prints_alone():
+    # the parser is built once per process and shared by every call
+    compute = ["compute", "--space", "loop", "--n", "2", "--field", "f3",
+               "--components", "-1..1", "--cutoff", "8", "--format", "csv"]
+    verify = ["verify", "--check", "dichotomy", "--n", "2", "--field", "f3",
+              "--components", "0..2", "--cutoff", "8"]
+    alone = [as_process(["-m", "loophom.cli", *argv]) for argv in (compute, verify)]
+    assert [r.returncode for r in alone] == [EXIT_OK, EXIT_OK]
+    script = (
+        "import sys\n"
+        "from loophom.cli import _parser, main\n"
+        f"codes = [main({compute!r}), main({verify!r})]\n"
+        "try:\n"
+        f"    main({compute + ['--bogus']!r})\n"
+        "except SystemExit as exc:\n"
+        "    codes.append(exc.code)\n"
+        "print(codes, _parser.cache_info().misses, file=sys.stderr)\n"
+    )
+    together = as_process(["-c", script])
+    assert together.stdout == alone[0].stdout + alone[1].stdout
+    assert together.stderr.splitlines()[-1] == "[0, 0, 2] 1"
+    assert "unrecognized arguments: --bogus" in together.stderr

@@ -368,6 +368,33 @@ def test_induced_map_differentials_must_agree():
         induced_map_on_homology(sub_page, big, [0], [1])
 
 
+def odd_pair_page(order, sign=1):
+    """Exterior a, b of degree 1, declared in the given order, and x with
+    d(x) = sign * a*b, over F3."""
+    alg = GradedAlgebra(F3)
+    for name in order:
+        alg.declare_generator(name, 1, 0, "exterior")
+    alg.declare_generator("x", 3, 0, "exterior")
+    image = (alg.gen("a") * alg.gen("b")).scale(sign)
+    return DgaPage(alg, Derivation.from_generator_images(alg, {"x": image}))
+
+
+def test_inclusion_carries_the_koszul_sign_of_reordered_odd_generators():
+    # in big, a*b is -1 times the monomial b*a, and the translation says so
+    sub, big = odd_pair_page("ab"), odd_pair_page("ba")
+    mapping = _generator_translation(sub.algebra, big.algebra)
+    ab = sub.algebra.monomial({"a": 1, "b": 1})
+    sign, t = _translate_monomial(ab, mapping, big.algebra)
+    assert (sign, t) == (-1, big.algebra.monomial({"a": 1, "b": 1}))
+    report = induced_map_on_homology(sub, big, range(0, 6), [0])
+    assert all(c.rank == c.betti_sub == c.betti_big for c in report.cells.values())
+    assert sum(c.rank for c in report.cells.values()) == 6  # 1, a, b, a*x, b*x, a*b*x
+    with pytest.raises(NotAChainMap, match="generator 'x'"):
+        _inclusion(sub, odd_pair_page("ba", sign=-1))
+    with pytest.raises(NotAChainMap, match="generator 'x'"):
+        _inclusion(odd_pair_page("ab", sign=-1), big)
+
+
 def test_induced_map_detects_noninjective_spot():
     # a cycle of the subcomplex that bounds upstairs must drop rank
     big_alg = GradedAlgebra(RATIONALS)
@@ -427,7 +454,8 @@ def four_matrix_induced(sub_page, big_page, degrees, weights):
                 tv = {}
                 for j, c in enumerate(vec):
                     if c:
-                        tv[big_index[_translate_monomial(sub_basis[j], mapping)]] = c
+                        sign, t = _translate_monomial(sub_basis[j], mapping, big)
+                        tv[big_index[t]] = c if sign > 0 else -c
                 cycle_vectors.append(tv)
             boundary_vectors = [
                 m_big_above.column(j) for j in range(m_big_above.ncols)
@@ -481,7 +509,9 @@ def check_membership(sub_page, big_page, degrees, weights):
     rejected = set()
     for d in degrees:
         for w in weights:
-            image = {_translate_monomial(m, mapping).exps for m in sub.enumerate_basis(d, w)}
+            image = {
+                _translate_monomial(m, mapping, big)[1].exps for m in sub.enumerate_basis(d, w)
+            }
             skeleton = dga._Skeleton(big_page, [d + 1], [w])
             differential_matrix(big_page, d + 1, w, skeleton=skeleton)
             labels = set(skeleton.rows[(d + 1, w)])

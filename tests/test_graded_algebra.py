@@ -425,6 +425,80 @@ def test_exact_reach_matches_brute_force_on_a_wide_degree_window(alg, degree, we
     assert {m.exps for m in basis} == brute_force_basis(alg, degree, weight, bound=24)
 
 
+def degree_list_by_brute_force(alg, degree, bound):
+    """The monomials of one degree in the generators that are not free,
+    as exponent tuples, in lexicographic order of their exponent vectors:
+    the order of a box scan with every range ascending."""
+    steps = [g for g in alg.generators
+             if not (g.degree == 0 and g.kind in ("polynomial", "laurent"))]
+    return [
+        tuple((g.gid, e) for g, e in zip(steps, combo) if e)
+        for combo in exponent_box(steps, bound)
+        if sum(e * g.degree for g, e in zip(steps, combo)) == degree
+    ]
+
+
+@given(
+    certified_algebras(),
+    st.one_of(st.none(), st.integers(-6, 10)),
+    st.lists(st.integers(-12, 18), min_size=1, max_size=8),
+    st.integers(-2, 2),
+    st.integers(-1, 1),
+)
+@settings(max_examples=150, deadline=None)
+def test_walk_lists_each_degree_in_order_whatever_order_degrees_are_asked(
+    alg, horizon, degrees, new_degree, new_weight
+):
+    """Degrees asked in random order, repeats included: below the reach,
+    above it, past the horizon, and all of them again after one more
+    bounded generator is declared. Each list equals the box scan, order
+    included. The bounded generators add at least degree -12, so no
+    exponent of a hit in degrees <= 18 passes 30."""
+    alg.complete_through_degree = horizon
+    for late in range(2):
+        for degree in degrees:
+            listed = alg.graded_monomials(degree)
+            assert [m.exps for m in listed] == degree_list_by_brute_force(alg, degree, 30)
+            for m in listed:
+                assert m.degree == degree
+                assert m.weight == sum(e * alg.generators[g].weight for g, e in m.exps)
+        alg.declare_generator(
+            f"late{late}", new_degree, new_weight or (1 if new_degree == 0 else 0), "exterior"
+        )
+
+
+def test_one_walk_serves_every_degree_through_the_horizon(monkeypatch):
+    walks, real = [], GradedAlgebra._walk
+
+    def walk(self, floor, top):
+        walks.append((floor, top))
+        real(self, floor, top)
+
+    monkeypatch.setattr(GradedAlgebra, "_walk", walk)
+    alg = loop_like_algebra()  # u polynomial of degree 1: no finite top
+    alg.complete_through_degree = 9
+    counted = sum(len(alg.graded_monomials(d)) for d in range(-4, 10))
+    assert walks == [(-3, 9)]  # low is -2
+    # past the horizon the walk goes on from 9, listing nothing twice
+    assert alg.graded_monomials(12) and walks[-1] == (9, 12)
+    assert sum(len(alg.graded_monomials(d)) for d in range(-4, 10)) == counted
+    assert walks == [(-3, 9), (9, 12)]
+    # no horizon and no finite top: each new top degree walks on from the last
+    alg.complete_through_degree = None
+    alg.declare_generator("e", 1, 0, "exterior")
+    walks.clear()
+    for d in (3, 1, 5, 4):
+        alg.graded_monomials(d)
+    assert walks == [(-3, 3), (3, 5)]
+    # a finite top and no horizon: one walk through the top
+    bounded = GradedAlgebra(F3)
+    bounded.declare_generator("a", 1, 1, "exterior")
+    bounded.declare_generator("c", -2, 0, "truncated", truncation=2)
+    walks.clear()
+    assert [len(bounded.graded_monomials(d)) for d in range(-5, 3)] == [0, 1, 1, 1, 1, 1, 1, 0]
+    assert walks == [(-5, 1)]
+
+
 @given(st.lists(st.integers(1, 3), min_size=1, max_size=3), st.integers(-2, 9))
 @settings(max_examples=100, deadline=None)
 def test_free_exponents_match_brute_force(weights, rest):
