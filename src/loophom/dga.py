@@ -13,11 +13,10 @@ so d(y*m) = y*d(m) + sum over free g of e_g*(y/g)*(d(g)*m). The skeleton
 expands d(m) and each d(g)*m once per degree and call; a weight's matrix
 is then block arithmetic on those terms, with its rows keyed by monomial
 in the order they first appear, and each spot's columns are walked once.
-The same walk counts the degree's monomials by weight, and the reach test
-fills a table of free-block counts for every requested weight, so a
-dimension is a plain sum of counts times table entries. No basis is
-enumerated, and `homology_dimensions` shares one profile among the spots
-with the same numbers.
+The same walk counts the degree's monomials by weight, so a dimension is
+a sum of counts times free blocks. No basis is enumerated, and
+`homology_dimensions` shares one profile among the spots with the same
+numbers.
 
 Maps on homology need one more number per spot, dim(S meet B) for S a
 span of basis monomials and B the boundaries: `_passes` answers it from
@@ -209,24 +208,24 @@ class _Skeleton:
     keeps the terms (exponents, coefficient) of d(m), by `apply_monomial`,
     and of d(g)*m for each free g with an image; an m where all are 0 is
     dropped. The same walk counts each degree's monomials by weight
-    (`counts`), and the reach test lists the free blocks of every
-    requested weight's rest and keeps their number (`sizes`), so
-    `dimension` is a sum of int products. `rows[(degree, weight)]` maps
-    the exponents of each row of a matrix `differential_matrix` built
-    from it to the row's index."""
+    (`counts`), so `dimension` needs no basis. `rows[(degree, weight)]`
+    maps the exponents of each row of a matrix `differential_matrix`
+    built from it to the row's index."""
 
     def __init__(self, page: DgaPage, degrees, weights):
         alg, der = page.algebra, page.differential
         self.field, self.free = alg.field, alg.free_generators()
-        self.rows, self.entries, self.counts, self._blocks, self.sizes = {}, {}, {}, {}, {}
+        self.rows, self.entries, self.counts, self._blocks = {}, {}, {}, {}
         images = [(g.gid, der._image_terms.get(g.gid, ())) for g in self.free]
         reach: dict = {}  # m.weight -> whether a requested weight is reachable
+        if degrees:
+            alg.graded_monomials(max(degrees))  # one walk lists every degree below it
         for d in degrees:
             found, count = self.entries[d], self.counts[d] = [], {}
             for m in alg.graded_monomials(d):
                 count[m.weight] = count.get(m.weight, 0) + 1
-                if m.weight not in reach:  # a list: `dimension` reads every weight's size
-                    reach[m.weight] = any([self.blocks(w - m.weight) for w in weights])
+                if m.weight not in reach:
+                    reach[m.weight] = any(self.blocks(w - m.weight) for w in weights)
                 if not reach[m.weight]:
                     continue
                 exps, moves = dict(m.exps), {}
@@ -241,22 +240,18 @@ class _Skeleton:
 
     def blocks(self, rest: int) -> list:
         """The free exponent blocks of total weight `rest`, kept for the
-        call and shared by the reach test and `columns`; `sizes[rest]`
-        keeps their number."""
+        call: the reach test, `columns` and `dimension` share them."""
         found = self._blocks.get(rest)
         if found is None:
             found = self._blocks[rest] = _free_exponents(self.free, rest)
-            self.sizes[rest] = len(found)
         return found
 
     def dimension(self, degree: int, weight: int) -> int:
         """len(enumerate_basis(degree, weight)), counted: the degree's
-        monomials of each weight times the free blocks of the rest, read
-        from `sizes`, which the reach test filled for every requested
-        weight."""
-        total, sizes = 0, self.sizes
+        monomials of each weight times the free blocks of the rest."""
+        total, blocks = 0, self.blocks
         for mw, k in self.counts[degree].items():
-            total += k * sizes[weight - mw]
+            total += k * len(blocks(weight - mw))
         return total
 
     def columns(self, degree: int, weight: int):

@@ -358,10 +358,10 @@ class GradedAlgebra:
         exponent vectors. The list is cached on the algebra until the
         next `declare_generator`; callers must not change it.
 
-        The first request walks (`_walk`) through the horizon, or through
-        the finite top of `degree_reach` when there is no horizon, so it
-        lists every degree the next requests ask. A request past the walk
-        walks on from there.
+        A request past every degree listed so far walks (`_walk`) on from
+        the last one through the requested degree, so one walk lists every
+        degree below it too: a caller that needs a range asks its top
+        first. No monomial is listed twice.
         """
         found = self._by_degree.get(degree)
         if found is not None:
@@ -370,10 +370,8 @@ class GradedAlgebra:
         walked = low - 1 if self._walked is None else self._walked
         if degree <= walked or degree > high:
             return []
-        target = high if self.complete_through_degree is None else self.complete_through_degree
-        top = degree if target == math.inf else min(max(degree, target), high)
-        self._walk(walked, top)
-        self._walked = top
+        self._walk(walked, degree)
+        self._walked = degree
         return self._by_degree.get(degree, [])
 
     def _walk(self, floor: int, top: int) -> None:
@@ -381,8 +379,10 @@ class GradedAlgebra:
         list in `_by_degree`, by one depth-first walk over the steps with
         exponents ascending, so each list comes out in lexicographic
         order. least[i] and most[i] are the lowest and highest degree the
-        steps from i on can add; a prefix is entered only when some
-        completion lands in the range, so every node leads to a monomial.
+        steps from i on can add; a prefix is entered only when that range
+        of completions overlaps floor + 1..top. The range may have gaps, so
+        a node can still lead to no monomial; the last step adds nothing,
+        so every leaf lies in the window.
         """
         _, steps, _ = self._enumeration_plan()
         least, most = [0], [0]

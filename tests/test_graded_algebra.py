@@ -467,7 +467,7 @@ def test_walk_lists_each_degree_in_order_whatever_order_degrees_are_asked(
         )
 
 
-def test_one_walk_serves_every_degree_through_the_horizon(monkeypatch):
+def test_a_walk_goes_through_the_requested_degree_and_no_further(monkeypatch):
     walks, real = [], GradedAlgebra._walk
 
     def walk(self, floor, top):
@@ -476,27 +476,39 @@ def test_one_walk_serves_every_degree_through_the_horizon(monkeypatch):
 
     monkeypatch.setattr(GradedAlgebra, "_walk", walk)
     alg = loop_like_algebra()  # u polynomial of degree 1: no finite top
-    alg.complete_through_degree = 9
-    counted = sum(len(alg.graded_monomials(d)) for d in range(-4, 10))
-    assert walks == [(-3, 9)]  # low is -2
-    # past the horizon the walk goes on from 9, listing nothing twice
+    alg.complete_through_degree = 200
+    # a narrow request walks only what it asks, whatever the horizon
+    alg.graded_monomials(0)
+    alg.graded_monomials(1)
+    assert walks == [(-3, 0), (0, 1)]  # low is -2
+    # asking the top first lists every degree below it in one walk
+    counted = sum(len(alg.graded_monomials(d)) for d in (9, *range(-4, 9)))
+    assert walks == [(-3, 0), (0, 1), (1, 9)]
+    # a later top walks on from the last one, listing nothing twice
     assert alg.graded_monomials(12) and walks[-1] == (9, 12)
     assert sum(len(alg.graded_monomials(d)) for d in range(-4, 10)) == counted
-    assert walks == [(-3, 9), (9, 12)]
-    # no horizon and no finite top: each new top degree walks on from the last
-    alg.complete_through_degree = None
-    alg.declare_generator("e", 1, 0, "exterior")
-    walks.clear()
-    for d in (3, 1, 5, 4):
-        alg.graded_monomials(d)
-    assert walks == [(-3, 3), (3, 5)]
-    # a finite top and no horizon: one walk through the top
+    assert walks == [(-3, 0), (0, 1), (1, 9), (9, 12)]
+    # past a finite top there is nothing to walk
     bounded = GradedAlgebra(F3)
     bounded.declare_generator("a", 1, 1, "exterior")
     bounded.declare_generator("c", -2, 0, "truncated", truncation=2)
     walks.clear()
-    assert [len(bounded.graded_monomials(d)) for d in range(-5, 3)] == [0, 1, 1, 1, 1, 1, 1, 0]
+    assert [len(bounded.graded_monomials(d)) for d in (5, 1, *range(-5, 3))] == [0, 1, 0, 1, 1, 1, 1, 1, 1, 0]
     assert walks == [(-5, 1)]
+
+
+def test_a_pass_walks_once_through_its_top(monkeypatch):
+    walks, real = [], GradedAlgebra._walk
+
+    def walk(self, floor, top):
+        walks.append((floor, top))
+        real(self, floor, top)
+
+    monkeypatch.setattr(GradedAlgebra, "_walk", walk)
+    alg = loop_like_algebra()
+    alg.complete_through_degree = 200
+    homology_dimensions(DgaPage(alg, Derivation(alg, {})), range(0, 6), [0, 1])
+    assert walks == [(-3, 6)]  # the pass reads one degree above its top
 
 
 @given(st.lists(st.integers(1, 3), min_size=1, max_size=3), st.integers(-2, 9))
