@@ -49,6 +49,7 @@ from .errors import (
     InvalidGenerator,
     InvalidGrading,
     InvalidHorizon,
+    InvalidScalar,
     InvalidShape,
     InvalidStep,
     InvalidVariant,

@@ -15,7 +15,7 @@ is then block arithmetic on those terms, with its rows keyed by monomial
 in the order they first appear, and each spot's columns are walked once.
 The same walk counts the degree's monomials by weight, so a dimension is
 a sum of counts times free blocks. No basis is enumerated, and
-`homology_dimensions` shares one profile among the spots with the same
+`_passes` shares one profile among the spots of a call with the same
 numbers.
 
 Maps on homology need one more number per spot, dim(S meet B) for S a
@@ -47,7 +47,10 @@ from .linalg import Matrix, kernel_basis, rank_of_columns
 
 
 class Derivation:
-    """A square-zero degree (-1, 0) derivation given on generators.
+    """A square-zero degree (-1, 0) derivation given on generators:
+    `images` maps the gid of each generator with a nonzero image to it.
+    It keeps no table of its own; where a product passes an exterior or
+    truncated bound, `multiply_monomials` says so.
 
     Use `from_generator_images`; the bare constructor skips validation.
     """
@@ -55,17 +58,6 @@ class Derivation:
     def __init__(self, algebra: GradedAlgebra, images: dict):
         self.algebra = algebra
         self.images = images
-        # gid -> (term, coefficient, bounded) for each term of its image;
-        # bounded lists (gid, exponent, bound) of the term's exterior and
-        # truncated blocks, the only ones a product can push past a bound
-        bound_of = {g.gid: g.top for g in algebra.generators if g.top is not None}
-        self._image_terms = {
-            gid: [
-                (im, c, tuple((h, e, bound_of[h]) for h, e in im.exps if h in bound_of))
-                for im, c in img.terms.items()
-            ]
-            for gid, img in images.items()
-        }
 
     @classmethod
     def from_generator_images(
@@ -112,10 +104,9 @@ class Derivation:
         monomials. d has bidegree (-1, 0), so every term lands in degree
         m.degree - 1 and weight m.weight.
 
-        Terms the quotient kills are skipped before any product is built:
-        a block whose exponent the characteristic divides, and an image
-        term whose exterior or truncated exponents, added to the ones left
-        in m once g^e is lowered, pass a bound.
+        A block whose exponent the characteristic divides is skipped before
+        any product is built; a term whose product passes an exterior or
+        truncated bound is skipped on the None `multiply_monomials` gives.
         """
         alg = self.algebra
         out: dict = {}
@@ -125,37 +116,34 @@ class Derivation:
         char2 = p == 2
         prefix_degree = 0
         blocks = m.exps
-        exps = None  # m's exponents by gid, built on first need
         for idx, (gid, e) in enumerate(blocks):
             g = alg.generators[gid]
             block_degree = g.degree * e
-            terms = self._image_terms.get(gid)
-            if terms is not None and not (p and e % p == 0):
-                if exps is None:
-                    exps = dict(blocks)
-                live = [(im, c) for im, c, bounded in terms if _fits(exps, gid, bounded)]
-                if live:
-                    coeff = alg.field.scalar(e)
-                    if not char2 and (prefix_degree & 1):
-                        coeff = -coeff
-                    lowered = ((gid, e - 1),) if e != 1 else ()
-                    rest = Monomial(
-                        blocks[:idx] + lowered + blocks[idx + 1 :],
-                        m.degree - g.degree,
-                        m.weight - g.weight,
-                    )
-                    right_odd = not char2 and (m.degree - prefix_degree - block_degree) & 1
-                    for im, c in live:
-                        sign, target = alg.multiply_monomials(rest, im)
-                        if right_odd and im.degree & 1:
-                            sign = -sign
-                        c = coeff * c if sign > 0 else -(coeff * c)
-                        s = out.get(target)
-                        s = c if s is None else s + c
-                        if s:
-                            out[target] = s
-                        else:
-                            out.pop(target, None)
+            image = self.images.get(gid)
+            if image is not None and not (p and e % p == 0):
+                coeff = alg.field.scalar(e)
+                if not char2 and (prefix_degree & 1):
+                    coeff = -coeff
+                lowered = ((gid, e - 1),) if e != 1 else ()
+                rest = Monomial(
+                    blocks[:idx] + lowered + blocks[idx + 1 :],
+                    m.degree - g.degree,
+                    m.weight - g.weight,
+                )
+                right_odd = not char2 and (m.degree - prefix_degree - block_degree) & 1
+                for im, c in image.terms.items():
+                    sign, target = alg.multiply_monomials(rest, im)
+                    if target is None:
+                        continue
+                    if right_odd and im.degree & 1:
+                        sign = -sign
+                    c = coeff * c if sign > 0 else -(coeff * c)
+                    s = out.get(target)
+                    s = c if s is None else s + c
+                    if s:
+                        out[target] = s
+                    else:
+                        out.pop(target, None)
             prefix_degree += block_degree
         return Element(alg, out)
 
@@ -166,12 +154,6 @@ class Derivation:
         for m, c in x.terms.items():
             out = out + self.apply_monomial(m).scale(c)
         return out
-
-
-def _fits(exps: dict, lowered, bounded) -> bool:
-    """Whether `exps`, less one power of generator `lowered` (None for
-    none), times a term with these bounded blocks stays within bounds."""
-    return all(exps.get(h, 0) - (h == lowered) + e <= bound for h, e, bound in bounded)
 
 
 @dataclass
@@ -206,17 +188,18 @@ class _Skeleton:
     """d on the free multiples y*m of each degree's monomials m, for one
     call. Each m of `graded_monomials` that a requested weight reaches
     keeps the terms (exponents, coefficient) of d(m), by `apply_monomial`,
-    and of d(g)*m for each free g with an image; an m where all are 0 is
-    dropped. The same walk counts each degree's monomials by weight
-    (`counts`), so `dimension` needs no basis. `rows[(degree, weight)]`
-    maps the exponents of each row of a matrix `differential_matrix`
-    built from it to the row's index."""
+    and of d(g)*m for each free g with an image, by `multiply_monomials`,
+    which drops a term a bound kills; an m where all are 0 is dropped.
+    The same walk counts each degree's monomials by weight (`counts`), so
+    `dimension` needs no basis. `rows[(degree, weight)]` maps the
+    exponents of each row of a matrix `differential_matrix` built from it
+    to the row's index."""
 
     def __init__(self, page: DgaPage, degrees, weights):
         alg, der = page.algebra, page.differential
         self.field, self.free = alg.field, alg.free_generators()
         self.rows, self.entries, self.counts, self._blocks = {}, {}, {}, {}
-        images = [(g.gid, der._image_terms.get(g.gid, ())) for g in self.free]
+        images = [(g.gid, der.images[g.gid].terms) for g in self.free if g.gid in der.images]
         reach: dict = {}  # m.weight -> whether a requested weight is reachable
         if degrees:
             alg.graded_monomials(max(degrees))  # one walk lists every degree below it
@@ -228,11 +211,11 @@ class _Skeleton:
                     reach[m.weight] = any(self.blocks(w - m.weight) for w in weights)
                 if not reach[m.weight]:
                     continue
-                exps, moves = dict(m.exps), {}
+                moves = {}
                 for gid, terms in images:
-                    for im, c, bounded in terms:
-                        if _fits(exps, None, bounded):  # apply_monomial's pre-test
-                            sign, t = alg.multiply_monomials(im, m)
+                    for im, c in terms.items():
+                        sign, t = alg.multiply_monomials(im, m)
+                        if t is not None:
                             moves.setdefault(gid, []).append((t.exps, c if sign > 0 else -c))
                 here = [(t.exps, c) for t, c in der.apply_monomial(m).terms.items()]
                 if here or moves:
@@ -310,12 +293,14 @@ def differential_matrix(page: DgaPage, degree: int, weight: int, *, skeleton=Non
 
 
 def _passes(page: DgaPage, degrees: Iterable[int], weights: Iterable[int]):
-    """Yield (weight, {degree: (dim, rank of d out, rank of d in)}, meet)
-    for each requested weight, over the requested degrees, both ascending
-    without repeats. `meet(degree, in_s)`, at a requested degree, is
-    dim(S meet B), S spanned by the monomials whose exponent tuples pass
-    `in_s` and B the image of d: rank B - rank(B without S's rows), from
-    the matrix of d in and its row labels, or 0 where it has no column.
+    """Yield (weight, {degree: RankProfile}, meet) for each requested
+    weight, over the requested degrees, both ascending without repeats.
+    Spots of the call with the same (dim, rank of d out, rank of d in)
+    share one frozen profile. `meet(degree, in_s)`, at a requested degree,
+    is dim(S meet B), S spanned by the monomials whose exponent tuples
+    pass `in_s` and B the image of d: rank B - rank(B without S's rows),
+    from the matrix of d in and its row labels, or 0 where it has no
+    column.
     d in needs a complete basis one degree above the top; the horizon is
     checked on the call, not on first use.
 
@@ -339,6 +324,7 @@ def _passes(page: DgaPage, degrees: Iterable[int], weights: Iterable[int]):
     needed = sorted(set(degs) | {d + 1 for d in degs})
     ws = sorted(set(weights))
     skeleton = _Skeleton(page, needed, ws)
+    profiles = {}  # (dim, here, above) -> its one RankProfile
 
     def spots(w):
         rank, inward = dict.fromkeys(needed, 0), {}
@@ -358,7 +344,11 @@ def _passes(page: DgaPage, degrees: Iterable[int], weights: Iterable[int]):
             kept = {ij: c for ij, c in matrix.entries.items() if ij[0] not in rows}
             return rank[degree + 1] - Matrix(matrix.field, matrix.nrows, matrix.ncols, kept).rank()
 
-        return w, {d: (skeleton.dimension(d, w), rank[d], rank[d + 1]) for d in degs}, meet
+        found = {}
+        for d in degs:
+            t = (skeleton.dimension(d, w), rank[d], rank[d + 1])
+            found[d] = profiles.get(t) or profiles.setdefault(t, RankProfile(*t))
+        return w, found, meet
 
     return map(spots, ws)
 
@@ -369,17 +359,11 @@ def homology_dimensions(
     """RankProfile for every requested (degree, weight).
 
     One extra degree above the requested top is computed silently so the
-    incoming rank is exact there. Spots with the same (dim, rank of d
-    out, rank of d in) share one frozen profile.
+    incoming rank is exact there. The profiles are `_passes`'s, so spots
+    with the same numbers share one.
     """
-    out, shared = {}, {}
-    for w, spots, _ in _passes(page, degrees, weights):
-        for d, triple in spots.items():
-            profile = shared.get(triple)
-            if profile is None:
-                profile = shared[triple] = RankProfile(*triple)
-            out[(d, w)] = profile
-    return out
+    passes = _passes(page, degrees, weights)
+    return {(d, w): profile for w, spots, _ in passes for d, profile in spots.items()}
 
 
 @dataclass(frozen=True)
@@ -480,9 +464,7 @@ def induced_map_on_homology(
     passes = zip(_passes(sub_page, degrees, weights), _passes(big_page, degrees, weights))
     report = {}
     for (w, sub_spots, _), (_, big_spots, meet) in passes:
-        for d, (sub_dim, sub_here, sub_above) in sub_spots.items():
-            big_dim, big_here, big_above = big_spots[d]
-            betti_sub = sub_dim - sub_here - sub_above
-            rank = sub_dim - sub_here - meet(d, in_sub) if betti_sub else 0
-            report[(d, w)] = InducedCell(rank, betti_sub, big_dim - big_here - big_above)
+        for d, sub in sub_spots.items():
+            rank = sub.dim - sub.rank_d_here - meet(d, in_sub) if sub.betti else 0
+            report[(d, w)] = InducedCell(rank, sub.betti, big_spots[d].betti)
     return InducedMapReport(report)

@@ -28,6 +28,12 @@ class FieldMismatch(LoophomError, TypeError):
     """Arithmetic attempted between scalars over different fields."""
 
 
+class InvalidScalar(LoophomError, TypeError):
+    """A value given as a field element is not an int (a bool is not
+    one), a Fraction or a Scalar: floats and strings are refused, since
+    every coefficient is exact."""
+
+
 class ParityViolation(LoophomError, ValueError):
     """Generator kind is incompatible with its degree parity.
 
@@ -64,7 +70,8 @@ class InvalidHorizon(LoophomError, ValueError):
 
 
 class InvalidShape(LoophomError, ValueError):
-    """A matrix shape is not two nonnegative ints (a bool is not one)."""
+    """A matrix shape is not two nonnegative ints, or an entry's index is
+    not a pair of ints (a bool is not one)."""
 
 
 class InfiniteBasis(LoophomError, ValueError):

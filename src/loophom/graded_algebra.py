@@ -23,7 +23,6 @@ import itertools
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Mapping, Optional, Union
 
 from .errors import (
@@ -235,23 +234,24 @@ class GradedAlgebra:
         return tuple(v)
 
     def multiply_monomials(self, a: Monomial, b: Monomial):
-        """Product of two monomials: (sign, monomial) with monomial None
-        when an exterior square or truncation bound kills the product."""
-        sign = 1
-        if self.field.characteristic != 2:
-            # gids of odd-total-degree blocks, ascending; only odd*odd flips
-            odd_a = [gid for gid, e in a.exps if (self.generators[gid].degree * e) & 1]
-            if odd_a:
-                flips = 0
-                for gid, e in b.exps:
-                    if (self.generators[gid].degree * e) & 1:
-                        flips += len(odd_a) - bisect_right(odd_a, gid)
-                if flips & 1:
-                    sign = -1
+        """Product of two monomials: (sign, monomial), or (1, None) when an
+        exterior square or truncation bound kills the product. This is the
+        one place the bounds are applied to a product, and a killed product
+        costs no sign work."""
         merged = dict(a.exps)
         for gid, e in b.exps:
             merged[gid] = merged.get(gid, 0) + e
-        return sign, self._canonical(merged, a.degree + b.degree, a.weight + b.weight)
+        product = self._canonical(merged, a.degree + b.degree, a.weight + b.weight)
+        if product is None or self.field.characteristic == 2:
+            return 1, product
+        # gids of odd-total-degree blocks, ascending; only odd*odd flips
+        odd_a = [gid for gid, e in a.exps if (self.generators[gid].degree * e) & 1]
+        flips = 0
+        if odd_a:
+            for gid, e in b.exps:
+                if (self.generators[gid].degree * e) & 1:
+                    flips += len(odd_a) - bisect_right(odd_a, gid)
+        return -1 if flips & 1 else 1, product
 
     # -- elements ----------------------------------------------------------
 
@@ -316,13 +316,16 @@ class GradedAlgebra:
                     )
 
     def _enumeration_plan(self) -> tuple:
-        """(free, steps, reach), built once per generator set.
+        """(free, steps, least, most), built once per generator set.
 
         `free` holds the degree-0 polynomial and laurent generators, whose
         exponents are solved from the weight. `steps` has one entry
         (g, top) for every other generator g, in gid order, with top its
         largest exponent (None for polynomial generators, whose degree is
-        positive). `reach` is the (low, high) of `degree_reach`.
+        positive). least[i] and most[i] are the lowest and highest degree
+        the steps from i on can add (most[i] is math.inf past a polynomial
+        step), so least[-1] = most[-1] = 0 and (least[0], most[0]) is
+        `degree_reach`.
         """
         if self._plan is None:
             self._certificate()
@@ -331,21 +334,19 @@ class GradedAlgebra:
                 if g.degree == 0 and g.kind in ("polynomial", "laurent")
             ]
             steps = [(g, g.top) for g in self.generators if g not in free]
-            low = high = 0
-            for g, top in steps:
-                if top is None:
-                    high = math.inf
-                else:
-                    low += min(g.degree * top, 0)
-                    high += max(g.degree * top, 0)
-            self._plan = (free, steps, (low, high))
+            least, most = [0], [0]
+            for g, top in reversed(steps):
+                least.append(least[-1] + (0 if top is None else min(g.degree * top, 0)))
+                most.append(most[-1] + (math.inf if top is None else max(g.degree * top, 0)))
+            self._plan = (free, steps, least[::-1], most[::-1])
         return self._plan
 
     def degree_reach(self) -> tuple:
         """(low, high): every basis monomial has a degree in low..high, and
         both finite ends hold one. high is math.inf when there is a
         polynomial generator of positive degree."""
-        return self._enumeration_plan()[2]
+        _, _, least, most = self._enumeration_plan()
+        return least[0], most[0]
 
     def free_generators(self) -> list:
         """The degree-0 polynomial and laurent generators, in gid order:
@@ -366,7 +367,7 @@ class GradedAlgebra:
         found = self._by_degree.get(degree)
         if found is not None:
             return found
-        _, _, (low, high) = self._enumeration_plan()
+        low, high = self.degree_reach()
         walked = low - 1 if self._walked is None else self._walked
         if degree <= walked or degree > high:
             return []
@@ -378,19 +379,13 @@ class GradedAlgebra:
         """Append every monomial of degree floor + 1..top to its degree's
         list in `_by_degree`, by one depth-first walk over the steps with
         exponents ascending, so each list comes out in lexicographic
-        order. least[i] and most[i] are the lowest and highest degree the
-        steps from i on can add; a prefix is entered only when that range
-        of completions overlaps floor + 1..top. The range may have gaps, so
-        a node can still lead to no monomial; the last step adds nothing,
-        so every leaf lies in the window.
+        order. A prefix is entered only when the range of degrees the
+        remaining steps can add (the plan's `least`..`most`) overlaps
+        floor + 1..top. The range may have gaps, so a node can still lead
+        to no monomial; the last step adds nothing, so every leaf lies in
+        the window.
         """
-        _, steps, _ = self._enumeration_plan()
-        least, most = [0], [0]
-        for g, bound in reversed(steps):
-            least.append(least[-1] + (0 if bound is None else min(g.degree * bound, 0)))
-            most.append(most[-1] + (math.inf if bound is None else max(g.degree * bound, 0)))
-        least.reverse()
-        most.reverse()
+        _, steps, least, most = self._enumeration_plan()
         by_degree, last = self._by_degree, len(steps)
 
         def rec(i, degree, weight, acc):
@@ -489,8 +484,8 @@ class Element:
         return Element(self.algebra, {m: v * s for m, v in self.terms.items()})
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, Scalar)):
-            return self.scale(other)
+        if not isinstance(other, Element):
+            return self.scale(other)  # refuses what is not a scalar
         self._check(other)
         alg = self.algebra
         acc: dict = {}
@@ -511,9 +506,7 @@ class Element:
         return Element(alg, acc)
 
     def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, Scalar)):
-            return self.scale(other)
-        return NotImplemented
+        return self.scale(other)  # only reached with a left operand that is not an Element
 
     def __pow__(self, n: int) -> "Element":
         if not is_int(n) or n < 0:

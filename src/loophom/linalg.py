@@ -37,23 +37,13 @@ class Matrix:
         self.entries: dict[tuple[int, int], Scalar] = {}
         if entries:
             for (i, j), v in entries.items():
+                if not (is_int(i) and is_int(j)):
+                    raise InvalidShape(f"entry index {(i, j)!r} is not a pair of ints")
                 s = field.scalar(v)
                 if s:
                     if not (0 <= i < nrows and 0 <= j < ncols):
                         raise IndexError(f"entry {(i, j)} outside {nrows}x{ncols}")
                     self.entries[(i, j)] = s
-
-    @classmethod
-    def from_columns(cls, field: Field, nrows: int, columns) -> "Matrix":
-        """Assemble a matrix from column vectors given as {row: scalar} dicts."""
-        entries = {}
-        for j, col in enumerate(columns):
-            for i, v in col.items():
-                entries[(i, j)] = v
-        return cls(field, nrows, len(columns), entries)
-
-    def column(self, j: int) -> dict:
-        return {i: v for (i, jj), v in self.entries.items() if jj == j}
 
     def is_zero(self) -> bool:
         return not self.entries
@@ -156,4 +146,5 @@ def kernel_basis(matrix: Matrix) -> list:
 
 def rank_of_columns(field: Field, nrows: int, columns) -> int:
     """Rank of the span of column vectors given as {row: scalar} dicts."""
-    return Matrix.from_columns(field, nrows, columns).rank()
+    entries = {(i, j): v for j, col in enumerate(columns) for i, v in col.items()}
+    return Matrix(field, nrows, len(columns), entries).rank()

@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Union
 
 from .errors import CompositeCharacteristic, DivisionByZero, FieldMismatch
-from .errors import InvalidCharacteristic, InvalidFieldSpec
+from .errors import InvalidCharacteristic, InvalidFieldSpec, InvalidScalar
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -70,20 +70,24 @@ class Field:
         return self.characteristic == 0
 
     def scalar(self, value) -> "Scalar":
-        """Coerce an int, Fraction, or Scalar of this field into a Scalar."""
+        """Coerce an int, Fraction, or Scalar of this field into a Scalar.
+        Anything else, a bool, float or string included, raises
+        InvalidScalar."""
         if isinstance(value, Scalar):
             if value.field != self:
                 raise FieldMismatch(f"scalar over {value.field} used in {self}")
             return value
         p = self.characteristic
+        if is_int(value):
+            return Scalar(self, value % p if p else Fraction(value))
+        if not isinstance(value, Fraction):
+            raise InvalidScalar(f"{value!r} is not an int, a Fraction or a Scalar of {self}")
         if p == 0:
-            return Scalar(self, Fraction(value))
-        if isinstance(value, Fraction):
-            if value.denominator % p == 0:
-                raise DivisionByZero(f"denominator of {value} vanishes mod {p}")
-            num = value.numerator % p
-            return Scalar(self, num * pow(value.denominator % p, -1, p) % p)
-        return Scalar(self, int(value) % p)
+            return Scalar(self, value)
+        if value.denominator % p == 0:
+            raise DivisionByZero(f"denominator of {value} vanishes mod {p}")
+        num = value.numerator % p
+        return Scalar(self, num * pow(value.denominator % p, -1, p) % p)
 
     def __call__(self, value) -> "Scalar":
         return self.scalar(value)
@@ -199,9 +203,9 @@ class Scalar:
     def __eq__(self, other) -> bool:
         if isinstance(other, Scalar):
             return self.field == other.field and self.value == other.value
-        if isinstance(other, (int, Fraction)):
+        if is_int(other) or isinstance(other, Fraction):
             return self == self.field.scalar(other)
-        return NotImplemented
+        return NotImplemented  # a bool or float is no scalar, so never equal
 
     def __hash__(self):
         return hash((self.field, self.value))

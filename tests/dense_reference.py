@@ -1,7 +1,8 @@
 """Naive references the tests compare the library with.
 
 `rref` and `rank_dense` are a dense row reduction, sharing no code with
-`loophom.linalg` beyond the `Matrix` container and the field arithmetic.
+`loophom.linalg` beyond the `Matrix` container and the field arithmetic;
+`from_columns` and `column` move between a matrix and its columns.
 `reference_matrix` builds a matrix of d over whole bases, sharing no code
 with `loophom.dga`'s matrix builder: it uses only `enumerate_basis` and
 `Derivation.apply_monomial`."""
@@ -21,6 +22,17 @@ def reference_matrix(page, degree: int, weight: int) -> Matrix:
         for t, c in page.differential.apply_monomial(m).terms.items():
             entries[(index[t], j)] = c
     return Matrix(alg.field, len(index), len(source), entries)
+
+
+def from_columns(field, nrows: int, columns) -> Matrix:
+    """A matrix assembled from column vectors given as {row: scalar} dicts."""
+    entries = {(i, j): v for j, col in enumerate(columns) for i, v in col.items()}
+    return Matrix(field, nrows, len(columns), entries)
+
+
+def column(matrix: Matrix, j: int) -> dict:
+    """Column j of a matrix as a {row: scalar} dict."""
+    return {i: v for (i, jj), v in matrix.entries.items() if jj == j}
 
 
 def rref(matrix: Matrix) -> tuple:

@@ -1,9 +1,10 @@
-"""A naive signed Leibniz expansion: the reference the tests compare
-`Derivation.apply_monomial` with. It shares no code with `loophom.dga`
-and does not use the algebra's monomial product: it writes each term out
-as a sequence of generator powers, counts the Koszul swaps that sort it,
-and adds up exponents itself. Only the generator table, the `Monomial`
-container and the field arithmetic are the library's."""
+"""A naive signed Leibniz expansion and monomial product: the references
+the tests compare `Derivation.apply_monomial` and
+`GradedAlgebra.multiply_monomials` with. They share no code with
+`loophom.dga` and do not use the algebra's monomial product: they write
+each term out as a sequence of generator powers, count the Koszul swaps
+that sort it, and add up exponents themselves. Only the generator table,
+the `Monomial` container and the field arithmetic are the library's."""
 
 from loophom.graded_algebra import Monomial
 
@@ -12,6 +13,36 @@ def _bound(generator):
     if generator.kind == "exterior":
         return 1
     return generator.truncation  # None for polynomial and laurent generators
+
+
+def write_out(algebra, written: list) -> tuple:
+    """The product of the generator powers `written`, (gid, exponent)
+    pairs in the order written: (sign, Monomial), the sign (-1) to the
+    number of swaps of odd blocks that sort them by gid (always 1 in
+    characteristic 2), or (1, None) when a summed exponent passes its
+    generator's bound."""
+    gens = algebra.generators
+    exps: dict = {}
+    for h, f in written:
+        exps[h] = exps.get(h, 0) + f
+    if any(_bound(gens[h]) is not None and f > _bound(gens[h]) for h, f in exps.items()):
+        return 1, None
+    sign = 1
+    if algebra.field.characteristic != 2:
+        odd = [h for h, f in written if gens[h].degree * f % 2]
+        swaps = sum(
+            1 for i in range(len(odd)) for j in range(i + 1, len(odd)) if odd[i] > odd[j]
+        )
+        sign = -1 if swaps % 2 else 1
+    kept = tuple(sorted((h, f) for h, f in exps.items() if f))
+    degree = sum(gens[h].degree * f for h, f in kept)
+    weight = sum(gens[h].weight * f for h, f in kept)
+    return sign, Monomial(kept, degree, weight)
+
+
+def product(algebra, a: Monomial, b: Monomial) -> tuple:
+    """a*b as `write_out` gives it: a's blocks, then b's."""
+    return write_out(algebra, list(a.exps) + list(b.exps))
 
 
 def leibniz(algebra, images: dict, m: Monomial) -> list:
@@ -35,26 +66,14 @@ def leibniz(algebra, images: dict, m: Monomial) -> list:
         left_degree = sum(gens[h].degree * f for h, f in blocks[:idx])
         for term, c in image.terms.items():
             written = blocks[:idx] + [(gid, e - 1)] + list(term.exps) + blocks[idx + 1 :]
-            written = [(h, f) for h, f in written if f]
-            sign = -1 if signed and left_degree % 2 else 1
-            if signed:
-                odd = [h for h, f in written if gens[h].degree * f % 2]
-                swaps = sum(
-                    1 for i in range(len(odd)) for j in range(i + 1, len(odd)) if odd[i] > odd[j]
-                )
-                sign = -sign if swaps % 2 else sign
-            exps: dict = {}
-            for h, f in written:
-                exps[h] = exps.get(h, 0) + f
-            if any(_bound(gens[h]) is not None and f > _bound(gens[h]) for h, f in exps.items()):
+            sign, key = write_out(algebra, written)
+            if key is None:
                 continue
+            if signed and left_degree % 2:
+                sign = -sign
             coefficient = field.scalar(sign * e) * c
             if not coefficient:
                 continue
-            kept = tuple(sorted((h, f) for h, f in exps.items() if f))
-            degree = sum(gens[h].degree * f for h, f in kept)
-            weight = sum(gens[h].weight * f for h, f in kept)
-            key = Monomial(kept, degree, weight)
             total = out.get(key)
             total = coefficient if total is None else total + coefficient
             if total:

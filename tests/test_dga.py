@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dense_reference import rank_dense, reference_matrix
+from dense_reference import column, rank_dense, reference_matrix
 from leibniz_reference import leibniz
 from loophom import dga
 from loophom.dga import (
@@ -457,9 +457,7 @@ def four_matrix_induced(sub_page, big_page, degrees, weights):
                         sign, t = _translate_monomial(sub_basis[j], mapping, big)
                         tv[big_index[t]] = c if sign > 0 else -c
                 cycle_vectors.append(tv)
-            boundary_vectors = [
-                m_big_above.column(j) for j in range(m_big_above.ncols)
-            ]
+            boundary_vectors = [column(m_big_above, j) for j in range(m_big_above.ncols)]
             r_bound = rank_of_columns(big.field, len(big_basis), boundary_vectors)
             r_total = rank_of_columns(
                 big.field, len(big_basis), boundary_vectors + cycle_vectors

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from leibniz_reference import product
 from loophom.errors import (
     DuplicateName,
     InfiniteBasis,
@@ -14,13 +15,14 @@ from loophom.errors import (
     InvalidExponent,
     InvalidGenerator,
     InvalidHorizon,
+    InvalidScalar,
     LaurentNonzeroDegree,
     LoophomError,
     ParityViolation,
     UnknownGenerator,
 )
 from loophom.dga import DgaPage, Derivation, homology_dimensions
-from loophom.graded_algebra import GradedAlgebra, Generator, _free_exponents
+from loophom.graded_algebra import KINDS, GradedAlgebra, Generator, _free_exponents
 from loophom.scalars import GF2, RATIONALS, Field
 
 F3 = Field(3)
@@ -206,9 +208,43 @@ def test_koszul_sign_block_transposition():
     # even blocks never flip: x^3 has even degree
     sign, _ = alg.multiply_monomials(alg.monomial({"x": 3}), alg.monomial({"a": 1}))
     assert sign == 1
-    # (ab) * a dies on the exterior square but still reports a sign
+    # (ab) * a dies on the exterior square, before any sign work: (1, None)
     sign, m = alg.multiply_monomials(alg.monomial({"a": 1, "b": 1}), alg.monomial({"a": 1}))
-    assert m is None
+    assert (sign, m) == (1, None)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_product_matches_a_naive_swap_count(data):
+    """Every kind, declared in shuffled order, so gid order and odd blocks
+    interleave; the product is None exactly when a summed exponent passes
+    its bound, and otherwise its sign is the parity of the swaps."""
+    field = data.draw(st.sampled_from([RATIONALS, GF2, F3]), label="field")
+    # extra exterior generators make odd blocks meet often enough to flip
+    weighted = st.sampled_from(KINDS + ("exterior",) * 3)
+    extra = data.draw(st.lists(weighted, min_size=2, max_size=8), label="extra")
+    kinds = data.draw(st.permutations(list(KINDS) + extra), label="kinds")
+    alg = GradedAlgebra(field)
+    for i, kind in enumerate(kinds):
+        degree = 0 if kind == "laurent" else data.draw(st.integers(-3, 4))
+        if field.characteristic != 2 and kind != "laurent":
+            degree += (degree % 2 == 1) != (kind == "exterior")  # the parity the kind needs
+        truncation = data.draw(st.integers(1, 3)) if kind == "truncated" else None
+        alg.declare_generator(f"g{i}", degree, data.draw(st.integers(-2, 2)), kind, truncation)
+
+    def draw_monomial():
+        tops = {"exterior": (0, 1), "polynomial": (0, 3), "laurent": (-3, 3)}
+        return alg.monomial({
+            g.gid: data.draw(st.integers(*tops.get(g.kind, (0, g.truncation))))
+            for g in alg.generators
+        })
+
+    a, b = draw_monomial(), draw_monomial()
+    sign, m = alg.multiply_monomials(a, b)
+    want_sign, want = product(alg, a, b)
+    assert (sign, m) == (want_sign, want)
+    if m is not None:
+        assert (m.degree, m.weight) == (want.degree, want.weight)
 
 
 def test_sign_rule_matches_graded_commutativity():
@@ -250,6 +286,19 @@ def test_element_ring_ops():
     assert alg.one() * s == s
     assert s - s == alg.zero()
     assert s.scale(0) == alg.zero()
+
+
+@pytest.mark.parametrize("coefficient", [0.5, 2.0, "1", True])
+def test_element_refuses_a_coefficient_that_is_not_exact(coefficient):
+    # over F3, {x: 0.5} used to become int(0.5) = 0 and drop the term
+    alg = signed_algebra()
+    x = alg.gen("x")
+    with pytest.raises(InvalidScalar):
+        alg.element({alg.monomial({"x": 1}): coefficient})
+    for scaled in (lambda: x.scale(coefficient), lambda: x * coefficient, lambda: coefficient * x):
+        with pytest.raises(InvalidScalar):
+            scaled()
+    assert x * F3(2) == F3(2) * x == x.scale(-1) == -x
 
 
 def test_element_bidegree():

@@ -4,7 +4,7 @@ target, a nested def) shadows it.
 
 The package's `__init__` is exempt: its imports are its exports. Four
 imports have no caller in their module and are kept on purpose, because
-`bench/run.py` wraps them by their module-level names to count calls.
+`bench/tracing.py` wraps them by their module-level names to count calls.
 """
 
 import ast

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dense_reference import rank_dense
+from dense_reference import column, from_columns, rank_dense
 from loophom.errors import InvalidShape
 from loophom.linalg import Matrix, _eliminate, _integer_rows, kernel_basis, rank_of_columns
 from loophom.linalg import rank_sparse
@@ -102,7 +102,7 @@ def test_kernel_vectors_are_killed_and_independent(field, nrows, ncols, density,
         assert len(vec) == m.ncols
         assert all(not x for x in matvec(m, vec))
     cols = [{i: v for i, v in enumerate(vec) if v} for vec in basis]
-    assert rank_dense(Matrix.from_columns(field, m.ncols, cols)) == len(basis)
+    assert rank_dense(from_columns(field, m.ncols, cols)) == len(basis)
 
 
 @settings(max_examples=40, deadline=None)
@@ -159,7 +159,7 @@ def test_rank_of_columns_matches_matrix():
     for trial in range(20):
         field = rng.choice(FIELDS)
         m = random_matrix(rng, field, 6, 5)
-        cols = [m.column(j) for j in range(m.ncols)]
+        cols = [column(m, j) for j in range(m.ncols)]
         assert rank_of_columns(field, 6, cols) == m.rank()
 
 
@@ -189,6 +189,15 @@ def test_fraction_heavy_matrix_exact():
 def test_matrix_refuses_a_bool_shape(shape):
     with pytest.raises(InvalidShape, match="nonnegative ints"):
         Matrix(GF2, *shape)
+
+
+@pytest.mark.parametrize("index", [(0.5, 0), (0, 1.0), (True, 0), (0, False), ("0", 0)])
+def test_matrix_refuses_an_entry_index_that_is_not_a_pair_of_ints(index):
+    # (0.5, 0) used to build with rank 1, and (True, 0) as row 1
+    with pytest.raises(InvalidShape, match="not a pair of ints"):
+        Matrix(GF2, 2, 2, {index: 1})
+    with pytest.raises(InvalidShape, match="not a pair of ints"):
+        Matrix(GF2, 2, 2, {index: 0})  # a zero entry is refused the same way
 
 
 @pytest.mark.parametrize("field", ["f2", 2, None])

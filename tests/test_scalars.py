@@ -12,6 +12,8 @@ from loophom.errors import (
     FieldMismatch,
     InvalidCharacteristic,
     InvalidFieldSpec,
+    InvalidScalar,
+    LoophomError,
 )
 from loophom.scalars import GF2, MAX_CHARACTERISTIC, RATIONALS, Field, make_field
 
@@ -93,6 +95,38 @@ def test_mixed_field_arithmetic_rejected():
         F3(1) + F7(1)
     with pytest.raises(FieldMismatch):
         GF2.scalar(F3(1))
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        (F3, 2.7),
+        (GF2, 1.5),
+        (RATIONALS, 0.1),
+        (RATIONALS, 2.0),
+        (F3, "2"),
+        (RATIONALS, "1/2"),
+        (F3, True),
+        (RATIONALS, False),
+        (F7, None),
+    ],
+)
+def test_scalar_refuses_what_is_not_an_int_fraction_or_scalar(field, value):
+    # these used to truncate (2.7 -> 2 in F3), round (0.1 -> a binary
+    # fraction in Q) or parse ("2"), so no coefficient is ever inexact
+    with pytest.raises(InvalidScalar, match="not an int, a Fraction or a Scalar") as exc:
+        field.scalar(value)
+    assert isinstance(exc.value, LoophomError) and isinstance(exc.value, TypeError)
+    with pytest.raises(InvalidScalar):
+        field(value)
+    assert field(1) != value and field(0) != value  # compared, not coerced
+
+
+def test_scalar_still_takes_ints_fractions_and_its_own_scalars():
+    assert F3.scalar(-1) == F3(2) and F3.scalar(Fraction(1, 2)) == F3(2)
+    assert RATIONALS.scalar(3).value == Fraction(3)
+    assert RATIONALS.scalar(Fraction(1, 10)).value == Fraction(1, 10)
+    assert F7.scalar(F7(4)) == F7(4)
 
 
 def test_int_coercion_in_ops():
