@@ -187,9 +187,10 @@ class RankProfile:
 class _Skeleton:
     """d on the free multiples y*m of each degree's monomials m, for one
     call. Each m of `graded_monomials` that a requested weight reaches
-    keeps the terms (exponents, coefficient) of d(m), by `apply_monomial`,
+    keeps the terms (exponents, raw value) of d(m), by `apply_monomial`,
     and of d(g)*m for each free g with an image, by `multiply_monomials`,
     which drops a term a bound kills; an m where all are 0 is dropped.
+    Each Element read gives up its coefficients as `.value`, once a term.
     The same walk counts each degree's monomials by weight (`counts`), so
     `dimension` needs no basis. `rows[(degree, weight)]` maps the
     exponents of each row of a matrix `differential_matrix` built from it
@@ -197,9 +198,10 @@ class _Skeleton:
 
     def __init__(self, page: DgaPage, degrees, weights):
         alg, der = page.algebra, page.differential
-        self.field, self.free = alg.field, alg.free_generators()
+        self.p, self.free = alg.field.characteristic, alg.free_generators()
         self.rows, self.entries, self.counts, self._blocks = {}, {}, {}, {}
-        images = [(g.gid, der.images[g.gid].terms) for g in self.free if g.gid in der.images]
+        raw = {gid: [(t, c.value) for t, c in im.terms.items()] for gid, im in der.images.items()}
+        images = [(g.gid, raw[g.gid]) for g in self.free if g.gid in raw]
         reach: dict = {}  # m.weight -> whether a requested weight is reachable
         if degrees:
             alg.graded_monomials(max(degrees))  # one walk lists every degree below it
@@ -213,11 +215,11 @@ class _Skeleton:
                     continue
                 moves = {}
                 for gid, terms in images:
-                    for im, c in terms.items():
+                    for im, c in terms:
                         sign, t = alg.multiply_monomials(im, m)
                         if t is not None:
                             moves.setdefault(gid, []).append((t.exps, c if sign > 0 else -c))
-                here = [(t.exps, c) for t, c in der.apply_monomial(m).terms.items()]
+                here = [(t.exps, c.value) for t, c in der.apply_monomial(m).terms.items()]
                 if here or moves:
                     found.append((m.weight, here, moves))
 
@@ -239,17 +241,17 @@ class _Skeleton:
 
     def columns(self, degree: int, weight: int):
         """The column of each free multiple y*m of the weight that d does
-        not kill by its shape, as (exponents, coefficient) terms: y*d(m),
+        not kill by its shape, as (exponents, raw value) terms: y*d(m),
         and e_g*(y/g)*(d(g)*m) for each free g in y whose exponent e_g
         the characteristic does not divide."""
-        p = self.field.characteristic
+        p = self.p
         for mw, here, moves in self.entries[degree]:
             for y in self.blocks(weight - mw):
                 terms = [(_times(t, y), c) for t, c in here]
                 for g, e in y:
                     if g in moves and (not p or e % p):
-                        k, lowered = self.field.scalar(e), _times(y, ((g, -1),))
-                        terms += [(_times(t, lowered), k * c) for t, c in moves[g]]
+                        lowered = _times(y, ((g, -1),))
+                        terms += [(_times(t, lowered), e * c) for t, c in moves[g]]
                 if terms:
                     yield terms
 
@@ -277,8 +279,9 @@ def differential_matrix(page: DgaPage, degree: int, weight: int, *, skeleton=Non
     kill by their shape, as `_Skeleton.columns` lists them; the rows are
     the monomials those reach, numbered in the order they first appear,
     and `skeleton.rows[(degree, weight)]` labels them. The columns left
-    out are zero, so the rank is that of d at the spot. `skeleton` hands
-    over a pass's `_Skeleton`; omitted, one is built for this spot alone.
+    out are zero, so the rank is that of d at the spot; `Matrix` reduces
+    the summed raw values and drops zeros. `skeleton` hands over a pass's
+    `_Skeleton`; omitted, one is built for this spot alone.
     """
     if skeleton is None:
         skeleton = _Skeleton(page, [degree], [weight])
@@ -286,7 +289,7 @@ def differential_matrix(page: DgaPage, degree: int, weight: int, *, skeleton=Non
     for j, terms in enumerate(skeleton.columns(degree, weight)):
         for t, c in terms:
             ij = (rows.setdefault(t, len(rows)), j)
-            entries[ij] = entries[ij] + c if ij in entries else c  # Matrix drops 0
+            entries[ij] = entries[ij] + c if ij in entries else c
         ncols = j + 1
     skeleton.rows[(degree, weight)] = rows
     return Matrix(page.algebra.field, len(rows), ncols, entries)

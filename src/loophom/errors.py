@@ -71,7 +71,7 @@ class InvalidHorizon(LoophomError, ValueError):
 
 class InvalidShape(LoophomError, ValueError):
     """A matrix shape is not two nonnegative ints, or an entry's index is
-    not a pair of ints (a bool is not one)."""
+    not a pair of ints (a bool is not one) inside the shape."""
 
 
 class InfiniteBasis(LoophomError, ValueError):

@@ -11,7 +11,8 @@ reduced mod p over F_p and divided by its content over Q. `kernel_basis`
 back-substitutes over its pivot rows. The tests compare both against a
 dense textbook reduction kept in `tests/dense_reference.py`.
 
-Matrices are stored sparsely as {(row, col): Scalar} with explicit shape.
+Matrices are stored sparsely as {(row, col): value} with explicit shape,
+each value raw, as `Field.reduce` gives it; only `kernel_basis` boxes.
 """
 
 from __future__ import annotations
@@ -21,10 +22,14 @@ from math import gcd, lcm
 from typing import Optional
 
 from .errors import InvalidShape
-from .scalars import Field, Scalar, check_field, is_int
+from .scalars import Field, check_field, is_int
 
 
 class Matrix:
+    """Each given entry is checked and reduced once by `Field.reduce`, to
+    an int in [0, p) over F_p or a Fraction over Q, and kept if nonzero.
+    An index that is not a pair of ints inside the shape is InvalidShape."""
+
     __slots__ = ("field", "nrows", "ncols", "entries")
 
     def __init__(self, field: Field, nrows: int, ncols: int, entries: Optional[dict] = None):
@@ -34,16 +39,16 @@ class Matrix:
         self.field = field
         self.nrows = nrows
         self.ncols = ncols
-        self.entries: dict[tuple[int, int], Scalar] = {}
+        self.entries: dict[tuple[int, int], object] = {}
         if entries:
             for (i, j), v in entries.items():
                 if not (is_int(i) and is_int(j)):
                     raise InvalidShape(f"entry index {(i, j)!r} is not a pair of ints")
-                s = field.scalar(v)
-                if s:
-                    if not (0 <= i < nrows and 0 <= j < ncols):
-                        raise IndexError(f"entry {(i, j)} outside {nrows}x{ncols}")
-                    self.entries[(i, j)] = s
+                if not (0 <= i < nrows and 0 <= j < ncols):
+                    raise InvalidShape(f"entry index {(i, j)} is outside {nrows}x{ncols}")
+                v = field.reduce(v)
+                if v:
+                    self.entries[(i, j)] = v
 
     def is_zero(self) -> bool:
         return not self.entries
@@ -56,12 +61,12 @@ class Matrix:
 
 
 def _integer_rows(matrix: Matrix) -> dict:
-    """Rows as {col: int} dicts. Over Q each row is scaled to a primitive
-    integer vector; row scaling by a nonzero constant preserves rank."""
+    """The stored rows as {col: int} dicts. Over Q each row is scaled to a
+    primitive integer vector; row scaling by a nonzero constant preserves rank."""
     p = matrix.field.characteristic
     rows: dict[int, dict[int, int]] = {}
-    for (i, j), s in matrix.entries.items():
-        rows.setdefault(i, {})[j] = s.value
+    for (i, j), v in matrix.entries.items():
+        rows.setdefault(i, {})[j] = v
     if p == 0:
         for i, r in rows.items():
             denom = lcm(*(v.denominator for v in r.values()))

@@ -10,6 +10,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Number
 from typing import Union
 
 from .errors import CompositeCharacteristic, DivisionByZero, FieldMismatch
@@ -69,25 +70,33 @@ class Field:
     def is_rational(self) -> bool:
         return self.characteristic == 0
 
-    def scalar(self, value) -> "Scalar":
-        """Coerce an int, Fraction, or Scalar of this field into a Scalar.
-        Anything else, a bool, float or string included, raises
-        InvalidScalar."""
-        if isinstance(value, Scalar):
-            if value.field != self:
-                raise FieldMismatch(f"scalar over {value.field} used in {self}")
-            return value
+    def reduce(self, value):
+        """Check a value and reduce it to its raw field value: an int in
+        [0, p) over F_p, a Fraction over Q. It takes an int, a Fraction or
+        a Scalar of this field; a Scalar of another field raises
+        FieldMismatch, and anything else, a bool, float or string
+        included, InvalidScalar."""
         p = self.characteristic
         if is_int(value):
-            return Scalar(self, value % p if p else Fraction(value))
-        if not isinstance(value, Fraction):
+            return value % p if p else Fraction(value)
+        if isinstance(value, Fraction):
+            if p == 0:
+                return value
+            if value.denominator % p == 0:
+                raise DivisionByZero(f"denominator of {value} vanishes mod {p}")
+            return value.numerator * pow(value.denominator, -1, p) % p
+        if not isinstance(value, Scalar):
             raise InvalidScalar(f"{value!r} is not an int, a Fraction or a Scalar of {self}")
-        if p == 0:
-            return Scalar(self, value)
-        if value.denominator % p == 0:
-            raise DivisionByZero(f"denominator of {value} vanishes mod {p}")
-        num = value.numerator % p
-        return Scalar(self, num * pow(value.denominator % p, -1, p) % p)
+        if value.field != self:
+            raise FieldMismatch(f"scalar over {value.field} used in {self}")
+        return value.value
+
+    def scalar(self, value) -> "Scalar":
+        """The Scalar of `reduce(value)`, or a Scalar of this field as it is:
+        the box users hold coefficients in. The engine carries raw values."""
+        if isinstance(value, Scalar) and value.field == self:
+            return value
+        return Scalar(self, self.reduce(value))
 
     def __call__(self, value) -> "Scalar":
         return self.scalar(value)
@@ -141,61 +150,43 @@ class Scalar:
     field: Field
     value: object
 
-    def _coerce(self, other) -> "Scalar":
-        if isinstance(other, Scalar):
-            if other.field != self.field:
-                raise FieldMismatch(f"{self.field} vs {other.field}")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return self.field.scalar(other)
-        return NotImplemented
-
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
+        if not isinstance(other, _OPERANDS):
             return NotImplemented
-        p = self.field.characteristic
-        v = self.value + other.value
-        return Scalar(self.field, v % p if p else v)
+        f = self.field
+        return Scalar(f, f.reduce(self.value + f.reduce(other)))
 
     __radd__ = __add__
 
     def __neg__(self):
-        p = self.field.characteristic
-        return Scalar(self.field, (-self.value) % p if p else -self.value)
+        return Scalar(self.field, self.field.reduce(-self.value))
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
+        if not isinstance(other, _OPERANDS):
             return NotImplemented
-        return self + (-other)
+        f = self.field
+        return Scalar(f, f.reduce(self.value - f.reduce(other)))
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
+        if not isinstance(other, _OPERANDS):
             return NotImplemented
-        p = self.field.characteristic
-        v = self.value * other.value
-        return Scalar(self.field, v % p if p else v)
+        f = self.field
+        return Scalar(f, f.reduce(self.value * f.reduce(other)))
 
     __rmul__ = __mul__
 
     def inverse(self) -> "Scalar":
         if not self:
             raise DivisionByZero("inverse of zero")
-        p = self.field.characteristic
-        if p == 0:
-            return Scalar(self.field, 1 / self.value)
-        return Scalar(self.field, pow(self.value, -1, p))
+        return Scalar(self.field, self.field.reduce(Fraction(1, self.value)))
 
     def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
+        if not isinstance(other, _OPERANDS):
             return NotImplemented
-        return self * other.inverse()
+        return self * self.field.scalar(other).inverse()
 
     def __bool__(self) -> bool:
         return self.value != 0
@@ -204,7 +195,7 @@ class Scalar:
         if isinstance(other, Scalar):
             return self.field == other.field and self.value == other.value
         if is_int(other) or isinstance(other, Fraction):
-            return self == self.field.scalar(other)
+            return self.value == self.field.reduce(other)
         return NotImplemented  # a bool or float is no scalar, so never equal
 
     def __hash__(self):
@@ -212,3 +203,8 @@ class Scalar:
 
     def __repr__(self) -> str:
         return str(self.value)
+
+
+# an operand that `Field.reduce` takes or refuses with a typed error; any
+# other (an Element, say) gets NotImplemented, so its reflected method runs
+_OPERANDS = (Scalar, Number, str)

@@ -31,7 +31,7 @@ def from_columns(field, nrows: int, columns) -> Matrix:
 
 
 def column(matrix: Matrix, j: int) -> dict:
-    """Column j of a matrix as a {row: scalar} dict."""
+    """Column j of a matrix as a {row: raw value} dict."""
     return {i: v for (i, jj), v in matrix.entries.items() if jj == j}
 
 
@@ -42,7 +42,7 @@ def rref(matrix: Matrix) -> tuple:
     m, n = matrix.nrows, matrix.ncols
     rows = [[field.zero] * n for _ in range(m)]
     for (i, j), v in matrix.entries.items():
-        rows[i][j] = v
+        rows[i][j] = field.scalar(v)
     pivots: list[tuple[int, int]] = []
     r = 0
     for col in range(n):

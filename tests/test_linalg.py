@@ -200,6 +200,25 @@ def test_matrix_refuses_an_entry_index_that_is_not_a_pair_of_ints(index):
         Matrix(GF2, 2, 2, {index: 0})  # a zero entry is refused the same way
 
 
+@pytest.mark.parametrize("index", [(5, 0), (-1, 0), (0, 2), (0, -1)])
+def test_matrix_refuses_an_entry_index_outside_its_shape(index):
+    # (5, 0) used to raise a bare IndexError, and (5, 0): 0 built an empty matrix
+    with pytest.raises(InvalidShape, match="outside 2x2"):
+        Matrix(GF2, 2, 2, {index: 1})
+    with pytest.raises(InvalidShape, match="outside 2x2"):
+        Matrix(GF2, 2, 2, {index: 0})  # a zero entry is refused the same way
+
+
+def test_matrix_stores_raw_reduced_values():
+    F3 = Field(3)
+    m = Matrix(F3, 1, 3, {(0, 0): F3(2), (0, 1): -1, (0, 2): 3})
+    assert m.entries == {(0, 0): 2, (0, 1): 2}  # 3 reduces to 0 and is dropped
+    assert all(type(v) is int for v in m.entries.values())
+    q = Matrix(RATIONALS, 1, 2, {(0, 0): 4, (0, 1): RATIONALS(Fraction(1, 2))})
+    assert q.entries == {(0, 0): Fraction(4), (0, 1): Fraction(1, 2)}
+    assert all(type(v) is Fraction for v in q.entries.values())
+
+
 @pytest.mark.parametrize("field", ["f2", 2, None])
 def test_matrix_refuses_a_non_field(field):
     with pytest.raises(TypeError, match="expected a Field"):

@@ -95,6 +95,9 @@ def test_mixed_field_arithmetic_rejected():
         F3(1) + F7(1)
     with pytest.raises(FieldMismatch):
         GF2.scalar(F3(1))
+    with pytest.raises(FieldMismatch):
+        GF2.reduce(F3(1))
+    assert F3(1) != F7(1) and GF2(0) != RATIONALS(0)  # compared, not refused
 
 
 @pytest.mark.parametrize(
@@ -119,6 +122,16 @@ def test_scalar_refuses_what_is_not_an_int_fraction_or_scalar(field, value):
     assert isinstance(exc.value, LoophomError) and isinstance(exc.value, TypeError)
     with pytest.raises(InvalidScalar):
         field(value)
+    with pytest.raises(InvalidScalar):
+        field.reduce(value)
+    # arithmetic refuses the same values, but leaves None to Python
+    refused = TypeError if value is None else InvalidScalar
+    with pytest.raises(refused):
+        field(1) + value
+    with pytest.raises(refused):
+        value * field(1)
+    with pytest.raises(refused):
+        field(1) / value
     assert field(1) != value and field(0) != value  # compared, not coerced
 
 
@@ -127,6 +140,21 @@ def test_scalar_still_takes_ints_fractions_and_its_own_scalars():
     assert RATIONALS.scalar(3).value == Fraction(3)
     assert RATIONALS.scalar(Fraction(1, 10)).value == Fraction(1, 10)
     assert F7.scalar(F7(4)) == F7(4)
+    four = F7(4)
+    assert F7.scalar(four) is four
+    # reduce gives the raw value a Scalar boxes: an int in [0, p), a Fraction over Q
+    for field, value, raw in [
+        (F3, -1, 2),
+        (F3, Fraction(1, 2), 2),
+        (F7, F7(4), 4),
+        (GF2, 5, 1),
+        (RATIONALS, -3, Fraction(-3)),
+        (RATIONALS, Fraction(1, 10), Fraction(1, 10)),
+        (RATIONALS, RATIONALS(Fraction(2, 3)), Fraction(2, 3)),
+    ]:
+        got = field.reduce(value)
+        assert got == raw == field.scalar(value).value
+        assert type(got) is (Fraction if field.is_rational else int)
 
 
 def test_int_coercion_in_ops():
