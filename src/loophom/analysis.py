@@ -21,9 +21,9 @@ periodicity step of 0) give NoClaim with witness {"compared": 0}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Union
 
+from ._record import Frozen, Record, _set
 from .dga import DgaPage, _passes, homology_dimensions
 # differential_matrix and rank_of_columns have no caller here; the bench
 # tracer wraps them by name
@@ -83,27 +83,26 @@ def _check_inputs(n: int, field: Union[Field, str, int], cutoff: int) -> Field:
     return field
 
 
-@dataclass(frozen=True)
-class SpaceSpec:
+class SpaceSpec(Frozen):
     """Which space: variant ("loop" or "hol"), target dimension n, field.
     Checked on construction, so every consumer may rely on them."""
 
-    variant: str
-    n: int
-    field: Field
+    __slots__ = _fields = ("variant", "n", "field")
 
-    def __post_init__(self):
-        _check_args(self.n, self.field, self.variant)
+    def __init__(self, variant: str, n: int, field: Field):
+        _check_args(n, field, variant)
+        _set(self, "variant", variant)
+        _set(self, "n", n)
+        _set(self, "field", field)
 
 
-@dataclass
-class BettiTable:
+class BettiTable(Record):
     """Homology dimensions by (component, degree); zeros are omitted."""
 
-    space: SpaceSpec
-    grading: str
-    cutoff: int
-    entries: dict
+    __slots__ = _fields = ("space", "grading", "cutoff", "entries")
+
+    def __init__(self, space: SpaceSpec, grading: str, cutoff: int, entries: dict):
+        self.space, self.grading, self.cutoff, self.entries = space, grading, cutoff, entries
 
     def column(self, component: int) -> dict:
         return self.columns().get(component, {})
@@ -152,15 +151,16 @@ def betti_table(
     return BettiTable(space, grading, cutoff, entries)
 
 
-@dataclass
-class PoincareSeries:
+class PoincareSeries(Record):
     """Coefficients of the Poincare series of one component."""
 
-    space: SpaceSpec
-    component: int
-    grading: str
-    cutoff: int
-    coefficients: dict
+    __slots__ = _fields = ("space", "component", "grading", "cutoff", "coefficients")
+
+    def __init__(
+        self, space: SpaceSpec, component: int, grading: str, cutoff: int, coefficients: dict
+    ):
+        self.space, self.component, self.grading = space, component, grading
+        self.cutoff, self.coefficients = cutoff, coefficients
 
     def __str__(self) -> str:
         if not self.coefficients:
@@ -188,12 +188,12 @@ def poincare_series(
     return PoincareSeries(space, component, grading, cutoff, table.column(component))
 
 
-@dataclass
-class VerificationReport:
-    check: str
-    params: dict
-    verdict: str  # "Pass" | "Fail" | "NoClaim"
-    witness: object = None
+class VerificationReport(Record):
+    __slots__ = _fields = ("check", "params", "verdict", "witness")
+
+    def __init__(self, check: str, params: dict, verdict: str, witness: object = None):
+        # verdict: "Pass" | "Fail" | "NoClaim"
+        self.check, self.params, self.verdict, self.witness = check, params, verdict, witness
 
     @property
     def passed(self) -> bool:

@@ -26,9 +26,9 @@ inclusion of pages.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Union
 
+from ._record import Frozen, Record, _set
 from .errors import (
     AlgebraMismatch,
     CutoffTooTight,
@@ -156,32 +156,32 @@ class Derivation:
         return out
 
 
-@dataclass
-class DgaPage:
+class DgaPage(Record):
     """An algebra with its differential."""
 
-    algebra: GradedAlgebra
-    differential: Derivation
+    __slots__ = _fields = ("algebra", "differential")
 
-    def __post_init__(self):
-        if self.differential.algebra is not self.algebra:
+    def __init__(self, algebra: GradedAlgebra, differential: Derivation):
+        if differential.algebra is not algebra:
             raise AlgebraMismatch("the differential acts on a different algebra")
+        self.algebra, self.differential = algebra, differential
 
 
-@dataclass(frozen=True)
-class RankProfile:
+class RankProfile(Frozen):
     """Linear data of one (degree, weight) spot of a page.
 
-    betti = dim - rank_d_here - rank_d_above is the homology dimension.
+    betti = dim - rank_d_here - rank_d_above is the homology dimension,
+    kept on construction; it is not a field.
     """
 
-    dim: int
-    rank_d_here: int
-    rank_d_above: int
+    _fields = ("dim", "rank_d_here", "rank_d_above")
+    __slots__ = _fields + ("betti",)
 
-    @property
-    def betti(self) -> int:
-        return self.dim - self.rank_d_here - self.rank_d_above
+    def __init__(self, dim: int, rank_d_here: int, rank_d_above: int):
+        _set(self, "dim", dim)
+        _set(self, "rank_d_here", rank_d_here)
+        _set(self, "rank_d_above", rank_d_above)
+        _set(self, "betti", dim - rank_d_here - rank_d_above)
 
 
 class _Skeleton:
@@ -369,20 +369,24 @@ def homology_dimensions(
     return {(d, w): profile for w, spots, _ in passes for d, profile in spots.items()}
 
 
-@dataclass(frozen=True)
-class InducedCell:
-    rank: int
-    betti_sub: int
-    betti_big: int
+class InducedCell(Frozen):
+    __slots__ = _fields = ("rank", "betti_sub", "betti_big")
+
+    def __init__(self, rank: int, betti_sub: int, betti_big: int):
+        _set(self, "rank", rank)
+        _set(self, "betti_sub", betti_sub)
+        _set(self, "betti_big", betti_big)
 
     @property
     def injective(self) -> bool:
         return self.rank == self.betti_sub
 
 
-@dataclass
-class InducedMapReport:
-    cells: dict
+class InducedMapReport(Record):
+    __slots__ = _fields = ("cells",)
+
+    def __init__(self, cells: dict):
+        self.cells = cells
 
     @property
     def injective(self) -> bool:

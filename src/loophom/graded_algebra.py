@@ -22,9 +22,9 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from typing import Mapping, Optional, Union
 
+from ._record import Frozen, _set
 from .errors import (
     AlgebraMismatch,
     DuplicateName,
@@ -42,20 +42,23 @@ from .scalars import Field, Scalar, check_field, is_int
 KINDS = ("polynomial", "laurent", "exterior", "truncated")
 
 
-@dataclass(frozen=True, slots=True)
-class Generator:
+class Generator(Frozen):
     """The types of degree, weight and truncation, the kind, the truncation
     and a laurent generator's degree 0 are checked on construction;
     `GradedAlgebra.declare_generator` adds name and parity."""
 
-    gid: int
-    name: str
-    degree: int
-    weight: int
-    kind: str
-    truncation: Optional[int] = None
+    __slots__ = _fields = ("gid", "name", "degree", "weight", "kind", "truncation")
 
-    def __post_init__(self):
+    def __init__(
+        self, gid: int, name: str, degree: int, weight: int, kind: str,
+        truncation: Optional[int] = None,
+    ):
+        _set(self, "gid", gid)
+        _set(self, "name", name)
+        _set(self, "degree", degree)
+        _set(self, "weight", weight)
+        _set(self, "kind", kind)
+        _set(self, "truncation", truncation)
         for attr in ("degree", "weight", "truncation"):
             value = getattr(self, attr)
             if not is_int(value) and not (attr == "truncation" and value is None):

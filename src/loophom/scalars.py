@@ -8,11 +8,11 @@ normalized by the stdlib), prime-field values are ints reduced into
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Number
 from typing import Union
 
+from ._record import Frozen, _set
 from .errors import CompositeCharacteristic, DivisionByZero, FieldMismatch
 from .errors import InvalidCharacteristic, InvalidFieldSpec, InvalidScalar
 
@@ -51,20 +51,20 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True, slots=True)
-class Field:
+class Field(Frozen):
     """The rationals (characteristic 0) or F_p for a prime p."""
 
-    characteristic: int
+    __slots__ = _fields = ("characteristic",)
 
-    def __post_init__(self):
-        p = self.characteristic
+    def __init__(self, characteristic: int):
+        p = characteristic
         if not is_int(p):
             raise InvalidCharacteristic(f"characteristic must be an int, got {p!r}")
         if p != 0 and not _is_prime(p):
             raise CompositeCharacteristic(f"{p!r} is not prime")
         if p >= MAX_CHARACTERISTIC:
             raise InvalidCharacteristic(f"characteristic {p} exceeds machine-word bound")
+        _set(self, "characteristic", p)
 
     @property
     def is_rational(self) -> bool:
@@ -96,7 +96,7 @@ class Field:
         the box users hold coefficients in. The engine carries raw values."""
         if isinstance(value, Scalar) and value.field == self:
             return value
-        return Scalar(self, self.reduce(value))
+        return Scalar(self, value)
 
     def __call__(self, value) -> "Scalar":
         return self.scalar(value)
@@ -143,29 +143,33 @@ RATIONALS = Field(0)
 GF2 = Field(2)
 
 
-@dataclass(frozen=True, slots=True)
-class Scalar:
-    """A field element: a Fraction over Q, an int in [0, p) over F_p."""
+class Scalar(Frozen):
+    """A field element: a Fraction over Q, an int in [0, p) over F_p. The
+    constructor checks the field and stores `field.reduce(value)`."""
 
-    field: Field
-    value: object
+    __slots__ = _fields = ("field", "value")
+
+    def __init__(self, field: Field, value):
+        check_field(field)
+        _set(self, "field", field)
+        _set(self, "value", field.reduce(value))
 
     def __add__(self, other):
         if not isinstance(other, _OPERANDS):
             return NotImplemented
         f = self.field
-        return Scalar(f, f.reduce(self.value + f.reduce(other)))
+        return Scalar(f, self.value + f.reduce(other))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Scalar(self.field, self.field.reduce(-self.value))
+        return Scalar(self.field, -self.value)
 
     def __sub__(self, other):
         if not isinstance(other, _OPERANDS):
             return NotImplemented
         f = self.field
-        return Scalar(f, f.reduce(self.value - f.reduce(other)))
+        return Scalar(f, self.value - f.reduce(other))
 
     def __rsub__(self, other):
         return (-self) + other
@@ -174,14 +178,14 @@ class Scalar:
         if not isinstance(other, _OPERANDS):
             return NotImplemented
         f = self.field
-        return Scalar(f, f.reduce(self.value * f.reduce(other)))
+        return Scalar(f, self.value * f.reduce(other))
 
     __rmul__ = __mul__
 
     def inverse(self) -> "Scalar":
         if not self:
             raise DivisionByZero("inverse of zero")
-        return Scalar(self.field, self.field.reduce(Fraction(1, self.value)))
+        return Scalar(self.field, Fraction(1, self.value))
 
     def __truediv__(self, other):
         if not isinstance(other, _OPERANDS):

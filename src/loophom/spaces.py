@@ -31,8 +31,7 @@ read past it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import Record
 from .dga import Derivation, DgaPage, InducedMapReport, _inclusion, induced_map_on_homology
 from .errors import InvalidComponent, InvalidCutoff, InvalidDimension, InvalidVariant
 from .errors import NegativeCutoff
@@ -148,16 +147,15 @@ def e2_page(n: int, field: Field, variant: str, cutoff: int = DEFAULT_CUTOFF) ->
     return DgaPage(alg, differential)
 
 
-@dataclass
-class HolLoopInclusion:
+class HolLoopInclusion(Record):
     """The holomorphic page sitting inside the loop page, monomial by
     monomial; verified to commute with the differentials on creation."""
 
-    sub_page: DgaPage
-    big_page: DgaPage
+    __slots__ = _fields = ("sub_page", "big_page")
 
-    def __post_init__(self):
-        _inclusion(self.sub_page, self.big_page)
+    def __init__(self, sub_page: DgaPage, big_page: DgaPage):
+        _inclusion(sub_page, big_page)
+        self.sub_page, self.big_page = sub_page, big_page
 
     def induced_homology(self, degrees, weights) -> InducedMapReport:
         return induced_map_on_homology(self.sub_page, self.big_page, degrees, weights)

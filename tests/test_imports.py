@@ -5,9 +5,15 @@ target, a nested def) shadows it.
 The package's `__init__` is exempt: its imports are its exports. Four
 imports have no caller in their module and are kept on purpose, because
 `bench/tracing.py` wraps them by their module-level names to count calls.
+
+Importing the command-line entry point also stays light: it loads neither
+`dataclasses` nor `inspect`, which every cold invocation would pay for.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -119,3 +125,24 @@ def test_an_import_shadowed_by_a_local_is_unused(body):
     header = "from dataclasses import dataclass, field\n\n@dataclass\nclass A:\n    x: int = 0\n\n"
     assert _unused(ast.parse(header + body)) == {"field"}
     assert _unused(ast.parse(header + "def f(x):\n    return field(x)\n")) == set()
+
+
+def _loaded_after(code: str, modules: tuple) -> set:
+    """Which of `modules` a fresh interpreter has loaded after `code`, with
+    this package first on its path."""
+    check = f"import sys\n{code}\nprint(' '.join(m for m in {modules!r} if m in sys.modules))"
+    out = subprocess.run(
+        [sys.executable, "-c", check],
+        env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    return set(out.split())
+
+
+@pytest.mark.parametrize("module", ["dataclasses", "inspect"])
+def test_the_cli_imports_without_heavy_modules(module):
+    if _loaded_after("pass", (module,)):
+        pytest.skip(f"a bare interpreter already loads {module}")
+    assert _loaded_after("import loophom.cli", (module,)) == set()

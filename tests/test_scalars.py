@@ -15,7 +15,8 @@ from loophom.errors import (
     InvalidScalar,
     LoophomError,
 )
-from loophom.scalars import GF2, MAX_CHARACTERISTIC, RATIONALS, Field, make_field
+from loophom.linalg import Matrix
+from loophom.scalars import GF2, MAX_CHARACTERISTIC, RATIONALS, Field, Scalar, make_field
 
 F3 = Field(3)
 F7 = Field(7)
@@ -124,6 +125,8 @@ def test_scalar_refuses_what_is_not_an_int_fraction_or_scalar(field, value):
         field(value)
     with pytest.raises(InvalidScalar):
         field.reduce(value)
+    with pytest.raises(InvalidScalar):
+        Scalar(field, value)
     # arithmetic refuses the same values, but leaves None to Python
     refused = TypeError if value is None else InvalidScalar
     with pytest.raises(refused):
@@ -155,6 +158,19 @@ def test_scalar_still_takes_ints_fractions_and_its_own_scalars():
         got = field.reduce(value)
         assert got == raw == field.scalar(value).value
         assert type(got) is (Fraction if field.is_rational else int)
+
+
+def test_scalar_constructor_checks_and_reduces():
+    assert Scalar(F3, 7) == F3(1) and Scalar(F3, 7).value == 1
+    assert Scalar(F3, Fraction(1, 2)).value == 2 and Scalar(F3, F3(2)).value == 2
+    assert type(Scalar(RATIONALS, 2).value) is Fraction
+    with pytest.raises(FieldMismatch):
+        Scalar(F3, F7(1))
+    with pytest.raises(TypeError, match="expected a Field"):
+        Scalar(3, 1)
+    # a Scalar entry is reduced like any other, so 3 in F3 is no entry
+    m = Matrix(F3, 1, 1, {(0, 0): Scalar(F3, 3)})
+    assert m.entries == {} and m.rank() == 0
 
 
 def test_int_coercion_in_ops():
