@@ -6,17 +6,17 @@ rule. It is determined by its values on generators, and d(d(g)) = 0 on
 generators already forces d*d = 0 everywhere, because d*d is itself a
 derivation.
 
-Matrices of d come from one Leibniz skeleton per degree (`_Skeleton`).
+Matrices of d come from one Leibniz skeleton per call (`_Skeleton`).
 Every basis monomial of a spot is y*m, with m in the degree's
 `graded_monomials` and y a block of the free (degree-0, even) generators,
 so d(y*m) = y*d(m) + sum over free g of e_g*(y/g)*(d(g)*m). The skeleton
-expands d(m) and each d(g)*m once per degree and call; a weight's matrix
-is then block arithmetic on those terms, with its rows keyed by monomial
-in the order they first appear, and each spot's columns are walked once.
-The same walk counts the degree's monomials by weight, so a dimension is
-a sum of counts times free blocks. No basis is enumerated, and
-`_passes` shares one profile among the spots of a call with the same
-numbers.
+expands d(m) and each d(g)*m once per degree, and each block y with its
+quotients y/g once. One sweep of it per weight gives that weight's
+columns, grouped by degree, and only the degrees with a column: `_passes`
+builds and ranks a matrix only there. The walk also counts the monomials
+by weight, so a dimension is a sum of counts times free blocks. No basis
+is enumerated, and `_passes` shares one profile among the spots of a
+call with the same numbers.
 
 Maps on homology need one more number per spot, dim(S meet B) for S a
 span of basis monomials and B the boundaries: `_passes` answers it from
@@ -191,22 +191,22 @@ class _Skeleton:
     and of d(g)*m for each free g with an image, by `multiply_monomials`,
     which drops a term a bound kills; an m where all are 0 is dropped.
     Each Element read gives up its coefficients as `.value`, once a term.
-    The same walk counts each degree's monomials by weight (`counts`), so
-    `dimension` needs no basis. `rows[(degree, weight)]` maps the
-    exponents of each row of a matrix `differential_matrix` built from it
-    to the row's index."""
+    The same walk counts each degree's monomials by weight (`counts`;
+    `reach` has every weight met), so a dimension needs no basis.
+    `rows[(degree, weight)]` maps the exponents of each row of a matrix
+    `differential_matrix` built from it to the row's index."""
 
     def __init__(self, page: DgaPage, degrees, weights):
         alg, der = page.algebra, page.differential
         self.p, self.free = alg.field.characteristic, alg.free_generators()
-        self.rows, self.entries, self.counts, self._blocks = {}, {}, {}, {}
+        self.rows, self.entries, self.counts, self._blocks, self.swept = {}, {}, {}, {}, (None, {})
         raw = {gid: [(t, c.value) for t, c in im.terms.items()] for gid, im in der.images.items()}
         images = [(g.gid, raw[g.gid]) for g in self.free if g.gid in raw]
-        reach: dict = {}  # m.weight -> whether a requested weight is reachable
+        reach = self.reach = {}  # m.weight -> whether a requested weight is reachable
         if degrees:
             alg.graded_monomials(max(degrees))  # one walk lists every degree below it
         for d in degrees:
-            found, count = self.entries[d], self.counts[d] = [], {}
+            count = self.counts[d] = {}
             for m in alg.graded_monomials(d):
                 count[m.weight] = count.get(m.weight, 0) + 1
                 if m.weight not in reach:
@@ -221,39 +221,43 @@ class _Skeleton:
                             moves.setdefault(gid, []).append((t.exps, c if sign > 0 else -c))
                 here = [(t.exps, c.value) for t, c in der.apply_monomial(m).terms.items()]
                 if here or moves:
-                    found.append((m.weight, here, moves))
+                    self.entries.setdefault(d, []).append((m.weight, here, moves))
 
     def blocks(self, rest: int) -> list:
-        """The free exponent blocks of total weight `rest`, kept for the
-        call: the reach test, `columns` and `dimension` share them."""
+        """The free exponent blocks y of total weight `rest`, each with its
+        quotients (g, e_g, y/g), one for each free g in y whose exponent
+        e_g the characteristic does not divide; kept for the call."""
         found = self._blocks.get(rest)
         if found is None:
-            found = self._blocks[rest] = _free_exponents(self.free, rest)
+            found = self._blocks[rest] = [
+                (y, [(g, e, _times(y, ((g, -1),))) for g, e in y if not self.p or e % self.p])
+                for y in _free_exponents(self.free, rest)
+            ]
         return found
 
-    def dimension(self, degree: int, weight: int) -> int:
-        """len(enumerate_basis(degree, weight)), counted: the degree's
-        monomials of each weight times the free blocks of the rest."""
-        total, blocks = 0, self.blocks
-        for mw, k in self.counts[degree].items():
-            total += k * len(blocks(weight - mw))
-        return total
-
-    def columns(self, degree: int, weight: int):
-        """The column of each free multiple y*m of the weight that d does
-        not kill by its shape, as (exponents, raw value) terms: y*d(m),
-        and e_g*(y/g)*(d(g)*m) for each free g in y whose exponent e_g
-        the characteristic does not divide."""
-        p = self.p
-        for mw, here, moves in self.entries[degree]:
-            for y in self.blocks(weight - mw):
-                terms = [(_times(t, y), c) for t, c in here]
-                for g, e in y:
-                    if g in moves and (not p or e % p):
-                        lowered = _times(y, ((g, -1),))
-                        terms += [(_times(t, lowered), e * c) for t, c in moves[g]]
-                if terms:
-                    yield terms
+    def sweep(self, weight: int) -> dict:
+        """{degree: (rows, entries, ncols)} of the weight, from one pass
+        over the entries: a column for each free multiple y*m that d does
+        not kill by its shape, with terms y*d(m) and e_g*(y/g)*(d(g)*m)
+        for each quotient whose g moves m. Only a degree with a column
+        appears. The last weight's sweep is kept, and only that one."""
+        if self.swept[0] != weight:
+            self.swept = (weight, {})  # the previous weight's go first
+            for d, found in self.entries.items():
+                rows, entries, j = {}, {}, 0
+                for mw, here, moves in found:
+                    for y, quotients in self.blocks(weight - mw):
+                        terms = [(_times(t, y), c) for t, c in here]
+                        for g, e, lowered in quotients:
+                            if g in moves:
+                                terms += [(_times(t, lowered), e * c) for t, c in moves[g]]
+                        for t, c in terms:
+                            ij = (rows.setdefault(t, len(rows)), j)
+                            entries[ij] = entries[ij] + c if ij in entries else c
+                        j += bool(terms)
+                if j:
+                    self.swept[1][d] = (rows, entries, j)
+        return self.swept[1]
 
 
 def _times(a: tuple, b: tuple) -> tuple:
@@ -276,21 +280,17 @@ def differential_matrix(page: DgaPage, degree: int, weight: int, *, skeleton=Non
 
     The columns are the free multiples y*m of the spot (y a block of free
     generators, m in the degree's `graded_monomials`) that d does not
-    kill by their shape, as `_Skeleton.columns` lists them; the rows are
-    the monomials those reach, numbered in the order they first appear,
-    and `skeleton.rows[(degree, weight)]` labels them. The columns left
-    out are zero, so the rank is that of d at the spot; `Matrix` reduces
-    the summed raw values and drops zeros. `skeleton` hands over a pass's
-    `_Skeleton`; omitted, one is built for this spot alone.
+    kill by their shape, as the skeleton's sweep of the weight lists
+    them; the rows are the monomials those reach, numbered in the order
+    they first appear, and `skeleton.rows[(degree, weight)]` labels them.
+    The columns left out are zero, so the rank is that of d at the spot
+    (an empty matrix where none is left); `Matrix` reduces the summed raw
+    values and drops zeros. `skeleton` hands over a pass's `_Skeleton`;
+    omitted, one is built for this spot alone.
     """
     if skeleton is None:
         skeleton = _Skeleton(page, [degree], [weight])
-    rows, entries, ncols = {}, {}, 0
-    for j, terms in enumerate(skeleton.columns(degree, weight)):
-        for t, c in terms:
-            ij = (rows.setdefault(t, len(rows)), j)
-            entries[ij] = entries[ij] + c if ij in entries else c
-        ncols = j + 1
+    rows, entries, ncols = skeleton.sweep(weight).get(degree, ({}, {}, 0))
     skeleton.rows[(degree, weight)] = rows
     return Matrix(page.algebra.field, len(rows), ncols, entries)
 
@@ -302,17 +302,16 @@ def _passes(page: DgaPage, degrees: Iterable[int], weights: Iterable[int]):
     share one frozen profile. `meet(degree, in_s)`, at a requested degree,
     is dim(S meet B), S spanned by the monomials whose exponent tuples
     pass `in_s` and B the image of d: rank B - rank(B without S's rows),
-    from the matrix of d in and its row labels, or 0 where it has no
-    column.
+    from the matrix of d in and its row labels, or 0 where no column
+    gave one.
     d in needs a complete basis one degree above the top; the horizon is
     checked on the call, not on first use.
 
-    One `_Skeleton` serves every spot of the call: it counts the
-    dimensions, and `differential_matrix` builds a matrix at each degree
-    where it holds entries, walking that spot's columns once. A matrix
-    with a column is kept and its rank taken; any other spot has rank 0
-    and no matrix. A weight's matrices live as long as its `meet`, and
-    nothing is kept past the call.
+    One `_Skeleton` serves every spot of the call. Each weight sweeps it
+    once, and a matrix is built and ranked only at the degrees the sweep
+    gives, those with a column; any other spot has rank 0 and no matrix.
+    Dimensions are summed from the skeleton's counts and blocks. A
+    weight's matrices live as long as its `meet`; nothing outlives the call.
     """
     degs = sorted(set(degrees))
     if not degs:
@@ -331,13 +330,10 @@ def _passes(page: DgaPage, degrees: Iterable[int], weights: Iterable[int]):
 
     def spots(w):
         rank, inward = dict.fromkeys(needed, 0), {}
-        for d, found in skeleton.entries.items():
-            if found:
-                matrix = differential_matrix(page, d, w, skeleton=skeleton)
-                labels = skeleton.rows.pop((d, w))
-                if matrix.ncols:
-                    inward[d] = (matrix, labels)
-                    rank[d] = matrix.rank()
+        for d in skeleton.sweep(w):
+            matrix = differential_matrix(page, d, w, skeleton=skeleton)
+            inward[d] = (matrix, skeleton.rows.pop((d, w)))
+            rank[d] = matrix.rank()
 
         def meet(degree, in_s):
             if degree + 1 not in inward:
@@ -347,9 +343,12 @@ def _passes(page: DgaPage, degrees: Iterable[int], weights: Iterable[int]):
             kept = {ij: c for ij, c in matrix.entries.items() if ij[0] not in rows}
             return rank[degree + 1] - Matrix(matrix.field, matrix.nrows, matrix.ncols, kept).rank()
 
-        found = {}
+        found, size = {}, {mw: len(skeleton.blocks(w - mw)) for mw in skeleton.reach}
         for d in degs:
-            t = (skeleton.dimension(d, w), rank[d], rank[d + 1])
+            dim = 0
+            for mw, k in skeleton.counts[d].items():
+                dim += k * size[mw]
+            t = (dim, rank[d], rank[d + 1])
             found[d] = profiles.get(t) or profiles.setdefault(t, RankProfile(*t))
         return w, found, meet
 

@@ -70,7 +70,7 @@ def _integer_rows(matrix: Matrix) -> dict:
     if p == 0:
         for i, r in rows.items():
             denom = lcm(*(v.denominator for v in r.values()))
-            ints = {c: int(v * denom) for c, v in r.items()}
+            ints = {c: v.numerator * (denom // v.denominator) for c, v in r.items()}
             content = gcd(*ints.values())
             rows[i] = {c: v // content for c, v in ints.items()}
     return rows

@@ -199,7 +199,8 @@ class Scalar(Frozen):
         if isinstance(other, Scalar):
             return self.field == other.field and self.value == other.value
         if is_int(other) or isinstance(other, Fraction):
-            return self.value == self.field.reduce(other)
+            p, q = self.field.characteristic, other.denominator  # p | q: no element of F_p
+            return (self.value * q - other.numerator) % p == 0 if p else self.value == other
         return NotImplemented  # a bool or float is no scalar, so never equal
 
     def __hash__(self):

@@ -824,6 +824,26 @@ def test_differential_matrix_equals_reference_on_certified_pages(page, data):
             assert labelled_columns(matrix, labels) == reference_columns(page, d, w)
 
 
+@pytest.mark.parametrize(
+    "page, weights",
+    [(e2_page(3, F3, LOOP, 30), range(-3, 4)), (e2_page(2, GF2, HOL, 20), range(0, 4))],
+    ids=["loop-f3", "hol-f2"],
+)
+def test_a_pass_builds_no_matrix_without_a_column(page, weights, monkeypatch):
+    built = []
+
+    def recording(*args, **kwargs):
+        built.append(differential_matrix(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(dga, "differential_matrix", recording)
+    low, high = page.algebra.degree_reach()
+    horizon = page.algebra.complete_through_degree
+    profiles = homology_dimensions(page, range(low, min(high, horizon - 1) + 1), weights)
+    assert built and all(m.ncols for m in built)
+    assert sum(p.rank_d_here for p in profiles.values()) > 0
+
+
 def test_matrix_from_handed_skeleton_equals_matrix_built_alone():
     pages = (
         e2_page(3, F3, LOOP, 30),

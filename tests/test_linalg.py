@@ -152,6 +152,10 @@ def test_integer_rows_primitive():
     from math import gcd
     for row in rows.values():
         assert gcd(*list(row.values()), 0) in (1,)
+    # three distinct denominators: each value times lcm 12, content 1
+    row = {0: Fraction(1, 2), 1: Fraction(-2, 3), 3: Fraction(5, 4)}
+    m = Matrix(RATIONALS, 2, 4, {(1, j): v for j, v in row.items()})
+    assert _integer_rows(m) == {1: {0: 6, 1: -8, 3: 15}}
 
 
 def test_rank_of_columns_matches_matrix():

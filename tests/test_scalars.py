@@ -188,6 +188,14 @@ def test_bool_and_eq():
     assert RATIONALS(2) == RATIONALS(Fraction(4, 2))
 
 
+def test_a_fraction_with_p_in_its_denominator_is_unequal_not_refused():
+    # 1/3 is no element of F3, so it equals none of them
+    assert (F3(1) == Fraction(1, 3)) is False
+    assert (Fraction(1, 3) == F3(1)) is False
+    assert Fraction(1, 3) not in [F3(1)] and F3(1) not in [Fraction(1, 3)]
+    assert F3(2) == Fraction(1, 2)  # 2 * 2 = 1 mod 3
+
+
 fields = st.sampled_from([RATIONALS, GF2, F3, F7, Field(13)])
 ints = st.integers(min_value=-50, max_value=50)
 
