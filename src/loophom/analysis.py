@@ -97,11 +97,14 @@ class SpaceSpec(Frozen):
 
 
 class BettiTable(Record):
-    """Homology dimensions by (component, degree); zeros are omitted."""
+    """Homology dimensions by (component, degree); zeros are omitted. An
+    unknown grading and a bad cutoff are refused on construction."""
 
     __slots__ = _fields = ("space", "grading", "cutoff", "entries")
 
     def __init__(self, space: SpaceSpec, grading: str, cutoff: int, entries: dict):
+        _grading_shift(grading, space.n)
+        validate_cutoff(cutoff)
         self.space, self.grading, self.cutoff, self.entries = space, grading, cutoff, entries
 
     def column(self, component: int) -> dict:
@@ -152,13 +155,18 @@ def betti_table(
 
 
 class PoincareSeries(Record):
-    """Coefficients of the Poincare series of one component."""
+    """Coefficients of the Poincare series of one component. A component
+    that is not an int, or a negative holomorphic one, an unknown grading
+    and a bad cutoff are refused on construction."""
 
     __slots__ = _fields = ("space", "component", "grading", "cutoff", "coefficients")
 
     def __init__(
         self, space: SpaceSpec, component: int, grading: str, cutoff: int, coefficients: dict
     ):
+        _check_components(space.variant, [component])
+        _grading_shift(grading, space.n)
+        validate_cutoff(cutoff)
         self.space, self.component, self.grading = space, component, grading
         self.cutoff, self.coefficients = cutoff, coefficients
 

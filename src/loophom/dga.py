@@ -4,7 +4,7 @@ A differential here is a square-zero derivation of bidegree (-1, 0): it
 lowers degree by one, preserves weight, and satisfies the signed Leibniz
 rule. It is determined by its values on generators, and d(d(g)) = 0 on
 generators already forces d*d = 0 everywhere, because d*d is itself a
-derivation.
+derivation. `DgaPage` checks all of this when it is built.
 
 Matrices of d come from one Leibniz skeleton per call (`_Skeleton`).
 Every basis monomial of a spot is y*m, with m in the degree's
@@ -47,23 +47,17 @@ from .linalg import Matrix, kernel_basis, rank_of_columns
 
 
 class Derivation:
-    """A square-zero degree (-1, 0) derivation given on generators:
-    `images` maps the gid of each generator with a nonzero image to it.
-    It keeps no table of its own; where a product passes an exterior or
+    """A derivation given on generators: `images` maps each generator, by
+    name or gid, to its image, and the derivation keeps the nonzero ones
+    by gid. A generator keyed twice raises DuplicateName and an image of
+    another algebra AlgebraMismatch. Any images extend by the signed
+    Leibniz rule; `DgaPage` checks that they make a differential. It
+    keeps no table of its own; where a product passes an exterior or
     truncated bound, `multiply_monomials` says so.
-
-    Use `from_generator_images`; the bare constructor skips validation.
     """
 
-    def __init__(self, algebra: GradedAlgebra, images: dict):
-        self.algebra = algebra
-        self.images = images
-
-    @classmethod
-    def from_generator_images(
-        cls, algebra: GradedAlgebra, images: Mapping[Union[int, str], Element]
-    ) -> "Derivation":
-        clean: dict[int, Element] = {}
+    def __init__(self, algebra: GradedAlgebra, images: Mapping[Union[int, str], Element]):
+        self.algebra, self.images = algebra, {}
         keyed = set()
         for key, img in images.items():
             g = algebra.generator(key)
@@ -72,24 +66,8 @@ class Derivation:
             keyed.add(g.gid)
             if img.algebra is not algebra:
                 raise AlgebraMismatch(f"image of {g.name!r} lives in a different algebra")
-            if not img:
-                continue
-            try:
-                bideg = img.bidegree()
-            except InhomogeneousElement as exc:
-                raise InhomogeneousImage(f"image of {g.name!r}: {exc}") from None
-            expected = (g.degree - 1, g.weight)
-            if bideg != expected:
-                raise WrongBidegree(
-                    f"image of {g.name!r} has bidegree {bideg}, expected {expected}"
-                )
-            clean[g.gid] = img
-        der = cls(algebra, clean)
-        for gid, img in clean.items():
-            if der(img):
-                name = algebra.generators[gid].name
-                raise NotSquareZero(f"d(d({name})) != 0")
-        return der
+            if img:
+                self.images[g.gid] = img
 
     def is_zero(self) -> bool:
         return not self.images
@@ -101,8 +79,8 @@ class Derivation:
         valid for negative (laurent) e as well; the sign is the parity of
         the degree of everything to the left of the block. Each term
         L * d(g) * R equals (-1)^(|d(g)| |R|) (L R) * d(g), one product of
-        monomials. d has bidegree (-1, 0), so every term lands in degree
-        m.degree - 1 and weight m.weight.
+        monomials. On a page d has bidegree (-1, 0), so every term lands
+        in degree m.degree - 1 and weight m.weight.
 
         A block whose exponent the characteristic divides is skipped before
         any product is built; a term whose product passes an exterior or
@@ -157,13 +135,33 @@ class Derivation:
 
 
 class DgaPage(Record):
-    """An algebra with its differential."""
+    """An algebra with its differential, checked on construction, so every
+    routine that takes a page reads a differential: the derivation acts
+    on the algebra (AlgebraMismatch), each image is homogeneous
+    (InhomogeneousImage) of bidegree (-1, 0) relative to its generator
+    (WrongBidegree), and d(d(g)) = 0 on every generator g (NotSquareZero).
+    """
 
     __slots__ = _fields = ("algebra", "differential")
 
     def __init__(self, algebra: GradedAlgebra, differential: Derivation):
         if differential.algebra is not algebra:
             raise AlgebraMismatch("the differential acts on a different algebra")
+        images = differential.images
+        for gid, img in images.items():
+            g = algebra.generators[gid]
+            try:
+                bideg = img.bidegree()
+            except InhomogeneousElement as exc:
+                raise InhomogeneousImage(f"image of {g.name!r}: {exc}") from None
+            expected = (g.degree - 1, g.weight)
+            if bideg != expected:
+                raise WrongBidegree(
+                    f"image of {g.name!r} has bidegree {bideg}, expected {expected}"
+                )
+        for gid, img in images.items():
+            if differential(img):
+                raise NotSquareZero(f"d(d({algebra.generators[gid].name})) != 0")
         self.algebra, self.differential = algebra, differential
 
 
@@ -192,14 +190,12 @@ class _Skeleton:
     which drops a term a bound kills; an m where all are 0 is dropped.
     Each Element read gives up its coefficients as `.value`, once a term.
     The same walk counts each degree's monomials by weight (`counts`;
-    `reach` has every weight met), so a dimension needs no basis.
-    `rows[(degree, weight)]` maps the exponents of each row of a matrix
-    `differential_matrix` built from it to the row's index."""
+    `reach` has every weight met), so a dimension needs no basis."""
 
     def __init__(self, page: DgaPage, degrees, weights):
         alg, der = page.algebra, page.differential
         self.p, self.free = alg.field.characteristic, alg.free_generators()
-        self.rows, self.entries, self.counts, self._blocks, self.swept = {}, {}, {}, {}, (None, {})
+        self.entries, self.counts, self._blocks, self.swept = {}, {}, {}, (None, {})
         raw = {gid: [(t, c.value) for t, c in im.terms.items()] for gid, im in der.images.items()}
         images = [(g.gid, raw[g.gid]) for g in self.free if g.gid in raw]
         reach = self.reach = {}  # m.weight -> whether a requested weight is reachable
@@ -282,7 +278,7 @@ def differential_matrix(page: DgaPage, degree: int, weight: int, *, skeleton=Non
     generators, m in the degree's `graded_monomials`) that d does not
     kill by their shape, as the skeleton's sweep of the weight lists
     them; the rows are the monomials those reach, numbered in the order
-    they first appear, and `skeleton.rows[(degree, weight)]` labels them.
+    they first appear, and the sweep's `rows` label them.
     The columns left out are zero, so the rank is that of d at the spot
     (an empty matrix where none is left); `Matrix` reduces the summed raw
     values and drops zeros. `skeleton` hands over a pass's `_Skeleton`;
@@ -291,7 +287,6 @@ def differential_matrix(page: DgaPage, degree: int, weight: int, *, skeleton=Non
     if skeleton is None:
         skeleton = _Skeleton(page, [degree], [weight])
     rows, entries, ncols = skeleton.sweep(weight).get(degree, ({}, {}, 0))
-    skeleton.rows[(degree, weight)] = rows
     return Matrix(page.algebra.field, len(rows), ncols, entries)
 
 
@@ -330,9 +325,9 @@ def _passes(page: DgaPage, degrees: Iterable[int], weights: Iterable[int]):
 
     def spots(w):
         rank, inward = dict.fromkeys(needed, 0), {}
-        for d in skeleton.sweep(w):
+        for d, (labels, _, _) in skeleton.sweep(w).items():
             matrix = differential_matrix(page, d, w, skeleton=skeleton)
-            inward[d] = (matrix, skeleton.rows.pop((d, w)))
+            inward[d] = (matrix, labels)
             rank[d] = matrix.rank()
 
         def meet(degree, in_s):
@@ -448,7 +443,7 @@ def _inclusion(sub_page: DgaPage, big_page: DgaPage):
         for m, c in sub_page.differential(sub.gen(g.gid)).terms.items():
             sign, t = _translate_monomial(m, mapping, big)
             lhs[t] = c if sign > 0 else -c
-        if big.element(lhs) != big_page.differential(big.gen(mapping[g.gid])):
+        if Element(big, lhs) != big_page.differential(big.gen(mapping[g.gid])):
             raise NotAChainMap(f"differentials disagree on generator {g.name!r}")
     laurent = {mapping[g.gid]: g.kind == "laurent" for g in sub.generators}
     return lambda exps: all(h in laurent and (e > 0 or laurent[h]) for h, e in exps)

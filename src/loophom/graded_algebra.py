@@ -258,14 +258,6 @@ class GradedAlgebra:
 
     # -- elements ----------------------------------------------------------
 
-    def element(self, terms: Mapping[Monomial, object]) -> "Element":
-        clean = {}
-        for m, c in terms.items():
-            s = self.field.scalar(c)
-            if s:
-                clean[m] = s
-        return Element(self, clean)
-
     def zero(self) -> "Element":
         return Element(self, {})
 
@@ -275,7 +267,7 @@ class GradedAlgebra:
     def monomial_element(self, m: Optional[Monomial], coeff=1) -> "Element":
         if m is None:
             return self.zero()
-        return self.element({m: coeff})
+        return Element(self, {m: coeff})
 
     def gen(self, key: Union[int, str]) -> "Element":
         g = self.generator(key)
@@ -450,13 +442,20 @@ def _free_exponents(free: list, weight: int) -> list:
 
 
 class Element:
-    """A finite field-linear combination of monomials in one algebra."""
+    """A finite field-linear combination of monomials in one algebra:
+    `terms` maps each monomial to its coefficient. Every coefficient goes
+    through the algebra's `Field.scalar`, which refuses a value that is
+    no scalar of the field (`InvalidScalar`, `FieldMismatch`), and a zero
+    one is dropped, so equal elements have equal terms."""
 
     __slots__ = ("algebra", "terms")
 
-    def __init__(self, algebra: GradedAlgebra, terms: dict):
-        self.algebra = algebra
-        self.terms = terms
+    def __init__(self, algebra: GradedAlgebra, terms: Mapping[Monomial, object]):
+        self.algebra, self.terms = algebra, {}
+        for m, c in terms.items():
+            s = algebra.field.scalar(c)
+            if s:
+                self.terms[m] = s
 
     def _check(self, other: "Element"):
         if self.algebra is not other.algebra:
@@ -466,12 +465,7 @@ class Element:
         self._check(other)
         terms = dict(self.terms)
         for m, c in other.terms.items():
-            s = terms.get(m)
-            s = c if s is None else s + c
-            if s:
-                terms[m] = s
-            else:
-                terms.pop(m, None)
+            terms[m] = terms[m] + c if m in terms else c
         return Element(self.algebra, terms)
 
     def __neg__(self) -> "Element":
@@ -482,8 +476,6 @@ class Element:
 
     def scale(self, c) -> "Element":
         s = self.algebra.field.scalar(c)
-        if not s:
-            return self.algebra.zero()
         return Element(self.algebra, {m: v * s for m, v in self.terms.items()})
 
     def __mul__(self, other):
@@ -497,15 +489,8 @@ class Element:
                 sign, m = alg.multiply_monomials(m1, m2)
                 if m is None:
                     continue
-                c = c1 * c2
-                if sign < 0:
-                    c = -c
-                s = acc.get(m)
-                s = c if s is None else s + c
-                if s:
-                    acc[m] = s
-                else:
-                    acc.pop(m, None)
+                c = c1 * c2 if sign > 0 else -(c1 * c2)
+                acc[m] = acc[m] + c if m in acc else c
         return Element(alg, acc)
 
     def __rmul__(self, other):

@@ -143,7 +143,7 @@ def e2_page(n: int, field: Field, variant: str, cutoff: int = DEFAULT_CUTOFF) ->
         alg.complete_through_degree = cutoff - 2 * n
     alg.declare_generator("c", -2, 0, "truncated", truncation=n)
     image = alg.monomial_element(alg.monomial({"u": 1, "c": n}), n + 1)
-    differential = Derivation.from_generator_images(alg, {"iota": image})
+    differential = Derivation(alg, {"iota": image})
     return DgaPage(alg, differential)
 
 

@@ -583,7 +583,7 @@ def test_unit_check_fails_on_boundaries(monkeypatch):
     alg = GradedAlgebra(F3)
     alg.declare_generator("iota", 0, 1, "laurent")
     alg.declare_generator("x", 1, 0, "exterior")
-    page = DgaPage(alg, Derivation.from_generator_images(alg, {"x": alg.one()}))
+    page = DgaPage(alg, Derivation(alg, {"x": alg.one()}))
     monkeypatch.setattr(analysis, "_page", lambda *args: page)
     report = unit_check(2, 3, 1, cutoff=16)
     assert report.failed
@@ -599,7 +599,7 @@ def test_unit_check_passes_where_d_in_misses_the_classes(monkeypatch):
     alg.declare_generator("iota", 0, 1, "laurent")
     alg.declare_generator("t", 0, 1, "truncated", 1)
     alg.declare_generator("x", 1, 1, "exterior")
-    page = DgaPage(alg, Derivation.from_generator_images(alg, {"x": alg.gen("t")}))
+    page = DgaPage(alg, Derivation(alg, {"x": alg.gen("t")}))
     monkeypatch.setattr(analysis, "_page", lambda *args: page)
     assert unit_check(2, 3, 1, cutoff=16).passed
 

@@ -32,7 +32,7 @@ from loophom.errors import (
     NotSquareZero,
     WrongBidegree,
 )
-from loophom.graded_algebra import GradedAlgebra
+from loophom.graded_algebra import Element, GradedAlgebra
 from loophom.linalg import kernel_basis, rank_of_columns
 from loophom.scalars import GF2, RATIONALS, Field
 from loophom.spaces import HOL, LOOP, e2_page, hol_to_loop_inclusion
@@ -46,7 +46,7 @@ def circle_like_page(field=RATIONALS):
     alg = GradedAlgebra(field)
     alg.declare_generator("t", 0, 1, "laurent")
     alg.declare_generator("e", -1, 1, "exterior")
-    d = Derivation.from_generator_images(alg, {"t": alg.gen("e")})
+    d = Derivation(alg, {"t": alg.gen("e")})
     return DgaPage(alg, d)
 
 
@@ -58,7 +58,7 @@ def test_image_must_live_in_same_algebra():
     other = GradedAlgebra(RATIONALS)
     other.declare_generator("e", -1, 1, "exterior")
     with pytest.raises(AlgebraMismatch):
-        Derivation.from_generator_images(page.algebra, {"t": other.gen("e")})
+        Derivation(page.algebra, {"t": other.gen("e")})
 
 
 def test_image_must_be_homogeneous():
@@ -67,7 +67,7 @@ def test_image_must_be_homogeneous():
     alg.declare_generator("e", -1, 1, "exterior")
     mixed = alg.gen("e") + alg.monomial_element(alg.monomial({"e": 1, "t": 1}))
     with pytest.raises(InhomogeneousImage):
-        Derivation.from_generator_images(alg, {"t": mixed})
+        DgaPage(alg, Derivation(alg, {"t": mixed}))
 
 
 def test_image_bidegree_checked():
@@ -76,7 +76,7 @@ def test_image_bidegree_checked():
     alg.declare_generator("e", -1, 1, "exterior")
     wrong = alg.monomial_element(alg.monomial({"e": 1, "t": 1}))  # (-1, 2)
     with pytest.raises(WrongBidegree):
-        Derivation.from_generator_images(alg, {"t": wrong})
+        DgaPage(alg, Derivation(alg, {"t": wrong}))
 
 
 def test_square_zero_enforced():
@@ -85,13 +85,13 @@ def test_square_zero_enforced():
     alg.declare_generator("a", 1, 1, "exterior")
     alg.declare_generator("x", 2, 1, "polynomial")
     with pytest.raises(NotSquareZero):
-        Derivation.from_generator_images(alg, {"x": alg.gen("a"), "a": alg.gen("t")})
+        DgaPage(alg, Derivation(alg, {"x": alg.gen("a"), "a": alg.gen("t")}))
 
 
 def test_zero_images_dropped():
     alg = GradedAlgebra(RATIONALS)
     alg.declare_generator("t", 0, 1, "laurent")
-    d = Derivation.from_generator_images(alg, {"t": alg.zero()})
+    d = Derivation(alg, {"t": alg.zero()})
     assert d.is_zero()
 
 
@@ -111,15 +111,24 @@ def test_generator_keyed_twice_is_refused(name_first):
         keys = keys[::-1]
     for images in ((alg.gen("e"), alg.zero()), (alg.zero(), alg.gen("e"))):
         with pytest.raises(DuplicateName):
-            Derivation.from_generator_images(alg, dict(zip(keys, images)))
+            Derivation(alg, dict(zip(keys, images)))
 
 
 def test_page_refuses_a_differential_of_another_algebra():
+    # a zero differential and a nonzero one
     alg, other = circle_like_page().algebra, circle_like_page().algebra
     with pytest.raises(AlgebraMismatch):
-        DgaPage(alg, Derivation.from_generator_images(other, {}))
-    with pytest.raises(AlgebraMismatch):
         DgaPage(alg, Derivation(other, {}))
+    with pytest.raises(AlgebraMismatch):
+        DgaPage(alg, Derivation(other, {"t": other.gen("e")}))
+
+
+def test_page_refuses_a_differential_of_the_wrong_bidegree():
+    # d(x) = x builds as a derivation, and the page refuses it
+    alg = GradedAlgebra(F3)
+    x = alg.declare_generator("x", 2, 1, "polynomial")
+    with pytest.raises(WrongBidegree, match=r"bidegree \(2, 1\), expected \(1, 1\)"):
+        DgaPage(alg, Derivation(alg, {x.gid: alg.gen("x")}))
 
 
 # -- Leibniz and square zero on real pages -------------------------------------
@@ -376,7 +385,7 @@ def odd_pair_page(order, sign=1):
         alg.declare_generator(name, 1, 0, "exterior")
     alg.declare_generator("x", 3, 0, "exterior")
     image = (alg.gen("a") * alg.gen("b")).scale(sign)
-    return DgaPage(alg, Derivation.from_generator_images(alg, {"x": image}))
+    return DgaPage(alg, Derivation(alg, {"x": image}))
 
 
 def test_inclusion_carries_the_koszul_sign_of_reordered_odd_generators():
@@ -400,7 +409,7 @@ def test_induced_map_detects_noninjective_spot():
     big_alg = GradedAlgebra(RATIONALS)
     big_alg.declare_generator("t", 0, 1, "laurent")
     big_alg.declare_generator("e", -1, 1, "exterior")
-    big = DgaPage(big_alg, Derivation.from_generator_images(big_alg, {"t": big_alg.gen("e")}))
+    big = DgaPage(big_alg, Derivation(big_alg, {"t": big_alg.gen("e")}))
     sub_alg = GradedAlgebra(RATIONALS)
     sub_alg.declare_generator("e", -1, 1, "exterior")
     sub = DgaPage(sub_alg, Derivation(sub_alg, {}))
@@ -421,7 +430,7 @@ def test_induced_map_detects_noninjective_spot():
             alg.declare_generator("a2", 2, 1, "polynomial")
         big_alg.declare_generator("b", 3, 1, b_kind)
         sub = DgaPage(sub_alg, Derivation(sub_alg, {}))
-        d_big = Derivation.from_generator_images(big_alg, {"b": big_alg.gen("a")})
+        d_big = Derivation(big_alg, {"b": big_alg.gen("a")})
         big = DgaPage(big_alg, d_big)
         cells = induced_map_on_homology(sub, big, degrees, weights).cells
         assert cells == four_matrix_induced(sub, big, degrees, weights)
@@ -512,7 +521,7 @@ def check_membership(sub_page, big_page, degrees, weights):
             }
             skeleton = dga._Skeleton(big_page, [d + 1], [w])
             differential_matrix(big_page, d + 1, w, skeleton=skeleton)
-            labels = set(skeleton.rows[(d + 1, w)])
+            labels = set(skeleton.sweep(w).get(d + 1, ({},))[0])
             assert {t for t in labels if in_sub(t)} == image & labels
             basis = {m.exps for m in big.enumerate_basis(d, w)}
             assert {t for t in basis if in_sub(t)} == image
@@ -549,7 +558,7 @@ def test_in_sub_on_a_widened_laurent_and_a_big_only_generator():
             alg.declare_generator("a", 2, 1, "polynomial")
         big_alg.declare_generator("b", 3, 1, b_kind)
         sub = DgaPage(sub_alg, Derivation(sub_alg, {}))
-        big = DgaPage(big_alg, Derivation.from_generator_images(big_alg, {"b": big_alg.gen("a")}))
+        big = DgaPage(big_alg, Derivation(big_alg, {"b": big_alg.gen("a")}))
         rejected = check_membership(sub, big, degrees, weights)
         t, s = big_alg.generator("t").gid, big_alg.generator("s").gid
         assert any(dict(exps).get(t, 0) < 0 and s not in dict(exps) for exps in rejected)
@@ -613,7 +622,7 @@ def algebras_with_images(draw):
             # a sparse image term: each generator appears with probability about 1/2
             chosen = {h: e for h, e in exponents().items() if draw(st.booleans())}
             terms[alg.monomial(chosen)] = coefficient()
-        image = alg.element(terms)
+        image = Element(alg, terms)
         if image:
             images[gid] = image
     return alg, images, alg.monomial(exponents())
@@ -779,8 +788,8 @@ def certified_pages(draw):
         ]
         chosen = draw(st.lists(st.sampled_from(candidates), min_size=1, unique=True)) if candidates else []
         terms = {m: draw(st.integers(1, 4)) for m in chosen}
-        images[g.gid] = alg.element(terms)
-    return DgaPage(alg, Derivation.from_generator_images(alg, images))
+        images[g.gid] = Element(alg, terms)
+    return DgaPage(alg, Derivation(alg, images))
 
 
 @given(certified_pages(), st.data())
@@ -820,7 +829,7 @@ def test_differential_matrix_equals_reference_on_certified_pages(page, data):
         for w in weights:
             matrix = differential_matrix(page, d, w, skeleton=skeleton)
             assert matrix.rank() == rank_dense(reference_matrix(page, d, w))
-            labels = skeleton.rows[(d, w)]
+            labels = skeleton.sweep(w).get(d, ({},))[0]
             assert labelled_columns(matrix, labels) == reference_columns(page, d, w)
 
 
@@ -861,7 +870,7 @@ def test_matrix_from_handed_skeleton_equals_matrix_built_alone():
                 handed = differential_matrix(page, d, w, skeleton=skeleton)
                 assert (handed.nrows, handed.ncols) == (alone.nrows, alone.ncols)
                 assert list(handed.entries.items()) == list(alone.entries.items())
-                labels = skeleton.rows[(d, w)]
+                labels = skeleton.sweep(w).get(d, ({},))[0]
                 assert labelled_columns(handed, labels) == reference_columns(page, d, w)
                 built += bool(handed.entries)
     assert built

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from leibniz_reference import product
 from loophom.errors import (
     DuplicateName,
+    FieldMismatch,
     InfiniteBasis,
     InhomogeneousElement,
     InvalidExponent,
@@ -22,7 +23,7 @@ from loophom.errors import (
     UnknownGenerator,
 )
 from loophom.dga import DgaPage, Derivation, homology_dimensions
-from loophom.graded_algebra import KINDS, GradedAlgebra, Generator, _free_exponents
+from loophom.graded_algebra import KINDS, Element, GradedAlgebra, Generator, _free_exponents
 from loophom.scalars import GF2, RATIONALS, Field
 
 F3 = Field(3)
@@ -294,11 +295,20 @@ def test_element_refuses_a_coefficient_that_is_not_exact(coefficient):
     alg = signed_algebra()
     x = alg.gen("x")
     with pytest.raises(InvalidScalar):
-        alg.element({alg.monomial({"x": 1}): coefficient})
+        Element(alg, {alg.monomial({"x": 1}): coefficient})
     for scaled in (lambda: x.scale(coefficient), lambda: x * coefficient, lambda: coefficient * x):
         with pytest.raises(InvalidScalar):
             scaled()
     assert x * F3(2) == F3(2) * x == x.scale(-1) == -x
+
+
+def test_element_takes_only_its_fields_scalars_and_drops_zeros():
+    alg = signed_algebra()
+    m = alg.monomial({"x": 1})
+    with pytest.raises(FieldMismatch):
+        Element(alg, {m: Field(5)(1)})
+    assert Element(alg, {m: F3(3)}) == alg.zero()
+    assert Element(alg, {m: 4}).terms == {m: F3(1)} == alg.gen("x").terms
 
 
 def test_element_bidegree():
@@ -318,7 +328,7 @@ def test_element_eq_hash():
     u = alg.gen("u")
     assert hash(u * u) == hash(alg.monomial_element(alg.monomial({"u": 2})))
     assert u != alg.gen("Q1u")
-    assert alg.zero() == alg.element({})
+    assert alg.zero() == Element(alg, {})
 
 
 def test_power_of_laurent_inverse():

@@ -27,10 +27,14 @@ from loophom.errors import (
     AlgebraMismatch,
     CompositeCharacteristic,
     InvalidCharacteristic,
+    InvalidComponent,
+    InvalidCutoff,
     InvalidDimension,
     InvalidGenerator,
+    InvalidGrading,
     InvalidScalar,
     InvalidVariant,
+    NegativeCutoff,
     NotAChainMap,
 )
 from loophom.scalars import Field, Scalar
@@ -111,13 +115,23 @@ CASES = {
         BettiTable, (SPEC, "ordinary", 6, {(1, 0): 1}), (SPEC, "regraded", 6, {(1, 0): 1}),
         "BettiTable(space=SpaceSpec(variant='loop', n=2, field=F3), grading='ordinary',"
         " cutoff=6, entries={(1, 0): 1})", False,
-        [],
+        [
+            ((SPEC, "weird", -5, {}), InvalidGrading),
+            ((SPEC, "ordinary", -5, {}), NegativeCutoff),
+            ((SPEC, "ordinary", 6.0, {}), InvalidCutoff),
+        ],
     ),
     "PoincareSeries": (
         PoincareSeries, (SPEC, 1, "ordinary", 6, {0: 1, 3: 2}), (SPEC, 1, "ordinary", 6, {0: 1}),
         "PoincareSeries(space=SpaceSpec(variant='loop', n=2, field=F3), component=1,"
         " grading='ordinary', cutoff=6, coefficients={0: 1, 3: 2})", False,
-        [],
+        [
+            ((SPEC, 1.0, "ordinary", 6, {}), InvalidComponent),
+            ((SpaceSpec("hol", 2, F3), -1, "ordinary", 6, {}), InvalidComponent),
+            ((SPEC, 1, "weird", 6, {}), InvalidGrading),
+            ((SPEC, 1, "ordinary", -1, {}), NegativeCutoff),
+            ((SPEC, 1, "ordinary", "6", {}), InvalidCutoff),
+        ],
     ),
     "VerificationReport": (
         VerificationReport, ("unit", {"n": 2}, "Fail", {"x": [1]}), ("unit", {"n": 2}, "Fail"),
