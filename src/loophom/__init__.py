@@ -45,6 +45,7 @@ from .errors import (
     InvalidCutoff,
     InvalidDimension,
     InvalidExponent,
+    InvalidField,
     InvalidFieldSpec,
     InvalidGenerator,
     InvalidGrading,
@@ -53,12 +54,14 @@ from .errors import (
     InvalidShape,
     InvalidStep,
     InvalidVariant,
+    InvalidVerdict,
     LaurentNonzeroDegree,
     LoophomError,
     NegativeCutoff,
     NotAChainMap,
     NotSquareZero,
     ParityViolation,
+    ReadOnlyValue,
     UnknownGenerator,
     WrongBidegree,
 )

@@ -23,13 +23,13 @@ from __future__ import annotations
 
 from typing import Iterable, Union
 
-from ._record import Frozen, Record, _set
+from ._record import Record, _fill
 from .dga import DgaPage, _passes, homology_dimensions
 # differential_matrix and rank_of_columns have no caller here; the bench
 # tracer wraps them by name
 from .dga import differential_matrix
 from .errors import CompositeCharacteristic, InvalidCharacteristic, InvalidGrading
-from .errors import InvalidStep
+from .errors import InvalidStep, InvalidVerdict
 from .linalg import rank_of_columns
 from .scalars import Field, is_int, make_field
 from .spaces import DEFAULT_CUTOFF, HOL, LOOP, _check_args, _check_components
@@ -83,7 +83,7 @@ def _check_inputs(n: int, field: Union[Field, str, int], cutoff: int) -> Field:
     return field
 
 
-class SpaceSpec(Frozen):
+class SpaceSpec(Record):
     """Which space: variant ("loop" or "hol"), target dimension n, field.
     Checked on construction, so every consumer may rely on them."""
 
@@ -91,9 +91,7 @@ class SpaceSpec(Frozen):
 
     def __init__(self, variant: str, n: int, field: Field):
         _check_args(n, field, variant)
-        _set(self, "variant", variant)
-        _set(self, "n", n)
-        _set(self, "field", field)
+        _fill(self, variant, n, field)
 
 
 class BettiTable(Record):
@@ -105,7 +103,7 @@ class BettiTable(Record):
     def __init__(self, space: SpaceSpec, grading: str, cutoff: int, entries: dict):
         _grading_shift(grading, space.n)
         validate_cutoff(cutoff)
-        self.space, self.grading, self.cutoff, self.entries = space, grading, cutoff, entries
+        _fill(self, space, grading, cutoff, entries)
 
     def column(self, component: int) -> dict:
         return self.columns().get(component, {})
@@ -167,8 +165,7 @@ class PoincareSeries(Record):
         _check_components(space.variant, [component])
         _grading_shift(grading, space.n)
         validate_cutoff(cutoff)
-        self.space, self.component, self.grading = space, component, grading
-        self.cutoff, self.coefficients = cutoff, coefficients
+        _fill(self, space, component, grading, cutoff, coefficients)
 
     def __str__(self) -> str:
         if not self.coefficients:
@@ -196,12 +193,19 @@ def poincare_series(
     return PoincareSeries(space, component, grading, cutoff, table.column(component))
 
 
+VERDICTS = ("Pass", "Fail", "NoClaim")
+
+
 class VerificationReport(Record):
+    """The outcome of one check; a verdict outside VERDICTS is refused on
+    construction (InvalidVerdict)."""
+
     __slots__ = _fields = ("check", "params", "verdict", "witness")
 
     def __init__(self, check: str, params: dict, verdict: str, witness: object = None):
-        # verdict: "Pass" | "Fail" | "NoClaim"
-        self.check, self.params, self.verdict, self.witness = check, params, verdict, witness
+        if verdict not in VERDICTS:
+            raise InvalidVerdict(f"verdict must be one of {VERDICTS}, got {verdict!r}")
+        _fill(self, check, params, verdict, witness)
 
     @property
     def passed(self) -> bool:

@@ -32,7 +32,7 @@ from typing import Optional
 
 from . import analysis
 from .analysis import SpaceSpec, VerificationReport
-from .errors import CutoffTooTight, InfiniteBasis
+from .errors import CutoffTooTight, InfiniteBasis, LoophomError
 from .scalars import make_field
 from .spaces import HOL, LOOP
 
@@ -45,8 +45,9 @@ EXIT_IO = 4
 CHECKS = ("collapse", "periodicity", "dichotomy", "unit", "oracle", "all")
 
 
-class ConfigError(Exception):
-    pass
+class ConfigError(LoophomError):
+    """A component selection that is missing, doubled or unreadable, or a
+    check without the --k it needs; `main` exits with EXIT_CONFIG."""
 
 
 def _parse_components(single: Optional[int], ranged: Optional[str]) -> list:

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping, Union
 
-from ._record import Frozen, Record, _set
+from ._record import Record, _fill, _set
 from .errors import (
     AlgebraMismatch,
     CutoffTooTight,
@@ -162,10 +162,10 @@ class DgaPage(Record):
         for gid, img in images.items():
             if differential(img):
                 raise NotSquareZero(f"d(d({algebra.generators[gid].name})) != 0")
-        self.algebra, self.differential = algebra, differential
+        _fill(self, algebra, differential)
 
 
-class RankProfile(Frozen):
+class RankProfile(Record):
     """Linear data of one (degree, weight) spot of a page.
 
     betti = dim - rank_d_here - rank_d_above is the homology dimension,
@@ -176,9 +176,7 @@ class RankProfile(Frozen):
     __slots__ = _fields + ("betti",)
 
     def __init__(self, dim: int, rank_d_here: int, rank_d_above: int):
-        _set(self, "dim", dim)
-        _set(self, "rank_d_here", rank_d_here)
-        _set(self, "rank_d_above", rank_d_above)
+        _fill(self, dim, rank_d_here, rank_d_above)
         _set(self, "betti", dim - rank_d_here - rank_d_above)
 
 
@@ -294,7 +292,7 @@ def _passes(page: DgaPage, degrees: Iterable[int], weights: Iterable[int]):
     """Yield (weight, {degree: RankProfile}, meet) for each requested
     weight, over the requested degrees, both ascending without repeats.
     Spots of the call with the same (dim, rank of d out, rank of d in)
-    share one frozen profile. `meet(degree, in_s)`, at a requested degree,
+    share one profile. `meet(degree, in_s)`, at a requested degree,
     is dim(S meet B), S spanned by the monomials whose exponent tuples
     pass `in_s` and B the image of d: rank B - rank(B without S's rows),
     from the matrix of d in and its row labels, or 0 where no column
@@ -363,13 +361,11 @@ def homology_dimensions(
     return {(d, w): profile for w, spots, _ in passes for d, profile in spots.items()}
 
 
-class InducedCell(Frozen):
+class InducedCell(Record):
     __slots__ = _fields = ("rank", "betti_sub", "betti_big")
 
     def __init__(self, rank: int, betti_sub: int, betti_big: int):
-        _set(self, "rank", rank)
-        _set(self, "betti_sub", betti_sub)
-        _set(self, "betti_big", betti_big)
+        _fill(self, rank, betti_sub, betti_big)
 
     @property
     def injective(self) -> bool:
@@ -380,7 +376,7 @@ class InducedMapReport(Record):
     __slots__ = _fields = ("cells",)
 
     def __init__(self, cells: dict):
-        self.cells = cells
+        _fill(self, cells)
 
     @property
     def injective(self) -> bool:

@@ -28,6 +28,11 @@ class FieldMismatch(LoophomError, TypeError):
     """Arithmetic attempted between scalars over different fields."""
 
 
+class ReadOnlyValue(LoophomError, AttributeError):
+    """An attribute of a value object was assigned or deleted: every value
+    is immutable once its constructor has checked it."""
+
+
 class InvalidScalar(LoophomError, TypeError):
     """A value given as a field element is not an int (a bool is not
     one), a Fraction or a Scalar: floats and strings are refused, since
@@ -112,6 +117,10 @@ class InvalidCutoff(LoophomError, ValueError):
     (a bool does not count as one)."""
 
 
+class InvalidField(LoophomError, TypeError):
+    """A value given as a field is not a Field."""
+
+
 class InvalidFieldSpec(LoophomError, ValueError):
     """A field spec string is not 'q', 'rational' or 'f<p>'."""
 
@@ -145,3 +154,7 @@ class InvalidGrading(LoophomError, ValueError):
 class InvalidStep(LoophomError, ValueError):
     """A step k between components, the power of iota, is not an int (a
     bool is not one), or is not positive where a check needs it to be."""
+
+
+class InvalidVerdict(LoophomError, ValueError):
+    """A verification verdict is not "Pass", "Fail" or "NoClaim"."""

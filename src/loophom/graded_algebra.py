@@ -13,8 +13,12 @@ each other costs a minus sign (no signs in characteristic 2).
 
 A monomial's degree is the exponent-weighted sum of generator degrees and
 its weight the same sum over generator weights, so the algebra is graded
-by (degree, weight) pairs. `enumerate_basis` lists the monomials of one
-such pair, provided a finiteness certificate holds (see its docstring).
+by (degree, weight) pairs. The engine lists monomials with
+`graded_monomials`: those of one degree, over every weight, in the
+generators that are not free; a finiteness certificate checks first that
+every such list, and every (degree, weight) piece, is finite.
+`enumerate_basis`, which only the tests and the bench's tracer call,
+lists the whole basis of one (degree, weight) pair from them.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ import math
 from bisect import bisect_right
 from typing import Mapping, Optional, Union
 
-from ._record import Frozen, _set
+from ._record import Record, _fill
 from .errors import (
     AlgebraMismatch,
     DuplicateName,
@@ -42,7 +46,7 @@ from .scalars import Field, Scalar, check_field, is_int
 KINDS = ("polynomial", "laurent", "exterior", "truncated")
 
 
-class Generator(Frozen):
+class Generator(Record):
     """The types of degree, weight and truncation, the kind, the truncation
     and a laurent generator's degree 0 are checked on construction;
     `GradedAlgebra.declare_generator` adds name and parity."""
@@ -53,29 +57,19 @@ class Generator(Frozen):
         self, gid: int, name: str, degree: int, weight: int, kind: str,
         truncation: Optional[int] = None,
     ):
-        _set(self, "gid", gid)
-        _set(self, "name", name)
-        _set(self, "degree", degree)
-        _set(self, "weight", weight)
-        _set(self, "kind", kind)
-        _set(self, "truncation", truncation)
-        for attr in ("degree", "weight", "truncation"):
-            value = getattr(self, attr)
+        for attr, value in (("degree", degree), ("weight", weight), ("truncation", truncation)):
             if not is_int(value) and not (attr == "truncation" and value is None):
-                raise InvalidGenerator(f"{attr} of {self.name!r} must be an int, got {value!r}")
-        if self.kind not in KINDS:
-            raise InvalidGenerator(f"unknown generator kind {self.kind!r}")
-        if self.kind == "laurent" and self.degree != 0:
-            raise LaurentNonzeroDegree(
-                f"laurent generator {self.name!r} has degree {self.degree}"
-            )
-        if self.kind == "truncated":
-            if self.truncation is None or self.truncation < 1:
-                raise InvalidGenerator(
-                    f"truncated generator {self.name!r} needs truncation >= 1"
-                )
-        elif self.truncation is not None:
+                raise InvalidGenerator(f"{attr} of {name!r} must be an int, got {value!r}")
+        if kind not in KINDS:
+            raise InvalidGenerator(f"unknown generator kind {kind!r}")
+        if kind == "laurent" and degree != 0:
+            raise LaurentNonzeroDegree(f"laurent generator {name!r} has degree {degree}")
+        if kind == "truncated":
+            if truncation is None or truncation < 1:
+                raise InvalidGenerator(f"truncated generator {name!r} needs truncation >= 1")
+        elif truncation is not None:
             raise InvalidGenerator("truncation only applies to truncated generators")
+        _fill(self, gid, name, degree, weight, kind, truncation)
 
     @property
     def top(self) -> Optional[int]:
@@ -180,12 +174,14 @@ class GradedAlgebra:
         return gen
 
     def generator(self, key: Union[int, str]) -> Generator:
+        """The generator of a name or a gid; any other key (a bool is no
+        gid) raises UnknownGenerator."""
         if isinstance(key, str):
             try:
                 return self._by_name[key]
             except KeyError:
                 raise UnknownGenerator(key) from None
-        if 0 <= key < len(self.generators):
+        if is_int(key) and 0 <= key < len(self.generators):
             return self.generators[key]
         raise UnknownGenerator(key)
 
@@ -197,11 +193,14 @@ class GradedAlgebra:
         Exponents past an exterior or truncated bound make the monomial
         zero in the quotient, hence the None. A negative exponent on a
         generator that is not laurent raises InvalidExponent, even where a
-        bound would make the monomial zero.
+        bound would make the monomial zero, and so does an exponent that is
+        not an int (a bool is not one).
         """
         merged: dict[int, int] = {}
         for key, e in exponents.items():
             g = self.generator(key)
+            if not is_int(e):
+                raise InvalidExponent(f"exponent of {g.name!r} must be an int, got {e!r}")
             merged[g.gid] = merged.get(g.gid, 0) + e
         degree = weight = 0
         for gid, e in merged.items():

@@ -12,9 +12,9 @@ from fractions import Fraction
 from numbers import Number
 from typing import Union
 
-from ._record import Frozen, _set
+from ._record import Record, _fill
 from .errors import CompositeCharacteristic, DivisionByZero, FieldMismatch
-from .errors import InvalidCharacteristic, InvalidFieldSpec, InvalidScalar
+from .errors import InvalidCharacteristic, InvalidField, InvalidFieldSpec, InvalidScalar
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -51,7 +51,7 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-class Field(Frozen):
+class Field(Record):
     """The rationals (characteristic 0) or F_p for a prime p."""
 
     __slots__ = _fields = ("characteristic",)
@@ -64,7 +64,7 @@ class Field(Frozen):
             raise CompositeCharacteristic(f"{p!r} is not prime")
         if p >= MAX_CHARACTERISTIC:
             raise InvalidCharacteristic(f"characteristic {p} exceeds machine-word bound")
-        _set(self, "characteristic", p)
+        _fill(self, p)
 
     @property
     def is_rational(self) -> bool:
@@ -136,14 +136,14 @@ def make_field(spec: Union[str, int]) -> Field:
 def check_field(field) -> None:
     """Refuse anything that is not a Field, before any work."""
     if not isinstance(field, Field):
-        raise TypeError(f"expected a Field, got {field!r}")
+        raise InvalidField(f"expected a Field, got {field!r}")
 
 
 RATIONALS = Field(0)
 GF2 = Field(2)
 
 
-class Scalar(Frozen):
+class Scalar(Record):
     """A field element: a Fraction over Q, an int in [0, p) over F_p. The
     constructor checks the field and stores `field.reduce(value)`."""
 
@@ -151,8 +151,7 @@ class Scalar(Frozen):
 
     def __init__(self, field: Field, value):
         check_field(field)
-        _set(self, "field", field)
-        _set(self, "value", field.reduce(value))
+        _fill(self, field, field.reduce(value))
 
     def __add__(self, other):
         if not isinstance(other, _OPERANDS):

@@ -31,7 +31,7 @@ read past it.
 
 from __future__ import annotations
 
-from ._record import Record
+from ._record import Record, _fill
 from .dga import Derivation, DgaPage, InducedMapReport, _inclusion, induced_map_on_homology
 from .errors import InvalidComponent, InvalidCutoff, InvalidDimension, InvalidVariant
 from .errors import NegativeCutoff
@@ -155,7 +155,7 @@ class HolLoopInclusion(Record):
 
     def __init__(self, sub_page: DgaPage, big_page: DgaPage):
         _inclusion(sub_page, big_page)
-        self.sub_page, self.big_page = sub_page, big_page
+        _fill(self, sub_page, big_page)
 
     def induced_homology(self, degrees, weights) -> InducedMapReport:
         return induced_map_on_homology(self.sub_page, self.big_page, degrees, weights)

@@ -131,6 +131,18 @@ def test_page_refuses_a_differential_of_the_wrong_bidegree():
         DgaPage(alg, Derivation(alg, {x.gid: alg.gen("x")}))
 
 
+def test_page_keeps_its_checked_differential():
+    # d(u) = u has the wrong bidegree; assigning it would skip the checks
+    page = e2_page(1, F3, LOOP, 8)
+    checked = page.differential
+    alg = page.algebra
+    with pytest.raises(AttributeError):
+        page.differential = Derivation(alg, {"u": alg.gen("u")})
+    with pytest.raises(AttributeError):
+        del page.differential
+    assert page.differential is checked
+
+
 # -- Leibniz and square zero on real pages -------------------------------------
 
 

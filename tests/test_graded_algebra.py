@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -169,6 +170,28 @@ def test_algebra_refusals_are_typed_value_errors(call, error):
     with pytest.raises(error) as info:
         call(loop_like_algebra())
     assert isinstance(info.value, LoophomError) and isinstance(info.value, ValueError)
+
+
+@pytest.mark.parametrize("exponent", [1.5, True, "2", None, Fraction(2)])
+def test_monomial_refuses_an_exponent_that_is_not_an_int(exponent):
+    # 1.5 built a monomial of exponent 1.5, True one of exponent 1
+    alg = loop_like_algebra()
+    with pytest.raises(InvalidExponent, match="must be an int"):
+        alg.monomial({"u": exponent})
+    with pytest.raises(InvalidExponent):
+        alg.monomial({"iota": exponent})
+
+
+@pytest.mark.parametrize("key", [0.5, True, False, None, (0,), 1.0])
+def test_generator_refuses_a_key_that_is_neither_a_name_nor_a_gid(key):
+    # True read as gid 1; 0.5 raised a bare TypeError from list indexing
+    alg = loop_like_algebra()
+    with pytest.raises(UnknownGenerator):
+        alg.generator(key)
+    with pytest.raises(UnknownGenerator):
+        alg.gen(key)
+    with pytest.raises(UnknownGenerator):
+        alg.monomial({key: 1})
 
 
 def test_monomial_merges_repeated_keys():

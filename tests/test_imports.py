@@ -6,11 +6,16 @@ The package's `__init__` is exempt: its imports are its exports. Four
 imports have no caller in their module and are kept on purpose, because
 `bench/tracing.py` wraps them by their module-level names to count calls.
 
+Every exception a module of the package raises by name is a
+`LoophomError`, so a caller catches all of the library's refusals with one
+class.
+
 Importing the command-line entry point also stays light: it loads neither
 `dataclasses` nor `inspect`, which every cold invocation would pay for.
 """
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -19,6 +24,7 @@ from pathlib import Path
 import pytest
 
 import loophom
+from loophom.errors import LoophomError
 
 PACKAGE = Path(loophom.__file__).parent
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -107,6 +113,28 @@ def test_every_import_is_used(path):
     unused = _unused(ast.parse(path.read_text()))
     unused -= {name for module, name in KEPT_FOR_TRACER if module == path.stem}
     assert not unused, f"{path.name} imports {sorted(unused)} without using them"
+
+
+def _raised_names(tree: ast.Module) -> list:
+    """(line, name) of each `raise X` and `raise X(...)`; a bare `raise`
+    re-raises and names nothing."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            out.append((node.lineno, ast.unparse(exc)))
+    return out
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_every_raised_exception_is_a_loophom_error(path):
+    module = importlib.import_module(f"loophom.{path.stem}")
+    untyped = []
+    for line, name in _raised_names(ast.parse(path.read_text())):
+        cls = getattr(module, name, None)
+        if not (isinstance(cls, type) and issubclass(cls, LoophomError)):
+            untyped.append(f"{path.name}:{line} raises {name}")
+    assert not untyped, untyped
 
 
 @pytest.mark.parametrize(

@@ -11,12 +11,16 @@ from loophom.errors import (
     DivisionByZero,
     FieldMismatch,
     InvalidCharacteristic,
+    InvalidField,
     InvalidFieldSpec,
     InvalidScalar,
     LoophomError,
 )
+from loophom.analysis import SpaceSpec
+from loophom.graded_algebra import GradedAlgebra
 from loophom.linalg import Matrix
 from loophom.scalars import GF2, MAX_CHARACTERISTIC, RATIONALS, Field, Scalar, make_field
+from loophom.spaces import e2_page, generator_schedule
 
 F3 = Field(3)
 F7 = Field(7)
@@ -232,3 +236,21 @@ def test_inverse_axiom(field, a):
 def test_rational_matches_fraction(a, b):
     x = RATIONALS(a) * RATIONALS(b) + RATIONALS(a)
     assert Fraction(x.value) == Fraction(a) * Fraction(b) + Fraction(a)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: SpaceSpec("loop", 2, 3),
+        lambda: GradedAlgebra("q"),
+        lambda: Matrix(3, 1, 1),
+        lambda: e2_page(2, "f3", "loop", 10),
+        lambda: generator_schedule(1, 2, "loop", 10),
+        lambda: Scalar(None, 1),
+    ],
+    ids=["SpaceSpec", "GradedAlgebra", "Matrix", "e2_page", "generator_schedule", "Scalar"],
+)
+def test_what_is_not_a_field_is_refused_with_a_typed_error(build):
+    with pytest.raises(InvalidField, match="expected a Field") as refused:
+        build()
+    assert isinstance(refused.value, LoophomError) and isinstance(refused.value, TypeError)

@@ -1,8 +1,8 @@
 """The package's twelve value classes keep one contract: construction by
-position and by keyword with the same defaults, the same refusals,
-field-wise ==, a hash for a frozen class and TypeError for a mutable one,
-a repr of the form Class(field=value, ...) (Field and Scalar print as a
-field and a value), AttributeError when a field of a frozen class is
+position and by keyword with the same defaults, the same refusals (each a
+LoophomError), field-wise ==, a hash of the fields (TypeError where a
+field is a dict), a repr of the form Class(field=value, ...) (Field and
+Scalar print as a field and a value), AttributeError when any field is
 assigned or deleted, and copy, deepcopy and pickle round trips."""
 
 import copy
@@ -34,6 +34,8 @@ from loophom.errors import (
     InvalidGrading,
     InvalidScalar,
     InvalidVariant,
+    InvalidVerdict,
+    LoophomError,
     NegativeCutoff,
     NotAChainMap,
 )
@@ -61,7 +63,7 @@ def _same_inclusion(a, b):
     return _same_page(a.sub_page, b.sub_page) and _same_page(a.big_page, b.big_page)
 
 
-# class, args, a differing instance's args, repr, frozen, [(bad args, error)]
+# class, args, a differing instance's args, repr, hashable, [(bad args, error)]
 CASES = {
     "Field": (
         Field, (3,), (5,), "F3", True,
@@ -81,7 +83,7 @@ CASES = {
     ),
     "DgaPage": (
         DgaPage, (BIG.algebra, BIG.differential), (SUB.algebra, SUB.differential),
-        f"DgaPage(algebra={BIG.algebra!r}, differential={BIG.differential!r})", False,
+        f"DgaPage(algebra={BIG.algebra!r}, differential={BIG.differential!r})", True,
         [((BIG.algebra, SUB.differential), AlgebraMismatch)],
     ),
     "RankProfile": (
@@ -99,7 +101,7 @@ CASES = {
     ),
     "HolLoopInclusion": (
         HolLoopInclusion, (SUB, BIG), (SUB, e2_page(1, F3, "loop", 6)),
-        f"HolLoopInclusion(sub_page={SUB!r}, big_page={BIG!r})", False,
+        f"HolLoopInclusion(sub_page={SUB!r}, big_page={BIG!r})", True,
         [((BIG, SUB), NotAChainMap)],
     ),
     "SpaceSpec": (
@@ -137,7 +139,7 @@ CASES = {
         VerificationReport, ("unit", {"n": 2}, "Fail", {"x": [1]}), ("unit", {"n": 2}, "Fail"),
         "VerificationReport(check='unit', params={'n': 2}, verdict='Fail', witness={'x': [1]})",
         False,
-        [],
+        [(("unit", {}, "pass"), InvalidVerdict), (("unit", {}, None), InvalidVerdict)],
     ),
 }
 SAME = {"DgaPage": _same_page, "HolLoopInclusion": _same_inclusion}
@@ -159,7 +161,7 @@ FIELDS = {
 
 @pytest.mark.parametrize("name", CASES)
 def test_value_class_contract(name):
-    cls, args, other_args, text, frozen, refusals = CASES[name]
+    cls, args, other_args, text, hashable, refusals = CASES[name]
     same = SAME.get(name, lambda a, b: a == b)
     obj = cls(*args)
     fields = FIELDS[cls]
@@ -168,16 +170,17 @@ def test_value_class_contract(name):
     assert [getattr(obj, f) for f in fields] == list(args)
     assert cls(**dict(zip(fields, args))) == obj
     for bad, error in refusals:
-        with pytest.raises(error):
+        with pytest.raises(error) as refused:
             cls(*bad)
+        assert isinstance(refused.value, LoophomError)
 
     # ==, within the class and by every field
     assert obj == cls(*args) and not obj != cls(*args)
     assert obj != cls(*other_args)
     assert obj != tuple(args)
 
-    # hash, or unhashable
-    if frozen:
+    # a hash of the fields, or TypeError from a dict field
+    if hashable:
         assert hash(obj) == hash(cls(*args))
     else:
         with pytest.raises(TypeError):
@@ -185,17 +188,14 @@ def test_value_class_contract(name):
 
     assert repr(obj) == text
 
-    # a frozen class refuses assignment and deletion; a mutable one takes it
+    # no field can be assigned or deleted
     for f in fields:
-        if frozen:
-            with pytest.raises(AttributeError):
-                setattr(obj, f, getattr(obj, f))
-            with pytest.raises(AttributeError):
-                delattr(obj, f)
-        else:
-            clone = cls(*args)
-            setattr(clone, f, "changed")
-            assert getattr(clone, f) == "changed"
+        with pytest.raises(AttributeError):
+            setattr(obj, f, getattr(obj, f))
+        with pytest.raises(AttributeError):
+            setattr(obj, f, "changed")
+        with pytest.raises(AttributeError):
+            delattr(obj, f)
     assert [getattr(obj, f) for f in fields] == list(args)
 
     # copy, deepcopy and pickle give an equal object of the same class
@@ -203,7 +203,7 @@ def test_value_class_contract(name):
         assert type(clone) is cls and same(clone, obj)
         if name not in SAME:
             assert repr(clone) == text
-        if frozen:
+        if hashable and name not in SAME:
             assert hash(clone) == hash(obj)
 
 
