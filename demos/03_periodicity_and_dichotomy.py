@@ -29,9 +29,9 @@ for i in table.components():
     print(f"  component {i:2d}: {table.column(i)}")
 print()
 
-print(check_periodicity(n, p, k, range(-2, 3), cutoff=20))
-print(check_periodicity(1, 3, 3, range(-2, 3), cutoff=20))
-print(check_periodicity(1, 3, 1, range(-2, 3), cutoff=20), "(hypothesis not met)")
+print(check_periodicity(n, p, range(-2, 3), k=k, cutoff=20))
+print(check_periodicity(1, 3, range(-2, 3), k=3, cutoff=20))
+print(check_periodicity(1, 3, range(-2, 3), k=1, cutoff=20), "(hypothesis not met)")
 print()
 
 for field in ("q", 2, 3):
@@ -40,5 +40,5 @@ for field in ("q", 2, 3):
     print("  column type by component:", report.witness)
 print()
 
-for args in ((2, 3, 1), (2, 2, 2), (1, 2, 1)):
-    print(unit_check(*args, cutoff=20))
+for n, p, k in ((2, 3, 1), (2, 2, 2), (1, 2, 1)):
+    print(unit_check(n, p, k=k, cutoff=20))

@@ -21,10 +21,9 @@ reports = []
 
 for n, p in ((1, 2), (2, 2), (1, 3), (2, 3), (3, 2)):
     reports.append(check_collapse(n, p, range(-3, 4), cutoff=CUTOFF))
-    reports.append(check_periodicity(n, p, p, range(-2, 3), cutoff=CUTOFF))
+    reports.append(check_periodicity(n, p, range(-2, 3), k=p, cutoff=CUTOFF))
     reports.append(check_dichotomy(n, p, range(-3, 4), cutoff=CUTOFF))
-    if (p * (n + 1)) % p == 0:
-        reports.append(unit_check(n, p, p, cutoff=CUTOFF))
+    reports.append(unit_check(n, p, k=p, cutoff=CUTOFF))
 for n in (1, 2, 3, 4):
     for field in ("q", 2, 3, 5):
         reports.append(check_oracle(n, field, range(-2, 3), cutoff=16))

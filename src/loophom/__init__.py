@@ -50,6 +50,7 @@ from .errors import (
     InvalidGenerator,
     InvalidGrading,
     InvalidHorizon,
+    InvalidRank,
     InvalidScalar,
     InvalidShape,
     InvalidStep,

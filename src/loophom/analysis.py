@@ -12,11 +12,14 @@ homology occupies degrees -2n and up. Reported tables use one of:
 Cutoffs are always stated in ordinary degree. `_page` builds each page
 one degree further so the top requested degree is still exact.
 
-Each check_* function returns a VerificationReport whose verdict is
-"Pass", "Fail", or "NoClaim"; NoClaim means the hypothesis of the
-statement under test is not met by the arguments, so nothing is claimed
-either way. Arguments that compare nothing (no components, or a
-periodicity step of 0) give NoClaim with witness {"compared": 0}.
+Checks. CHECKS is the table of the structural checks. Each is called as
+(n, field, components, cutoff), `unit_check` without components, plus a
+keyword-only k where its row reads one; `field` is a Field, "q", "f<p>" or
+an int. A check returns a VerificationReport whose verdict is "Pass",
+"Fail", or "NoClaim": the hypothesis of the statement under test is not
+met by the arguments, so nothing is claimed either way. `_verify`, the one
+opening of every check, makes its refusals before any work and says
+NoClaim, with witness {"compared": 0}, where nothing is compared.
 """
 
 from __future__ import annotations
@@ -28,16 +31,17 @@ from .dga import DgaPage, _passes, homology_dimensions
 # differential_matrix and rank_of_columns have no caller here; the bench
 # tracer wraps them by name
 from .dga import differential_matrix
-from .errors import CompositeCharacteristic, InvalidCharacteristic, InvalidGrading
-from .errors import InvalidStep, InvalidVerdict
+from .errors import CompositeCharacteristic, InvalidGrading, InvalidStep, InvalidVerdict
 from .linalg import rank_of_columns
 from .scalars import Field, is_int, make_field
-from .spaces import DEFAULT_CUTOFF, HOL, LOOP, _check_args, _check_components
+from .spaces import DEFAULT_CUTOFF, HOL, LOOP, _check_args, _check_components, _check_n
 from .spaces import e2_page, validate_cutoff
 
 GRADINGS = ("ordinary", "regraded")
 
 _PAGE_CACHE: dict = {}
+
+FieldSpec = Union[Field, str, int]
 
 
 def _page(n: int, field: Field, variant: str, cutoff: int) -> DgaPage:
@@ -58,29 +62,12 @@ def _profiles(n: int, field: Field, variant: str, cutoff: int, components: list)
     return homology_dimensions(page, window, components)
 
 
-def _prime_field(p: int) -> Field:
-    """F_p for the checks whose statements only hold at a prime."""
-    if not is_int(p):
-        raise InvalidCharacteristic(f"this check needs a prime p as an int, got {p!r}")
-    if p == 0:
-        raise CompositeCharacteristic("this check needs a prime field, got Q")
-    return Field(p)
-
-
 def _grading_shift(grading: str, n: int) -> int:
     """How far a grading's degrees sit above the internal degree; the one
     refusal of an unknown grading."""
     if grading not in GRADINGS:
         raise InvalidGrading(f"unknown grading {grading!r}")
     return 2 * n if grading == "ordinary" else 0
-
-
-def _check_inputs(n: int, field: Union[Field, str, int], cutoff: int) -> Field:
-    """The refusals every check makes before any work; returns the field."""
-    validate_cutoff(cutoff)
-    field = field if isinstance(field, Field) else make_field(field)
-    _check_args(n, field, LOOP)
-    return field
 
 
 class SpaceSpec(Record):
@@ -223,6 +210,43 @@ class VerificationReport(Record):
         return out
 
 
+# The checks in the order `verify --check all` runs them: (name, function
+# here, reads components, reads a keyword-only k, needs a prime field).
+CHECKS = (
+    ("collapse", "check_collapse", True, False, True),
+    ("periodicity", "check_periodicity", True, True, True),
+    ("dichotomy", "check_dichotomy", True, False, False),
+    ("unit", "unit_check", False, True, True),
+    ("oracle", "check_oracle", True, False, False),
+)
+
+
+def _verify(name, body, n, field, cutoff, components=None, k=None) -> VerificationReport:
+    """The report of the check `name`, by its row of CHECKS: the refusals
+    before any work (cutoff, field, Q where a prime is needed, n, k,
+    components), then NoClaim where nothing is compared (no components, or
+    k = 0), else the (verdict, witness) of `body(n, field, components,
+    cutoff, k)`. The params are what the row reads, the field as p where
+    the row needs a prime."""
+    _, _, reads_components, reads_k, prime = next(row for row in CHECKS if row[0] == name)
+    validate_cutoff(cutoff)
+    field = field if isinstance(field, Field) else make_field(field)
+    if prime and field.is_rational:
+        raise CompositeCharacteristic("this check needs a prime field, got Q")
+    _check_n(n)
+    params = {"n": n, "p": field.characteristic} if prime else {"n": n, "field": field}
+    if reads_k:
+        if not is_int(k):
+            raise InvalidStep(f"k must be an integer, got {k!r}")
+        params["k"] = k
+    if reads_components:
+        components = params["components"] = _check_components(LOOP, components)
+    params["cutoff"] = cutoff
+    if reads_components and (not components or k == 0):
+        return VerificationReport(name, params, "NoClaim", {"compared": 0})
+    return VerificationReport(name, params, *body(n, field, components, cutoff, k))
+
+
 def collapse_predicted(n: int, p: int, k: int, variant: str) -> bool:
     """Whether the page of component k is predicted to have no nonzero
     differential mod p.
@@ -256,7 +280,7 @@ def _noncollapse_visible_from(n: int, p: int, components: Iterable[int]) -> int:
 
 
 def check_collapse(
-    n: int, p: int, components: Iterable[int], cutoff: int = DEFAULT_CUTOFF
+    n: int, field: FieldSpec, components: Iterable[int], cutoff: int = DEFAULT_CUTOFF
 ) -> VerificationReport:
     """Compare observed degeneration against the predicted collapse rule,
     for both variants, component by component.
@@ -267,11 +291,11 @@ def check_collapse(
     verdict NoClaim (unless another component Fails), with those
     components as the witness.
     """
-    field = _check_inputs(n, _prime_field(p), cutoff)
-    comps = _check_components(LOOP, components)
-    params = {"n": n, "p": p, "components": comps, "cutoff": cutoff}
-    if not comps:
-        return VerificationReport("collapse", params, "NoClaim", {"compared": 0})
+    return _verify("collapse", _collapse, n, field, cutoff, components)
+
+
+def _collapse(n, field, comps, cutoff, _) -> tuple:
+    p = field.characteristic
     cells = {}
     mismatches = []
     hidden = []
@@ -292,14 +316,14 @@ def check_collapse(
                     {"variant": variant, "k": k, "observed": observed, "predicted": predicted}
                 )
     if mismatches:
-        return VerificationReport("collapse", params, "Fail", mismatches)
+        return "Fail", mismatches
     if hidden:
-        return VerificationReport("collapse", params, "NoClaim", hidden)
-    return VerificationReport("collapse", params, "Pass", cells)
+        return "NoClaim", hidden
+    return "Pass", cells
 
 
 def check_periodicity(
-    n: int, p: int, k: int, component_range: Iterable[int], cutoff: int = DEFAULT_CUTOFF
+    n: int, field: FieldSpec, components: Iterable[int], cutoff: int = DEFAULT_CUTOFF, *, k: int
 ) -> VerificationReport:
     """Components i and i+k have equal homology after regrading, whenever
     p divides k(n+1); multiplication by iota^k is the underlying map.
@@ -308,38 +332,28 @@ def check_periodicity(
     every compared component's first differential (witness: the first
     cutoff at which one can show), since then no two components differ.
     """
-    field = _check_inputs(n, _prime_field(p), cutoff)
-    if not is_int(k):
-        raise InvalidStep(f"k must be an integer, got {k!r}")
-    comps = _check_components(LOOP, component_range)
-    params = {"n": n, "p": p, "k": k, "components": comps, "cutoff": cutoff}
-    if not comps or k == 0:
-        return VerificationReport("periodicity", params, "NoClaim", {"compared": 0})
+    return _verify("periodicity", _periodicity, n, field, cutoff, components, k)
+
+
+def _periodicity(n, field, comps, cutoff, k) -> tuple:
+    p = field.characteristic
     if (k * (n + 1)) % p != 0:
-        return VerificationReport("periodicity", params, "NoClaim")
+        return "NoClaim", None
     needed = sorted(set(comps) | {i + k for i in comps})
     visible = _noncollapse_visible_from(n, p, needed)
     if cutoff < visible:
-        return VerificationReport(
-            "periodicity", params, "NoClaim", {"visible_from": visible}
-        )
+        return "NoClaim", {"visible_from": visible}
     spec = SpaceSpec(LOOP, n, field)
     columns = betti_table(spec, needed, cutoff, grading="regraded").columns()
     for i in comps:
         a, b = columns.get(i, {}), columns.get(i + k, {})
         if a != b:
-            diff = sorted(set(a.items()) ^ set(b.items()))
-            return VerificationReport(
-                "periodicity", params, "Fail", {"i": i, "difference": diff}
-            )
-    return VerificationReport("periodicity", params, "Pass", {"pairs": len(comps)})
+            return "Fail", {"i": i, "difference": sorted(set(a.items()) ^ set(b.items()))}
+    return "Pass", {"pairs": len(comps)}
 
 
 def check_dichotomy(
-    n: int,
-    field: Union[Field, str, int],
-    component_range: Iterable[int],
-    cutoff: int = DEFAULT_CUTOFF,
+    n: int, field: FieldSpec, components: Iterable[int], cutoff: int = DEFAULT_CUTOFF
 ) -> VerificationReport:
     """Every component's homology matches component 0's or component 1's
     (after regrading).
@@ -347,17 +361,14 @@ def check_dichotomy(
     NoClaim, as in `check_periodicity`, when the cutoff is below every
     compared component's first differential.
     """
-    field = _check_inputs(n, field, cutoff)
-    comps = _check_components(LOOP, component_range)
-    params = {"n": n, "field": field, "components": comps, "cutoff": cutoff}
-    if not comps:
-        return VerificationReport("dichotomy", params, "NoClaim", {"compared": 0})
+    return _verify("dichotomy", _dichotomy, n, field, cutoff, components)
+
+
+def _dichotomy(n, field, comps, cutoff, _) -> tuple:
     needed = sorted(set(comps) | {0, 1})
     visible = _noncollapse_visible_from(n, field.characteristic, needed)
     if cutoff < visible:
-        return VerificationReport(
-            "dichotomy", params, "NoClaim", {"visible_from": visible}
-        )
+        return "NoClaim", {"visible_from": visible}
     spec = SpaceSpec(LOOP, n, field)
     columns = betti_table(spec, needed, cutoff, grading="regraded").columns()
     col0, col1 = columns.get(0, {}), columns.get(1, {})
@@ -369,11 +380,13 @@ def check_dichotomy(
         elif col == col1:
             assignment[i] = 1
         else:
-            return VerificationReport("dichotomy", params, "Fail", {"component": i})
-    return VerificationReport("dichotomy", params, "Pass", assignment)
+            return "Fail", {"component": i}
+    return "Pass", assignment
 
 
-def unit_check(n: int, p: int, k: int, cutoff: int = DEFAULT_CUTOFF) -> VerificationReport:
+def unit_check(
+    n: int, field: FieldSpec, cutoff: int = DEFAULT_CUTOFF, *, k: int
+) -> VerificationReport:
     """When p divides k(n+1), iota^k and iota^-k are permanent cycles whose
     homology classes multiply to the class of 1: a unit and its inverse.
 
@@ -381,12 +394,14 @@ def unit_check(n: int, p: int, k: int, cutoff: int = DEFAULT_CUTOFF) -> Verifica
     their product is exactly the unit monomial, and the unit is not a
     boundary either.
     """
-    field = _check_inputs(n, _prime_field(p), cutoff)
-    params = {"n": n, "p": p, "k": k, "cutoff": cutoff}
-    if not is_int(k) or k < 1:
+    return _verify("unit", _unit, n, field, cutoff, k=k)
+
+
+def _unit(n, field, _, cutoff, k) -> tuple:
+    if k < 1:
         raise InvalidStep(f"k must be a positive integer, got {k!r}")
-    if (k * (n + 1)) % p != 0:
-        return VerificationReport("unit", params, "NoClaim")
+    if (k * (n + 1)) % field.characteristic != 0:
+        return "NoClaim", None
     page = _page(n, field, LOOP, cutoff)
     alg, d = page.algebra, page.differential
     pos, neg = alg.monomial({"iota": k}), alg.monomial({"iota": -k})
@@ -409,10 +424,8 @@ def unit_check(n: int, p: int, k: int, cutoff: int = DEFAULT_CUTOFF) -> Verifica
     if 0 in bounds:
         problems.append("1 is a boundary")
     if problems:
-        return VerificationReport("unit", params, "Fail", problems)
-    return VerificationReport(
-        "unit", params, "Pass", {"classes": [f"iota^{k}", f"iota^-{k}", "1"]}
-    )
+        return "Fail", problems
+    return "Pass", {"classes": [f"iota^{k}", f"iota^-{k}", "1"]}
 
 
 def betti_oracle(
@@ -471,19 +484,15 @@ def betti_oracle(
 
 
 def check_oracle(
-    n: int,
-    field: Union[Field, str, int],
-    components: Iterable[int],
-    cutoff: int = DEFAULT_CUTOFF,
+    n: int, field: FieldSpec, components: Iterable[int], cutoff: int = DEFAULT_CUTOFF
 ) -> VerificationReport:
     """Engine Betti numbers agree with the count of `betti_oracle` at every
     ordinary degree through the cutoff, for the loop components and the
     nonnegative holomorphic ones."""
-    field = _check_inputs(n, field, cutoff)
-    comps = _check_components(LOOP, components)
-    params = {"n": n, "field": field, "components": comps, "cutoff": cutoff}
-    if not comps:
-        return VerificationReport("oracle", params, "NoClaim", {"compared": 0})
+    return _verify("oracle", _oracle, n, field, cutoff, components)
+
+
+def _oracle(n, field, comps, cutoff, _) -> tuple:
     mismatches = []
     checked = 0
     for variant in (LOOP, HOL):
@@ -502,5 +511,5 @@ def check_oracle(
                      "engine": got, "oracle": count}
                 )
     if mismatches:
-        return VerificationReport("oracle", params, "Fail", mismatches)
-    return VerificationReport("oracle", params, "Pass", {"cells": checked})
+        return "Fail", mismatches
+    return "Pass", {"cells": checked}

@@ -5,7 +5,10 @@ Subcommands:
 * ``compute``  Betti tables for chosen components, as text, CSV, or JSON,
   on stdout or, with ``--output``, in a file. All the components come
   from one `analysis.betti_table` call.
-* ``verify``   run one of the structural checks and report Pass/Fail.
+* ``verify``   run a structural check, or with ``all`` each one that applies
+  to the field and the flags given, and print its Pass/Fail/NoClaim report.
+  The checks, their order and the arguments each reads come from the
+  table `analysis.CHECKS`.
 
 Field specs are those of `scalars.make_field`: ``q`` (or ``rational``) for
 the rationals or ``f<p>`` for a prime p.
@@ -13,13 +16,8 @@ Component ranges are written ``a..b`` (inclusive). Exit codes: 0 success
 (and no Fail verdict), 1 a check Failed, 2 bad configuration, 3 a cutoff
 or finiteness error, 4 an I/O error. Output is deterministic.
 
-Bad input is refused by the library (a malformed or non-prime field
-spec, n < 1, a negative cutoff, a nonpositive k for ``unit``, a
-prime-only check over q); this module only parses component ranges and
-checks that ``--k`` is given where a check needs it.
-
-``verify --check oracle`` compares the engine with the independent
-monomial count of `analysis.betti_oracle`, for any field and any n.
+Bad input is refused by the library; this module only parses component
+ranges and refuses a check without the ``--k`` its row says it reads.
 """
 
 from __future__ import annotations
@@ -42,7 +40,7 @@ EXIT_CONFIG = 2
 EXIT_CUTOFF = 3
 EXIT_IO = 4
 
-CHECKS = ("collapse", "periodicity", "dichotomy", "unit", "oracle", "all")
+CHECKS = tuple(name for name, *_ in analysis.CHECKS) + ("all",)
 
 
 class ConfigError(LoophomError):
@@ -166,31 +164,20 @@ def _cmd_compute(args) -> int:
 
 def _cmd_verify(args) -> int:
     field = make_field(args.field)
-    p = field.characteristic
     running_all = args.check == "all"
     reports: list[VerificationReport] = []
-    for check in CHECKS[:-1] if running_all else [args.check]:
-        needs_k = check in ("periodicity", "unit")
-        # "all" runs only the checks that apply to the field and the flags
-        if running_all and (
-            (p == 0 and check in ("collapse", "periodicity", "unit"))
-            or (needs_k and args.k is None)
-        ):
+    for name, function, reads_components, reads_k, prime in analysis.CHECKS:
+        if args.check not in (name, "all"):
             continue
-        if needs_k and args.k is None:
-            raise ConfigError(f"{check} needs --k")
-        comps = None if check == "unit" else _parse_components(args.component, args.components)
-        if check == "collapse":
-            report = analysis.check_collapse(args.n, p, comps, args.cutoff)
-        elif check == "periodicity":
-            report = analysis.check_periodicity(args.n, p, args.k, comps, args.cutoff)
-        elif check == "dichotomy":
-            report = analysis.check_dichotomy(args.n, field, comps, args.cutoff)
-        elif check == "unit":
-            report = analysis.unit_check(args.n, p, args.k, args.cutoff)
-        else:  # oracle
-            report = analysis.check_oracle(args.n, field, comps, args.cutoff)
-        reports.append(report)
+        # "all" runs only the checks that apply to the field and the flags
+        if running_all and ((prime and field.is_rational) or (reads_k and args.k is None)):
+            continue
+        if reads_k and args.k is None:
+            raise ConfigError(f"{name} needs --k")
+        comps = [_parse_components(args.component, args.components)] if reads_components else []
+        step = {"k": args.k} if reads_k else {}
+        # looked up now, so a patched or traced function is the one called
+        reports.append(getattr(analysis, function)(args.n, field, *comps, args.cutoff, **step))
     for report in reports:
         print(report)
     return EXIT_FAIL if any(r.failed for r in reports) else EXIT_OK

@@ -36,6 +36,7 @@ from .errors import (
     FieldMismatch,
     InhomogeneousElement,
     InhomogeneousImage,
+    InvalidRank,
     NotAChainMap,
     NotSquareZero,
     UnknownGenerator,
@@ -44,6 +45,7 @@ from .errors import (
 from .graded_algebra import Element, GradedAlgebra, Monomial, _free_exponents
 # kernel_basis and rank_of_columns have no caller here; the bench tracer wraps them by name
 from .linalg import Matrix, kernel_basis, rank_of_columns
+from .scalars import is_int
 
 
 class Derivation:
@@ -165,6 +167,13 @@ class DgaPage(Record):
         _fill(self, algebra, differential)
 
 
+def _check_counts(*counts: int) -> None:
+    """Refuse a dimension, rank or Betti number that is not an int >= 0."""
+    for count in counts:
+        if not is_int(count) or count < 0:
+            raise InvalidRank(f"a dimension or rank must be an int >= 0, got {count!r}")
+
+
 class RankProfile(Record):
     """Linear data of one (degree, weight) spot of a page.
 
@@ -176,6 +185,9 @@ class RankProfile(Record):
     __slots__ = _fields + ("betti",)
 
     def __init__(self, dim: int, rank_d_here: int, rank_d_above: int):
+        _check_counts(dim, rank_d_here, rank_d_above)
+        if rank_d_here + rank_d_above > dim:
+            raise InvalidRank(f"ranks {rank_d_here} + {rank_d_above} exceed the dimension {dim}")
         _fill(self, dim, rank_d_here, rank_d_above)
         _set(self, "betti", dim - rank_d_here - rank_d_above)
 
@@ -365,6 +377,9 @@ class InducedCell(Record):
     __slots__ = _fields = ("rank", "betti_sub", "betti_big")
 
     def __init__(self, rank: int, betti_sub: int, betti_big: int):
+        _check_counts(rank, betti_sub, betti_big)
+        if rank > betti_sub or rank > betti_big:
+            raise InvalidRank(f"rank {rank} exceeds a Betti number, {betti_sub} or {betti_big}")
         _fill(self, rank, betti_sub, betti_big)
 
     @property

@@ -156,5 +156,10 @@ class InvalidStep(LoophomError, ValueError):
     bool is not one), or is not positive where a check needs it to be."""
 
 
+class InvalidRank(LoophomError, ValueError):
+    """A dimension, rank or Betti number of a spot is not an int (a bool is
+    not one) or is negative, or a rank exceeds what it is a rank of."""
+
+
 class InvalidVerdict(LoophomError, ValueError):
     """A verification verdict is not "Pass", "Fail" or "NoClaim"."""

@@ -117,8 +117,8 @@ def test_criterion_4_mod2_closed_form_oracle():
 def test_criterion_5_periodicity():
     t0 = time.monotonic()
     reps = [
-        check_periodicity(2, 2, 2, range(-2, 3), cutoff=20),
-        check_periodicity(1, 3, 3, range(-2, 3), cutoff=20),
+        check_periodicity(2, 2, range(-2, 3), k=2, cutoff=20),
+        check_periodicity(1, 3, range(-2, 3), k=3, cutoff=20),
     ]
     ok = all(r.passed for r in reps)
     dt = time.monotonic() - t0
@@ -250,9 +250,9 @@ def test_criterion_8_property_suite():
 def test_criterion_9_unit_classes():
     t0 = time.monotonic()
     reps = [
-        unit_check(2, 3, 1, cutoff=20),
-        unit_check(2, 2, 2, cutoff=20),
-        unit_check(1, 2, 1, cutoff=20),
+        unit_check(2, 3, k=1, cutoff=20),
+        unit_check(2, 2, k=2, cutoff=20),
+        unit_check(1, 2, k=1, cutoff=20),
     ]
     ok = all(r.passed for r in reps)
     dt = time.monotonic() - t0

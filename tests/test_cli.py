@@ -200,16 +200,38 @@ def test_verify_all_rational_skips_prime_checks(capsys):
     assert names == ["dichotomy", "oracle"]
 
 
-def test_verify_fail_exits_one(capsys, monkeypatch):
-    forced = VerificationReport("collapse", {"n": 2}, "Fail", ["forced"])
-    monkeypatch.setattr(cli.analysis, "check_collapse", lambda *a, **k: forced)
+@pytest.mark.parametrize(
+    "name,function", [row[:2] for row in analysis.CHECKS], ids=[row[0] for row in analysis.CHECKS]
+)
+def test_verify_fail_exits_one(name, function, capsys, monkeypatch):
+    # each check's function is looked up on `analysis` when the CLI calls it
+    forced = VerificationReport(name, {"n": 2}, "Fail", ["forced"])
+    monkeypatch.setattr(cli.analysis, function, lambda *a, **k: forced)
     code, out, _ = run(
-        ["verify", "--check", "collapse", "--n", "2", "--field", "f2",
-         "--component", "0", "--cutoff", "10"],
+        ["verify", "--check", name, "--n", "2", "--field", "f2",
+         "--component", "0", "--cutoff", "10", "--k", "2"],
         capsys,
     )
     assert code == EXIT_FAIL
-    assert "Fail" in out and "forced" in out
+    assert out == f"{name} [n=2]: Fail witness=['forced']\n"
+
+
+def test_verify_check_choices_are_the_table(capsys):
+    with pytest.raises(SystemExit):
+        main(["verify", "--help"])
+    names = [row[0] for row in analysis.CHECKS]
+    assert f"--check {{{','.join(names)},all}}" in capsys.readouterr().out
+    assert cli.CHECKS == (*names, "all")
+
+
+def test_verify_prints_the_golden_transcript(capsys):
+    # each "$ loophom ..." line of the file is followed by what it prints
+    transcript = (Path(__file__).parent / "verify_all_golden.txt").read_text()
+    blocks = transcript.split("$ loophom ")[1:]
+    assert len(blocks) == 2
+    for block in blocks:
+        command, _, expected = block.partition("\n")
+        assert run(command.split(), capsys) == (EXIT_OK, expected, "")
 
 
 def test_verify_cutoff_too_tight_exits_three(capsys):

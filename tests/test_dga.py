@@ -28,6 +28,8 @@ from loophom.errors import (
     DuplicateName,
     FieldMismatch,
     InhomogeneousImage,
+    InvalidRank,
+    LoophomError,
     NotAChainMap,
     NotSquareZero,
     WrongBidegree,
@@ -141,6 +143,39 @@ def test_page_keeps_its_checked_differential():
     with pytest.raises(AttributeError):
         del page.differential
     assert page.differential is checked
+
+
+def _refused(build):
+    with pytest.raises(InvalidRank) as info:
+        build()
+    assert isinstance(info.value, LoophomError) and isinstance(info.value, ValueError)
+
+
+@pytest.mark.parametrize("value", [1.0, True, False, "1", None])
+def test_rank_counts_refuse_a_value_that_is_not_an_int(value):
+    for args in ((value, 0, 0), (2, value, 0), (2, 0, value)):
+        _refused(lambda: RankProfile(*args))
+    for args in ((value, 1, 1), (0, value, 1), (0, 1, value)):
+        _refused(lambda: InducedCell(*args))
+
+
+def test_rank_counts_refuse_a_negative_value():
+    for args in ((-1, 0, 0), (3, -1, 1), (3, 1, -1)):
+        _refused(lambda: RankProfile(*args))
+    for args in ((-1, 1, 1), (0, -1, 2), (0, 2, -1)):
+        _refused(lambda: InducedCell(*args))
+
+
+def test_rank_profile_refuses_ranks_past_its_dimension():
+    for args in ((1, 5, 5), (2, 1, 2), (0, 1, 0)):
+        _refused(lambda: RankProfile(*args))
+    assert RankProfile(3, 1, 2).betti == 0
+
+
+def test_induced_cell_refuses_a_rank_past_a_betti_number():
+    for args in ((3, 1, 2), (2, 3, 1), (1, 0, 0)):
+        _refused(lambda: InducedCell(*args))
+    assert InducedCell(1, 1, 1).injective and not InducedCell(0, 1, 2).injective
 
 
 # -- Leibniz and square zero on real pages -------------------------------------
