@@ -66,12 +66,7 @@ from .errors import (
     UnknownGenerator,
     WrongBidegree,
 )
-from .graded_algebra import (
-    Element,
-    GradedAlgebra,
-    Generator,
-    Monomial,
-)
+from .graded_algebra import Element, GradedAlgebra, Generator
 from .linalg import Matrix, kernel_basis, rank_sparse
 from .scalars import GF2, RATIONALS, Field, Scalar, make_field
 from .spaces import (

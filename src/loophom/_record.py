@@ -4,13 +4,14 @@ methods a decorator generates and compiles. A subclass names its
 constructor's arguments in `_fields`, in order; `==`, the hash, the repr,
 copy and pickle go by them. Every value is immutable: its constructor
 makes its checks, then sets the fields with one `_fill` call, and no field
-can be assigned or deleted after that."""
+can be assigned or deleted after that; a field that is a map is a
+`ReadOnlyMap`."""
 
 from operator import attrgetter
 
 from .errors import ReadOnlyValue
 
-_set = object.__setattr__  # past the guard: `_fill`, and RankProfile's `betti`
+_set = object.__setattr__  # past the guard: `_fill`, derived slots and private memos
 
 
 def _fill(record, *values) -> None:
@@ -19,10 +20,20 @@ def _fill(record, *values) -> None:
         _set(record, name, value)
 
 
-class Record:
+class ReadOnly:
+    """Assigning or deleting any attribute raises ReadOnlyValue."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, *value):
+        raise ReadOnlyValue(f"cannot assign to or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+
+class Record(ReadOnly):
     """Field-wise `==` within one class and a hash of the fields (TypeError
-    where a field is unhashable); assigning or deleting any attribute
-    raises ReadOnlyValue, an AttributeError."""
+    where a field is unhashable)."""
 
     __slots__ = ()
     _fields: tuple = ()
@@ -48,8 +59,29 @@ class Record:
     def __hash__(self):
         return hash(self._key(self))
 
-    def __setattr__(self, name, value):
-        raise ReadOnlyValue(f"cannot assign to {name!r}")
 
-    def __delattr__(self, name):
-        raise ReadOnlyValue(f"cannot delete {name!r}")
+class ReadOnlyMap(dict):
+    """A dict no write can change: setting, deleting, clearing, popping
+    and updating raise ReadOnlyValue. It hashes by its items, and copy
+    and pickle build a new map of the same items."""
+
+    __slots__ = ()
+
+    def __new__(cls, items=()):
+        self = dict.__new__(cls)
+        dict.update(self, items)
+        return self
+
+    def __init__(self, items=()):
+        pass  # the items went in at `__new__`; `dict.__init__` would add more on any call
+
+    def _refuse(self, *args, **kwargs):
+        raise ReadOnlyValue("cannot change a read-only map")
+
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _refuse
+
+    def __hash__(self):
+        return hash(frozenset(self.items()))
+
+    def __reduce__(self):
+        return type(self), (dict(self),)

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping, Union
 
-from ._record import Record, _fill, _set
+from ._record import ReadOnlyMap, Record, _fill, _set
 from .errors import (
     AlgebraMismatch,
     CutoffTooTight,
@@ -48,28 +48,28 @@ from .linalg import Matrix, kernel_basis, rank_of_columns
 from .scalars import is_int
 
 
-class Derivation:
+class Derivation(Record):
     """A derivation given on generators: `images` maps each generator, by
     name or gid, to its image, and the derivation keeps the nonzero ones
-    by gid. A generator keyed twice raises DuplicateName and an image of
-    another algebra AlgebraMismatch. Any images extend by the signed
-    Leibniz rule; `DgaPage` checks that they make a differential. It
-    keeps no table of its own; where a product passes an exterior or
-    truncated bound, `multiply_monomials` says so.
+    by gid, in a `ReadOnlyMap`. A generator keyed twice raises
+    DuplicateName and an image of another algebra AlgebraMismatch. Any
+    images extend by the signed Leibniz rule; `DgaPage` checks that they
+    make a differential. It keeps no table of its own; where a product
+    passes an exterior or truncated bound, `multiply_monomials` says so.
     """
 
+    __slots__ = _fields = ("algebra", "images")
+
     def __init__(self, algebra: GradedAlgebra, images: Mapping[Union[int, str], Element]):
-        self.algebra, self.images = algebra, {}
-        keyed = set()
+        kept = {}
         for key, img in images.items():
             g = algebra.generator(key)
-            if g.gid in keyed:
+            if g.gid in kept:
                 raise DuplicateName(f"generator {g.name!r} is given two images")
-            keyed.add(g.gid)
             if img.algebra is not algebra:
                 raise AlgebraMismatch(f"image of {g.name!r} lives in a different algebra")
-            if img:
-                self.images[g.gid] = img
+            kept[g.gid] = img
+        _fill(self, algebra, ReadOnlyMap({gid: img for gid, img in kept.items() if img}))
 
     def is_zero(self) -> bool:
         return not self.images
@@ -471,7 +471,12 @@ def induced_map_on_homology(
     rank is dim(sub cycles) - dim(S meet B): the big pass's `meet`. It is
     0 without further matrix work where the sub homology is zero.
     """
-    in_sub = _inclusion(sub_page, big_page)
+    return _induced_ranks(sub_page, big_page, _inclusion(sub_page, big_page), degrees, weights)
+
+
+def _induced_ranks(sub_page, big_page, in_sub, degrees, weights) -> InducedMapReport:
+    """`induced_map_on_homology` past its check, with the `in_sub` that
+    `_inclusion` gave for these pages."""
     degrees, weights = list(degrees), list(weights)  # read by both passes
     passes = zip(_passes(sub_page, degrees, weights), _passes(big_page, degrees, weights))
     report = {}

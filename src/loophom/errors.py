@@ -49,13 +49,14 @@ class ParityViolation(LoophomError, ValueError):
 
 
 class DuplicateName(LoophomError, ValueError):
-    """Two generators of one algebra were declared with the same name, or
+    """Two generator rows of one algebra have the same name, or
     one generator was given two images, once by name and once by id."""
 
 
 class InvalidGenerator(LoophomError, ValueError):
-    """A generator's degree, weight or truncation is not an int (a bool is
-    not one), or its kind or truncation is not allowed."""
+    """A generator's name is not a str, its degree, weight or truncation is
+    not an int (a bool is not one), its kind or truncation is not allowed,
+    or its row has neither 4 nor 5 items."""
 
 
 class LaurentNonzeroDegree(InvalidGenerator):

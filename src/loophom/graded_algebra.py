@@ -7,6 +7,11 @@ Generators come in four kinds:
 * ``exterior``    exponents 0 or 1, square equal to zero,
 * ``truncated``   exponents 0..m, higher powers equal to zero.
 
+An algebra is built whole, one row per generator, and never changes:
+
+    GradedAlgebra(Field(3), [("iota", 0, 1, "laurent"), ("u", 3, 1, "exterior"),
+                             ("c", -2, 0, "truncated", 2)], complete_through_degree=10)
+
 Elements are finite sums of monomials with exact field coefficients.
 Multiplication carries the Koszul sign: commuting odd-degree factors past
 each other costs a minus sign (no signs in characteristic 2).
@@ -28,7 +33,7 @@ import math
 from bisect import bisect_right
 from typing import Mapping, Optional, Union
 
-from ._record import Record, _fill
+from ._record import ReadOnly, ReadOnlyMap, Record, _fill, _set
 from .errors import (
     AlgebraMismatch,
     DuplicateName,
@@ -47,9 +52,10 @@ KINDS = ("polynomial", "laurent", "exterior", "truncated")
 
 
 class Generator(Record):
-    """The types of degree, weight and truncation, the kind, the truncation
-    and a laurent generator's degree 0 are checked on construction;
-    `GradedAlgebra.declare_generator` adds name and parity."""
+    """The types of name, degree, weight and truncation, the kind, the
+    truncation and a laurent generator's degree 0 are checked on
+    construction; the `GradedAlgebra` constructor adds a new name and
+    parity."""
 
     __slots__ = _fields = ("gid", "name", "degree", "weight", "kind", "truncation")
 
@@ -57,6 +63,8 @@ class Generator(Record):
         self, gid: int, name: str, degree: int, weight: int, kind: str,
         truncation: Optional[int] = None,
     ):
+        if not isinstance(name, str):
+            raise InvalidGenerator(f"a generator's name must be a str, got {name!r}")
         for attr, value in (("degree", degree), ("weight", weight), ("truncation", truncation)):
             if not is_int(value) and not (attr == "truncation" and value is None):
                 raise InvalidGenerator(f"{attr} of {name!r} must be an int, got {value!r}")
@@ -78,21 +86,25 @@ class Generator(Record):
         return 1 if self.kind == "exterior" else self.truncation
 
 
-class Monomial:
+class Monomial(Record):
     """A product of generator powers, stored as a sorted exponent tuple.
 
     `exps` is a tuple of (gid, exponent) pairs, strictly increasing in gid,
     with all exponents nonzero. The empty tuple is the unit monomial.
-    Degree and weight are cached at construction.
+    Degree and weight are cached at construction and read-only, like
+    `exps`; the algebra's methods build every monomial, and nothing checks
+    one built by hand.
     """
 
-    __slots__ = ("exps", "degree", "weight", "_hash")
+    _fields = ("exps", "degree", "weight")
+    __slots__ = _fields + ("_hash",)
 
     def __init__(self, exps, degree: int, weight: int):
-        self.exps = tuple(exps)
-        self.degree = degree
-        self.weight = weight
-        self._hash = hash(self.exps)
+        exps = tuple(exps)  # a `_set` per slot, not `_fill`: monomials are built on the hot path
+        _set(self, "exps", exps)
+        _set(self, "degree", degree)
+        _set(self, "weight", weight)
+        _set(self, "_hash", hash(exps))
 
     def exponent(self, gid: int) -> int:
         for g, e in self.exps:
@@ -123,55 +135,48 @@ class Monomial:
         return f"Monomial{self.exps}"
 
 
-class GradedAlgebra:
-    """A free bigraded-commutative algebra over an exact field.
+class GradedAlgebra(ReadOnly):
+    """A free bigraded-commutative algebra over an exact field, built whole
+    from its generator rows, a row's place its gid: each has 4 or 5 items
+    (InvalidGenerator), makes a `Generator`, has a new name (DuplicateName)
+    and fits the field's parity (ParityViolation). No attribute can be
+    assigned (ReadOnlyValue).
 
     `complete_through_degree`, when set, records the largest degree d such
-    that the declared generators produce the same monomial basis in all
-    degrees <= d as some larger intended generator set would. Builders
-    that truncate an infinite family of generators set it; homology
-    routines refuse to read past it.
+    that the generators produce the same monomial basis in all degrees
+    <= d as some larger intended generator set would. Builders that
+    truncate an infinite family of generators set it; homology routines
+    refuse to read past it.
     """
 
-    def __init__(self, field: Field, complete_through_degree: Optional[int] = None):
+    # the attributes, then the enumeration memo, which nothing can make stale
+    __slots__ = _fields = ("field", "generators", "complete_through_degree",
+                           "_by_name", "_plan", "_by_degree")
+
+    def __init__(self, field: Field, generators, complete_through_degree: Optional[int] = None):
         check_field(field)
         if complete_through_degree is not None and not is_int(complete_through_degree):
             raise InvalidHorizon(
                 f"complete_through_degree must be None or an int, got {complete_through_degree!r}"
             )
-        self.field = field
-        self.generators: list[Generator] = []
-        self._by_name: dict[str, Generator] = {}
-        self.complete_through_degree = complete_through_degree
-        # enumeration state, rebuilt lazily after every declare_generator
-        self._plan: Optional[tuple] = None
-        self._by_degree: dict[int, list[Monomial]] = {}
-        self._walked: Optional[int] = None  # every list through this degree is complete
+        by_name: dict[str, Generator] = {}
+        for row in generators:
+            if not isinstance(row, (tuple, list)) or len(row) not in (4, 5):
+                raise InvalidGenerator(f"a generator row has 4 or 5 items, got {row!r}")
+            gen = Generator(len(by_name), *row)
+            if gen.name in by_name:
+                raise DuplicateName(f"generator {gen.name!r} has two rows")
+            if field.characteristic != 2:
+                if gen.kind == "exterior" and gen.degree % 2 == 0:
+                    raise ParityViolation(f"even exterior generator {gen.name!r} over {field}")
+                if gen.kind != "exterior" and gen.degree % 2 != 0:
+                    raise ParityViolation(f"odd {gen.kind} generator {gen.name!r} over {field}")
+            by_name[gen.name] = gen
+        _fill(self, field, tuple(by_name.values()), complete_through_degree, by_name, None, {})
 
-    # -- construction -----------------------------------------------------
-
-    def declare_generator(
-        self,
-        name: str,
-        degree: int,
-        weight: int,
-        kind: str,
-        truncation: Optional[int] = None,
-    ) -> Generator:
-        gen = Generator(len(self.generators), name, degree, weight, kind, truncation)
-        if name in self._by_name:
-            raise DuplicateName(f"generator {name!r} already declared")
-        if self.field.characteristic != 2:
-            if kind == "exterior" and degree % 2 == 0:
-                raise ParityViolation(f"even exterior generator {name!r} over {self.field}")
-            if kind != "exterior" and degree % 2 != 0:
-                raise ParityViolation(f"odd {kind} generator {name!r} over {self.field}")
-        self.generators.append(gen)
-        self._by_name[name] = gen
-        self._plan = None
-        self._by_degree.clear()
-        self._walked = None
-        return gen
+    def __reduce__(self):  # copy and pickle rebuild from the rows, with a fresh memo
+        rows = tuple((g.name, g.degree, g.weight, g.kind, g.truncation) for g in self.generators)
+        return GradedAlgebra, (self.field, rows, self.complete_through_degree)
 
     def generator(self, key: Union[int, str]) -> Generator:
         """The generator of a name or a gid; any other key (a bool is no
@@ -310,7 +315,7 @@ class GradedAlgebra:
                     )
 
     def _enumeration_plan(self) -> tuple:
-        """(free, steps, least, most), built once per generator set.
+        """(free, steps, least, most), built once, at the first enumeration.
 
         `free` holds the degree-0 polynomial and laurent generators, whose
         exponents are solved from the weight. `steps` has one entry
@@ -323,16 +328,16 @@ class GradedAlgebra:
         """
         if self._plan is None:
             self._certificate()
-            free = [
+            free = tuple(
                 g for g in self.generators
                 if g.degree == 0 and g.kind in ("polynomial", "laurent")
-            ]
+            )
             steps = [(g, g.top) for g in self.generators if g not in free]
             least, most = [0], [0]
             for g, top in reversed(steps):
                 least.append(least[-1] + (0 if top is None else min(g.degree * top, 0)))
                 most.append(most[-1] + (math.inf if top is None else max(g.degree * top, 0)))
-            self._plan = (free, steps, least[::-1], most[::-1])
+            _set(self, "_plan", (free, steps, least[::-1], most[::-1]))
         return self._plan
 
     def degree_reach(self) -> tuple:
@@ -342,16 +347,15 @@ class GradedAlgebra:
         _, _, least, most = self._enumeration_plan()
         return least[0], most[0]
 
-    def free_generators(self) -> list:
+    def free_generators(self) -> tuple:
         """The degree-0 polynomial and laurent generators, in gid order:
         the only ones unbounded within one degree."""
         return self._enumeration_plan()[0]
 
-    def graded_monomials(self, degree: int) -> list[Monomial]:
+    def graded_monomials(self, degree: int) -> tuple:
         """Monomials of the given degree, over every weight, in the
         generators that are not free, in lexicographic order of their
-        exponent vectors. The list is cached on the algebra until the
-        next `declare_generator`; callers must not change it.
+        exponent vectors: a tuple, kept on the algebra.
 
         A request past every degree listed so far walks (`_walk`) on from
         the last one through the requested degree, so one walk lists every
@@ -362,17 +366,16 @@ class GradedAlgebra:
         if found is not None:
             return found
         low, high = self.degree_reach()
-        walked = low - 1 if self._walked is None else self._walked
+        walked = low - 1 + len(self._by_degree)  # it holds every degree from low on
         if degree <= walked or degree > high:
-            return []
+            return ()
         self._walk(walked, degree)
-        self._walked = degree
-        return self._by_degree.get(degree, [])
+        return self._by_degree[degree]
 
     def _walk(self, floor: int, top: int) -> None:
-        """Append every monomial of degree floor + 1..top to its degree's
-        list in `_by_degree`, by one depth-first walk over the steps with
-        exponents ascending, so each list comes out in lexicographic
+        """Keep the tuple of monomials of every degree floor + 1..top, empty
+        or not, in `_by_degree`, from one depth-first walk over the steps
+        with exponents ascending, so each comes out in lexicographic
         order. A prefix is entered only when the range of degrees the
         remaining steps can add (the plan's `least`..`most`) overlaps
         floor + 1..top. The range may have gaps, so a node can still lead
@@ -380,7 +383,7 @@ class GradedAlgebra:
         the window.
         """
         _, steps, least, most = self._enumeration_plan()
-        by_degree, last = self._by_degree, len(steps)
+        by_degree, last = {}, len(steps)
 
         def rec(i, degree, weight, acc):
             if i == last:
@@ -399,13 +402,15 @@ class GradedAlgebra:
                     rec(i + 1, d, weight + e * g.weight, acc + ((g.gid, e),) if e else acc)
 
         rec(0, 0, 0, ())
+        for degree in range(floor + 1, top + 1):
+            self._by_degree[degree] = tuple(by_degree.get(degree, ()))
 
     def enumerate_basis(self, degree: int, weight: int) -> list[Monomial]:
         """All basis monomials of the given (degree, weight), sorted
         lexicographically on full exponent vectors, in a fresh list: the
         products y*m, with m in the degree's `graded_monomials` and y a
         block of free generators that makes up the rest of the weight. The
-        certificate in `_certificate`, checked once per generator set,
+        certificate in `_certificate`, checked at the first enumeration,
         guarantees the lists are finite and complete.
         """
         free, blocks = self.free_generators(), {}
@@ -440,21 +445,25 @@ def _free_exponents(free: list, weight: int) -> list:
     return out
 
 
-class Element:
+class Element(Record):
     """A finite field-linear combination of monomials in one algebra:
-    `terms` maps each monomial to its coefficient. Every coefficient goes
-    through the algebra's `Field.scalar`, which refuses a value that is
-    no scalar of the field (`InvalidScalar`, `FieldMismatch`), and a zero
-    one is dropped, so equal elements have equal terms."""
+    `terms` maps each monomial to its coefficient, in a `ReadOnlyMap`.
+    Every coefficient goes through the algebra's `Field.scalar`, which
+    refuses a value that is no scalar of the field (`InvalidScalar`,
+    `FieldMismatch`), and a zero one is dropped, so equal elements have
+    equal terms. Elements compare by the identity of their algebra and
+    by their terms."""
 
-    __slots__ = ("algebra", "terms")
+    __slots__ = _fields = ("algebra", "terms")
 
     def __init__(self, algebra: GradedAlgebra, terms: Mapping[Monomial, object]):
-        self.algebra, self.terms = algebra, {}
+        scalar, kept = algebra.field.scalar, {}
         for m, c in terms.items():
-            s = algebra.field.scalar(c)
+            s = scalar(c)
             if s:
-                self.terms[m] = s
+                kept[m] = s
+        _set(self, "algebra", algebra)  # a `_set` per slot, as in `Monomial`
+        _set(self, "terms", ReadOnlyMap(kept))
 
     def _check(self, other: "Element"):
         if self.algebra is not other.algebra:
@@ -505,14 +514,6 @@ class Element:
 
     def __bool__(self) -> bool:
         return bool(self.terms)
-
-    def __eq__(self, other):
-        if not isinstance(other, Element):
-            return NotImplemented
-        return self.algebra is other.algebra and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((id(self.algebra), frozenset(self.terms.items())))
 
     @property
     def is_homogeneous(self) -> bool:

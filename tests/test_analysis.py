@@ -585,9 +585,7 @@ def test_unit_check_needs_a_cutoff_of_2n_only():
 
 def test_unit_check_fails_on_boundaries(monkeypatch):
     # a page over F3 where d(x) = 1, so every iota^w = +-d(iota^w x) bounds
-    alg = GradedAlgebra(F3)
-    alg.declare_generator("iota", 0, 1, "laurent")
-    alg.declare_generator("x", 1, 0, "exterior")
+    alg = GradedAlgebra(F3, [("iota", 0, 1, "laurent"), ("x", 1, 0, "exterior")])
     page = DgaPage(alg, Derivation(alg, {"x": alg.one()}))
     monkeypatch.setattr(analysis, "_page", lambda *args: page)
     report = unit_check(2, 3, k=1, cutoff=16)
@@ -600,10 +598,11 @@ def test_unit_check_fails_on_boundaries(monkeypatch):
 def test_unit_check_passes_where_d_in_misses_the_classes(monkeypatch):
     # d(x) = t with t^2 = 0: d into degree 0 has rank 1 at every weight,
     # spanned by iota^(w-1) t, so deleting the row of iota^w leaves that rank
-    alg = GradedAlgebra(F3)
-    alg.declare_generator("iota", 0, 1, "laurent")
-    alg.declare_generator("t", 0, 1, "truncated", 1)
-    alg.declare_generator("x", 1, 1, "exterior")
+    alg = GradedAlgebra(F3, [
+        ("iota", 0, 1, "laurent"),
+        ("t", 0, 1, "truncated", 1),
+        ("x", 1, 1, "exterior"),
+    ])
     page = DgaPage(alg, Derivation(alg, {"x": alg.gen("t")}))
     monkeypatch.setattr(analysis, "_page", lambda *args: page)
     assert unit_check(2, 3, k=1, cutoff=16).passed

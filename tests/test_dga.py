@@ -32,6 +32,7 @@ from loophom.errors import (
     LoophomError,
     NotAChainMap,
     NotSquareZero,
+    ReadOnlyValue,
     WrongBidegree,
 )
 from loophom.graded_algebra import Element, GradedAlgebra
@@ -45,9 +46,7 @@ F3 = Field(3)
 def circle_like_page(field=RATIONALS):
     """Laurent t with d(t) = e: homology is one class in each of
     bidegrees (0, 0) and (-1, 0)."""
-    alg = GradedAlgebra(field)
-    alg.declare_generator("t", 0, 1, "laurent")
-    alg.declare_generator("e", -1, 1, "exterior")
+    alg = GradedAlgebra(field, [("t", 0, 1, "laurent"), ("e", -1, 1, "exterior")])
     d = Derivation(alg, {"t": alg.gen("e")})
     return DgaPage(alg, d)
 
@@ -57,42 +56,37 @@ def circle_like_page(field=RATIONALS):
 
 def test_image_must_live_in_same_algebra():
     page = circle_like_page()
-    other = GradedAlgebra(RATIONALS)
-    other.declare_generator("e", -1, 1, "exterior")
+    other = GradedAlgebra(RATIONALS, [("e", -1, 1, "exterior")])
     with pytest.raises(AlgebraMismatch):
         Derivation(page.algebra, {"t": other.gen("e")})
 
 
 def test_image_must_be_homogeneous():
-    alg = GradedAlgebra(RATIONALS)
-    alg.declare_generator("t", 0, 1, "laurent")
-    alg.declare_generator("e", -1, 1, "exterior")
+    alg = GradedAlgebra(RATIONALS, [("t", 0, 1, "laurent"), ("e", -1, 1, "exterior")])
     mixed = alg.gen("e") + alg.monomial_element(alg.monomial({"e": 1, "t": 1}))
     with pytest.raises(InhomogeneousImage):
         DgaPage(alg, Derivation(alg, {"t": mixed}))
 
 
 def test_image_bidegree_checked():
-    alg = GradedAlgebra(RATIONALS)
-    alg.declare_generator("t", 0, 1, "laurent")
-    alg.declare_generator("e", -1, 1, "exterior")
+    alg = GradedAlgebra(RATIONALS, [("t", 0, 1, "laurent"), ("e", -1, 1, "exterior")])
     wrong = alg.monomial_element(alg.monomial({"e": 1, "t": 1}))  # (-1, 2)
     with pytest.raises(WrongBidegree):
         DgaPage(alg, Derivation(alg, {"t": wrong}))
 
 
 def test_square_zero_enforced():
-    alg = GradedAlgebra(RATIONALS)
-    alg.declare_generator("t", 0, 1, "laurent")
-    alg.declare_generator("a", 1, 1, "exterior")
-    alg.declare_generator("x", 2, 1, "polynomial")
+    alg = GradedAlgebra(RATIONALS, [
+        ("t", 0, 1, "laurent"),
+        ("a", 1, 1, "exterior"),
+        ("x", 2, 1, "polynomial"),
+    ])
     with pytest.raises(NotSquareZero):
         DgaPage(alg, Derivation(alg, {"x": alg.gen("a"), "a": alg.gen("t")}))
 
 
 def test_zero_images_dropped():
-    alg = GradedAlgebra(RATIONALS)
-    alg.declare_generator("t", 0, 1, "laurent")
+    alg = GradedAlgebra(RATIONALS, [("t", 0, 1, "laurent")])
     d = Derivation(alg, {"t": alg.zero()})
     assert d.is_zero()
 
@@ -127,8 +121,8 @@ def test_page_refuses_a_differential_of_another_algebra():
 
 def test_page_refuses_a_differential_of_the_wrong_bidegree():
     # d(x) = x builds as a derivation, and the page refuses it
-    alg = GradedAlgebra(F3)
-    x = alg.declare_generator("x", 2, 1, "polynomial")
+    alg = GradedAlgebra(F3, [("x", 2, 1, "polynomial")])
+    x = alg.generator("x")
     with pytest.raises(WrongBidegree, match=r"bidegree \(2, 1\), expected \(1, 1\)"):
         DgaPage(alg, Derivation(alg, {x.gid: alg.gen("x")}))
 
@@ -143,6 +137,27 @@ def test_page_keeps_its_checked_differential():
     with pytest.raises(AttributeError):
         del page.differential
     assert page.differential is checked
+
+
+def test_derivation_images_are_read_only():
+    # clearing the images made every profile one of d = 0, with no error
+    page = e2_page(1, F3, LOOP, 8)
+    der, alg = page.differential, page.algebra
+    want = homology_dimensions(page, range(-2, 3), [0, 1])
+    u, iota = alg.generator("u").gid, alg.generator("iota").gid
+    for write in (
+        der.images.clear, lambda: der.images.__setitem__(u, alg.gen("u")),
+        lambda: der.images.__delitem__(iota), lambda: der.images.pop(iota), der.images.popitem,
+        lambda: der.images.setdefault(u, alg.gen("u")), lambda: der.images.update({u: alg.one()}),
+    ):
+        with pytest.raises(ReadOnlyValue):
+            write()
+    for attr, value in (("images", {}), ("algebra", alg)):
+        with pytest.raises(ReadOnlyValue):
+            setattr(der, attr, value)
+    assert list(der.images) == [iota]
+    got = homology_dimensions(page, range(-2, 3), [0, 1])
+    assert got == want and any(p.rank_d_here for p in got.values())
 
 
 def _refused(build):
@@ -389,8 +404,7 @@ def test_induced_map_widens_polynomial_to_laurent():
 
 
 def test_induced_map_missing_generator():
-    sub = GradedAlgebra(GF2)
-    sub.declare_generator("z", 2, 1, "polynomial")
+    sub = GradedAlgebra(GF2, [("z", 2, 1, "polynomial")])
     sub_page = DgaPage(sub, Derivation(sub, {}))
     big = e2_page(1, GF2, LOOP, cutoff=10)
     with pytest.raises(NotAChainMap):
@@ -398,8 +412,7 @@ def test_induced_map_missing_generator():
 
 
 def test_induced_map_bidegree_mismatch():
-    sub = GradedAlgebra(GF2)
-    sub.declare_generator("u", 3, 1, "polynomial")  # loop n=1 has u in degree 1
+    sub = GradedAlgebra(GF2, [("u", 3, 1, "polynomial")])  # loop n=1 has u in degree 1
     sub_page = DgaPage(sub, Derivation(sub, {}))
     big = e2_page(1, GF2, LOOP, cutoff=10)
     with pytest.raises(NotAChainMap):
@@ -415,10 +428,11 @@ def test_induced_map_field_mismatch():
 
 def test_induced_map_differentials_must_agree():
     big = e2_page(1, F3, LOOP, cutoff=10)
-    sub = GradedAlgebra(F3)
     # same generators as the holomorphic page but with a zero differential
-    for g in e2_page(1, F3, HOL, cutoff=10).algebra.generators:
-        sub.declare_generator(g.name, g.degree, g.weight, g.kind, g.truncation)
+    sub = GradedAlgebra(F3, [
+        (g.name, g.degree, g.weight, g.kind, g.truncation)
+        for g in e2_page(1, F3, HOL, cutoff=10).algebra.generators
+    ])
     sub_page = DgaPage(sub, Derivation(sub, {}))
     with pytest.raises(NotAChainMap):
         induced_map_on_homology(sub_page, big, [0], [1])
@@ -427,10 +441,8 @@ def test_induced_map_differentials_must_agree():
 def odd_pair_page(order, sign=1):
     """Exterior a, b of degree 1, declared in the given order, and x with
     d(x) = sign * a*b, over F3."""
-    alg = GradedAlgebra(F3)
-    for name in order:
-        alg.declare_generator(name, 1, 0, "exterior")
-    alg.declare_generator("x", 3, 0, "exterior")
+    rows = [(name, 1, 0, "exterior") for name in order] + [("x", 3, 0, "exterior")]
+    alg = GradedAlgebra(F3, rows)
     image = (alg.gen("a") * alg.gen("b")).scale(sign)
     return DgaPage(alg, Derivation(alg, {"x": image}))
 
@@ -453,12 +465,9 @@ def test_inclusion_carries_the_koszul_sign_of_reordered_odd_generators():
 
 def test_induced_map_detects_noninjective_spot():
     # a cycle of the subcomplex that bounds upstairs must drop rank
-    big_alg = GradedAlgebra(RATIONALS)
-    big_alg.declare_generator("t", 0, 1, "laurent")
-    big_alg.declare_generator("e", -1, 1, "exterior")
+    big_alg = GradedAlgebra(RATIONALS, [("t", 0, 1, "laurent"), ("e", -1, 1, "exterior")])
     big = DgaPage(big_alg, Derivation(big_alg, {"t": big_alg.gen("e")}))
-    sub_alg = GradedAlgebra(RATIONALS)
-    sub_alg.declare_generator("e", -1, 1, "exterior")
+    sub_alg = GradedAlgebra(RATIONALS, [("e", -1, 1, "exterior")])
     sub = DgaPage(sub_alg, Derivation(sub_alg, {}))
     report = induced_map_on_homology(sub, big, [-1], [1])
     cell = report.cells[(-1, 1)]
@@ -471,11 +480,9 @@ def test_induced_map_detects_noninjective_spot():
     degrees, weights = range(0, 13), range(0, 7)
     for field in (RATIONALS, GF2, F3):
         b_kind = "polynomial" if field.characteristic == 2 else "exterior"
-        sub_alg, big_alg = GradedAlgebra(field), GradedAlgebra(field)
-        for alg in (sub_alg, big_alg):
-            alg.declare_generator("a", 2, 1, "polynomial")
-            alg.declare_generator("a2", 2, 1, "polynomial")
-        big_alg.declare_generator("b", 3, 1, b_kind)
+        rows = [("a", 2, 1, "polynomial"), ("a2", 2, 1, "polynomial")]
+        sub_alg = GradedAlgebra(field, rows)
+        big_alg = GradedAlgebra(field, rows + [("b", 3, 1, b_kind)])
         sub = DgaPage(sub_alg, Derivation(sub_alg, {}))
         d_big = Derivation(big_alg, {"b": big_alg.gen("a")})
         big = DgaPage(big_alg, d_big)
@@ -597,13 +604,11 @@ def test_in_sub_on_a_widened_laurent_and_a_big_only_generator():
     degrees, weights = range(-1, 10), range(-2, 5)
     for field in (RATIONALS, GF2, F3):
         b_kind = "polynomial" if field.characteristic == 2 else "exterior"
-        sub_alg, big_alg = GradedAlgebra(field), GradedAlgebra(field)
-        big_alg.declare_generator("s", 2, 1, "polynomial")
-        sub_alg.declare_generator("t", 0, 1, "polynomial")
-        big_alg.declare_generator("t", 0, 1, "laurent")
-        for alg in (sub_alg, big_alg):
-            alg.declare_generator("a", 2, 1, "polynomial")
-        big_alg.declare_generator("b", 3, 1, b_kind)
+        a = ("a", 2, 1, "polynomial")
+        sub_alg = GradedAlgebra(field, [("t", 0, 1, "polynomial"), a])
+        big_alg = GradedAlgebra(field, [
+            ("s", 2, 1, "polynomial"), ("t", 0, 1, "laurent"), a, ("b", 3, 1, b_kind),
+        ])
         sub = DgaPage(sub_alg, Derivation(sub_alg, {}))
         big = DgaPage(big_alg, Derivation(big_alg, {"b": big_alg.gen("a")}))
         rejected = check_membership(sub, big, degrees, weights)
@@ -634,7 +639,7 @@ def algebras_with_images(draw):
         st.lists(st.sampled_from(["exterior", "truncated", "polynomial"]), max_size=3)
     )
     kinds = draw(st.permutations(kinds))
-    alg = GradedAlgebra(field)
+    rows = []
     for i, kind in enumerate(kinds):
         weight = draw(st.integers(0, 2))
         truncation = None
@@ -647,7 +652,8 @@ def algebras_with_images(draw):
             degree = draw(st.sampled_from(parity if p != 2 else odd + even))
             if kind == "truncated":
                 truncation = draw(st.integers(1, 6))
-        alg.declare_generator(f"g{i}", degree, weight, kind, truncation)
+        rows.append((f"g{i}", degree, weight, kind, truncation))
+    alg = GradedAlgebra(field, rows)
     alg.degree_reach()  # runs the finiteness certificate
 
     def exponents():
@@ -761,7 +767,7 @@ def test_pass_expands_no_monomial_that_misses_the_requested_weights(monkeypatch)
     # 1, so a monomial of weight above 2 has no free multiple of weight 0..2
     page = e2_page(2, GF2, HOL, cutoff=40)
     alg = page.algebra
-    assert alg.free_generators() == [alg.generator("iota")]
+    assert alg.free_generators() == (alg.generator("iota"),)
     degrees, weights = range(-4, 30), range(0, 3)
     assert any(m.weight > 2 for d in range(-4, 31) for m in alg.graded_monomials(d))
     expanded = []
@@ -820,12 +826,9 @@ def certified_pages(draw):
         weight = draw(st.integers(0, 2)) or (1 if degree == 0 else 0)
         rows.append((degree, weight, *bounded(degree), False))
 
-    alg = GradedAlgebra(field)
-    movers = []
-    for i, (degree, weight, kind, truncation, moves) in enumerate(draw(st.permutations(rows))):
-        g = alg.declare_generator(f"g{i}", degree, weight, kind, truncation)
-        if moves:
-            movers.append(g)
+    rows = draw(st.permutations(rows))
+    alg = GradedAlgebra(field, [(f"g{i}", *row[:4]) for i, row in enumerate(rows)])
+    movers = [g for g, row in zip(alg.generators, rows) if row[4]]
     cycles = {g.gid for g in alg.generators if g not in movers}
     images = {}
     for g in movers:

@@ -1,7 +1,9 @@
 """Monomial algebra: canonical forms, signs, basis enumeration."""
 
+import copy
 import itertools
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -21,6 +23,7 @@ from loophom.errors import (
     LaurentNonzeroDegree,
     LoophomError,
     ParityViolation,
+    ReadOnlyValue,
     UnknownGenerator,
 )
 from loophom.dga import DgaPage, Derivation, homology_dimensions
@@ -30,53 +33,122 @@ from loophom.scalars import GF2, RATIONALS, Field
 F3 = Field(3)
 
 
-def loop_like_algebra(field=GF2):
-    """iota (laurent), u, Q1u, Q2u (polynomial), c (truncated): the mod-2
-    shape for n = 1, handy as a mixed-kind fixture."""
-    alg = GradedAlgebra(field)
-    alg.declare_generator("iota", 0, 1, "laurent")
-    alg.declare_generator("u", 1, 1, "polynomial")
-    alg.declare_generator("Q1u", 3, 2, "polynomial")
-    alg.declare_generator("Q2u", 7, 4, "polynomial")
-    alg.declare_generator("c", -2, 0, "truncated", truncation=1)
-    return alg
+# iota (laurent), u, Q1u, Q2u (polynomial), c (truncated): the mod-2
+# shape for n = 1, handy as a mixed-kind fixture
+LOOP_LIKE = [
+    ("iota", 0, 1, "laurent"),
+    ("u", 1, 1, "polynomial"),
+    ("Q1u", 3, 2, "polynomial"),
+    ("Q2u", 7, 4, "polynomial"),
+    ("c", -2, 0, "truncated", 1),
+]
+
+
+def loop_like_algebra(field=GF2, horizon=None):
+    return GradedAlgebra(field, LOOP_LIKE, horizon)
 
 
 def signed_algebra():
     """Odd exterior a, b and even polynomial x over F3."""
-    alg = GradedAlgebra(F3)
-    alg.declare_generator("a", 1, 1, "exterior")
-    alg.declare_generator("b", 3, 1, "exterior")
-    alg.declare_generator("x", 2, 1, "polynomial")
-    return alg
+    return GradedAlgebra(F3, [
+        ("a", 1, 1, "exterior"),
+        ("b", 3, 1, "exterior"),
+        ("x", 2, 1, "polynomial"),
+    ])
 
 
 # -- declarations and canonical monomials -----------------------------------
 
 
 def test_generator_top_per_kind():
-    alg = loop_like_algebra()
-    alg.declare_generator("e", 1, 0, "exterior")
-    alg.declare_generator("t", -4, 0, "truncated", truncation=3)
+    alg = GradedAlgebra(GF2, LOOP_LIKE + [("e", 1, 0, "exterior"), ("t", -4, 0, "truncated", 3)])
     tops = {g.name: g.top for g in alg.generators}
     assert tops == {"iota": None, "u": None, "Q1u": None, "Q2u": None, "c": 1, "e": 1, "t": 3}
 
 
 def test_declare_errors():
-    alg = GradedAlgebra(GF2)
-    alg.declare_generator("u", 1, 1, "polynomial")
-    with pytest.raises(DuplicateName):
-        alg.declare_generator("u", 5, 1, "polynomial")
-    with pytest.raises(LaurentNonzeroDegree):
-        alg.declare_generator("t", 2, 1, "laurent")
-    with pytest.raises(ValueError):
-        alg.declare_generator("v", 2, 0, "truncated")  # missing truncation
-    with pytest.raises(ValueError):
-        alg.declare_generator("w", 2, 0, "polynomial", truncation=3)
-    with pytest.raises(ValueError):
-        alg.declare_generator("z", 2, 0, "divided")
+    u = ("u", 1, 1, "polynomial")
+    for row, error in [
+        (("u", 5, 1, "polynomial"), DuplicateName),
+        (("t", 2, 1, "laurent"), LaurentNonzeroDegree),
+        (("v", 2, 0, "truncated"), ValueError),  # missing truncation
+        (("w", 2, 0, "polynomial", 3), ValueError),
+        (("z", 2, 0, "divided"), ValueError),
+    ]:
+        with pytest.raises(error):
+            GradedAlgebra(GF2, [u, row])
     with pytest.raises(UnknownGenerator):
-        alg.generator("nope")
+        GradedAlgebra(GF2, [u]).generator("nope")
+
+
+@pytest.mark.parametrize(
+    "row",
+    [("x", 2, 1), ("x", 2, 1, "truncated", 2, 3), (), "x21p", 7, None,
+     {"name": "x", "degree": 2, "weight": 1, "kind": "polynomial"}],
+    ids=["three-items", "six-items", "empty", "string", "int", "none", "dict"],
+)
+def test_a_malformed_generator_row_is_refused_by_name(row):
+    # a row of the wrong length raised a bare TypeError from the Generator call
+    with pytest.raises(InvalidGenerator, match="generator row"):
+        GradedAlgebra(GF2, [("u", 1, 1, "polynomial"), row])
+
+
+def test_an_algebra_is_read_only_once_built():
+    alg = loop_like_algebra(horizon=30)
+    for attr, value in [
+        ("complete_through_degree", 200), ("generators", ()), ("field", F3), ("_plan", None),
+        ("extra", 1),
+    ]:
+        with pytest.raises(ReadOnlyValue):
+            setattr(alg, attr, value)
+    with pytest.raises(ReadOnlyValue):
+        del alg.complete_through_degree
+    assert alg.complete_through_degree == 30 and alg.field == GF2
+    assert isinstance(alg.generators, tuple) and len(alg.generators) == 5
+    assert not hasattr(alg, "declare_generator")
+
+
+def test_listed_monomials_cannot_be_changed_by_a_caller():
+    alg = loop_like_algebra()
+    listed = alg.graded_monomials(3)
+    assert isinstance(listed, tuple) and listed == alg.graded_monomials(3)
+    assert alg.graded_monomials(-9) == () and isinstance(alg.free_generators(), tuple)
+
+
+def test_a_monomial_is_read_only():
+    alg = loop_like_algebra()
+    m = alg.monomial({"u": 2, "c": 1})
+    for attr in ("exps", "degree", "weight", "_hash"):
+        with pytest.raises(ReadOnlyValue):
+            setattr(m, attr, 5)
+        with pytest.raises(ReadOnlyValue):
+            delattr(m, attr)
+    assert (m.exps, m.degree, m.weight) == (((1, 2), (4, 1)), 0, 2)
+    assert alg.monomial_element(m).bidegree() == (0, 2)
+    for clone in (copy.copy(m), copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
+        assert clone == m and hash(clone) == hash(m) and clone.degree == 0
+
+
+def test_element_terms_are_read_only():
+    alg = loop_like_algebra()
+    x = alg.gen("u")
+    (m,) = x.terms
+    for write in (
+        lambda: x.terms.__setitem__(m, 0.5), lambda: x.terms.__delitem__(m), x.terms.clear,
+        lambda: x.terms.pop(m), x.terms.popitem, lambda: x.terms.setdefault(m, 1),
+        lambda: x.terms.update({m: 0}),
+    ):
+        with pytest.raises(ReadOnlyValue):
+            write()
+    x.terms.__init__({alg.monomial({"u": 2}): 1})  # dict.__init__ would add u^2
+    with pytest.raises(ReadOnlyValue):
+        x.terms |= {}
+    for attr, value in (("terms", {}), ("algebra", alg)):
+        with pytest.raises(ReadOnlyValue):
+            setattr(x, attr, value)
+    assert repr(x) == "u" and len(x.terms) == 1 and x == alg.gen("u")
+    for clone in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+        assert repr(clone) == "u" and dict(clone.terms) == {m: GF2(1)}
 
 
 @pytest.mark.parametrize(
@@ -93,10 +165,13 @@ def test_declare_errors():
         ((0, "x", 2, 1, "truncated", True), InvalidGenerator, "truncation of 'x' must be"),
         ((0, "x", 2, 1, "truncated", 2.5), InvalidGenerator, "truncation of 'x' must be"),
         ((0, "x", 2, "1", "polynomial"), InvalidGenerator, "weight of 'x' must be an int"),
+        ((0, 5, 2, 1, "polynomial"), InvalidGenerator, "name must be a str, got 5"),
+        ((0, None, 2, 1, "polynomial"), InvalidGenerator, "name must be a str, got None"),
     ],
     ids=["unknown-kind", "truncation-not-truncated", "missing-truncation",
          "zero-truncation", "laurent-nonzero-degree", "float-degree", "bool-weight",
-         "bool-degree", "bool-truncation", "float-truncation", "str-weight"],
+         "bool-degree", "bool-truncation", "float-truncation", "str-weight", "int-name",
+         "none-name"],
 )
 def test_generator_refuses_invalid_construction(args, error, message):
     with pytest.raises(error, match=message):
@@ -105,40 +180,35 @@ def test_generator_refuses_invalid_construction(args, error, message):
 
 
 def test_declare_refuses_a_float_truncation_before_enumeration():
-    alg = GradedAlgebra(GF2)
     with pytest.raises(InvalidGenerator, match="truncation of 'x' must be an int"):
-        alg.declare_generator("x", 2, 1, "truncated", 2.5)
-    assert alg.generators == []
+        GradedAlgebra(GF2, [("x", 2, 1, "truncated", 2.5)])
+    alg = GradedAlgebra(GF2, [])
+    assert alg.generators == ()
     assert [m.format(alg) for m in alg.enumerate_basis(0, 0)] == ["1"]
 
 
 def test_algebra_refuses_a_non_field():
     with pytest.raises(TypeError, match="expected a Field"):
-        GradedAlgebra("f2")
+        GradedAlgebra("f2", [])
 
 
 @pytest.mark.parametrize("horizon", [2.5, True, "3"])
 def test_algebra_refuses_a_bool_or_non_int_horizon(horizon):
     with pytest.raises(InvalidHorizon, match="complete_through_degree"):
-        GradedAlgebra(GF2, complete_through_degree=horizon)
-    assert GradedAlgebra(GF2, complete_through_degree=-3).complete_through_degree == -3
+        GradedAlgebra(GF2, [], complete_through_degree=horizon)
+    assert GradedAlgebra(GF2, [], complete_through_degree=-3).complete_through_degree == -3
 
 
 @pytest.mark.parametrize("field", [RATIONALS, F3])
 def test_parity_enforced_away_from_char_two(field):
-    alg = GradedAlgebra(field)
-    with pytest.raises(ParityViolation):
-        alg.declare_generator("e", 2, 1, "exterior")
-    with pytest.raises(ParityViolation):
-        alg.declare_generator("p", 3, 1, "polynomial")
-    alg.declare_generator("ok1", 3, 1, "exterior")
-    alg.declare_generator("ok2", 2, 1, "polynomial")
+    for row in (("e", 2, 1, "exterior"), ("p", 3, 1, "polynomial")):
+        with pytest.raises(ParityViolation):
+            GradedAlgebra(field, [row])
+    GradedAlgebra(field, [("ok1", 3, 1, "exterior"), ("ok2", 2, 1, "polynomial")])
 
 
 def test_char_two_allows_any_parity():
-    alg = GradedAlgebra(GF2)
-    alg.declare_generator("u", 1, 1, "polynomial")
-    alg.declare_generator("v", 2, 1, "exterior")
+    GradedAlgebra(GF2, [("u", 1, 1, "polynomial"), ("v", 2, 1, "exterior")])
 
 
 def test_monomial_canonical_form():
@@ -248,13 +318,14 @@ def test_product_matches_a_naive_swap_count(data):
     weighted = st.sampled_from(KINDS + ("exterior",) * 3)
     extra = data.draw(st.lists(weighted, min_size=2, max_size=8), label="extra")
     kinds = data.draw(st.permutations(list(KINDS) + extra), label="kinds")
-    alg = GradedAlgebra(field)
+    rows = []
     for i, kind in enumerate(kinds):
         degree = 0 if kind == "laurent" else data.draw(st.integers(-3, 4))
         if field.characteristic != 2 and kind != "laurent":
             degree += (degree % 2 == 1) != (kind == "exterior")  # the parity the kind needs
         truncation = data.draw(st.integers(1, 3)) if kind == "truncated" else None
-        alg.declare_generator(f"g{i}", degree, data.draw(st.integers(-2, 2)), kind, truncation)
+        rows.append((f"g{i}", degree, data.draw(st.integers(-2, 2)), kind, truncation))
+    alg = GradedAlgebra(field, rows)
 
     def draw_monomial():
         tops = {"exterior": (0, 1), "polynomial": (0, 3), "laurent": (-3, 3)}
@@ -287,9 +358,7 @@ def test_sign_rule_matches_graded_commutativity():
 
 
 def test_no_signs_in_char_two():
-    alg = GradedAlgebra(GF2)
-    alg.declare_generator("u", 1, 1, "polynomial")
-    alg.declare_generator("v", 3, 1, "polynomial")
+    alg = GradedAlgebra(GF2, [("u", 1, 1, "polynomial"), ("v", 3, 1, "polynomial")])
     u, v = alg.gen("u"), alg.gen("v")
     assert u * v == v * u
     sign, _ = alg.multiply_monomials(alg.monomial({"v": 1}), alg.monomial({"u": 1}))
@@ -431,10 +500,7 @@ def test_enumerate_frozen_sets():
     assert names(3, 3) == ["iota^-2*u^5*c", "iota^-1*u^2*Q1u*c", "u^3", "iota*Q1u"]
     assert names(-3, 0) == []
     # without the truncated class the loop example reduces to two monomials
-    plain = GradedAlgebra(GF2)
-    plain.declare_generator("iota", 0, 1, "laurent")
-    plain.declare_generator("u", 1, 1, "polynomial")
-    plain.declare_generator("Q1u", 3, 2, "polynomial")
+    plain = GradedAlgebra(GF2, LOOP_LIKE[:3])
     assert [m.format(plain) for m in plain.enumerate_basis(3, 2)] == [
         "iota^-1*u^3", "Q1u",
     ]
@@ -473,10 +539,13 @@ def certified_algebras(draw):
     else:
         for _ in range(draw(st.integers(0, 2))):
             rows.append((0, draw(st.integers(1, 3)), "polynomial", None))
-    alg = GradedAlgebra(GF2)
-    for i, (degree, weight, kind, truncation) in enumerate(draw(st.permutations(rows))):
-        alg.declare_generator(f"g{i}", degree, weight, kind, truncation)
-    return alg
+    rows = draw(st.permutations(rows))
+    return GradedAlgebra(GF2, [(f"g{i}", *row) for i, row in enumerate(rows)])
+
+
+def rows_of(alg):
+    """The rows `alg` was built from."""
+    return [(g.name, g.degree, g.weight, g.kind, g.truncation) for g in alg.generators]
 
 
 @given(certified_algebras(), st.integers(-4, 4), st.integers(-4, 4))
@@ -532,21 +601,20 @@ def test_walk_lists_each_degree_in_order_whatever_order_degrees_are_asked(
     alg, horizon, degrees, new_degree, new_weight
 ):
     """Degrees asked in random order, repeats included: below the reach,
-    above it, past the horizon, and all of them again after one more
-    bounded generator is declared. Each list equals the box scan, order
-    included. The bounded generators add at least degree -12, so no
+    above it, past the horizon, and all of them again on the algebra
+    built with one more bounded generator. Each list equals the box scan,
+    order included. The bounded generators add at least degree -12, so no
     exponent of a hit in degrees <= 18 passes 30."""
-    alg.complete_through_degree = horizon
-    for late in range(2):
+    rows = rows_of(alg)
+    late = ("late", new_degree, new_weight or (1 if new_degree == 0 else 0), "exterior")
+    for extra in ([], [late]):
+        alg = GradedAlgebra(GF2, rows + extra, horizon)
         for degree in degrees:
             listed = alg.graded_monomials(degree)
             assert [m.exps for m in listed] == degree_list_by_brute_force(alg, degree, 30)
             for m in listed:
                 assert m.degree == degree
                 assert m.weight == sum(e * alg.generators[g].weight for g, e in m.exps)
-        alg.declare_generator(
-            f"late{late}", new_degree, new_weight or (1 if new_degree == 0 else 0), "exterior"
-        )
 
 
 def test_a_walk_goes_through_the_requested_degree_and_no_further(monkeypatch):
@@ -557,8 +625,7 @@ def test_a_walk_goes_through_the_requested_degree_and_no_further(monkeypatch):
         real(self, floor, top)
 
     monkeypatch.setattr(GradedAlgebra, "_walk", walk)
-    alg = loop_like_algebra()  # u polynomial of degree 1: no finite top
-    alg.complete_through_degree = 200
+    alg = loop_like_algebra(horizon=200)  # u polynomial of degree 1: no finite top
     # a narrow request walks only what it asks, whatever the horizon
     alg.graded_monomials(0)
     alg.graded_monomials(1)
@@ -571,9 +638,7 @@ def test_a_walk_goes_through_the_requested_degree_and_no_further(monkeypatch):
     assert sum(len(alg.graded_monomials(d)) for d in range(-4, 10)) == counted
     assert walks == [(-3, 0), (0, 1), (1, 9), (9, 12)]
     # past a finite top there is nothing to walk
-    bounded = GradedAlgebra(F3)
-    bounded.declare_generator("a", 1, 1, "exterior")
-    bounded.declare_generator("c", -2, 0, "truncated", truncation=2)
+    bounded = GradedAlgebra(F3, [("a", 1, 1, "exterior"), ("c", -2, 0, "truncated", 2)])
     walks.clear()
     assert [len(bounded.graded_monomials(d)) for d in (5, 1, *range(-5, 3))] == [0, 1, 0, 1, 1, 1, 1, 1, 1, 0]
     assert walks == [(-5, 1)]
@@ -587,8 +652,7 @@ def test_a_pass_walks_once_through_its_top(monkeypatch):
         real(self, floor, top)
 
     monkeypatch.setattr(GradedAlgebra, "_walk", walk)
-    alg = loop_like_algebra()
-    alg.complete_through_degree = 200
+    alg = loop_like_algebra(horizon=200)
     homology_dimensions(DgaPage(alg, Derivation(alg, {})), range(0, 6), [0, 1])
     assert walks == [(-3, 6)]  # the pass reads one degree above its top
 
@@ -596,9 +660,7 @@ def test_a_pass_walks_once_through_its_top(monkeypatch):
 @given(st.lists(st.integers(1, 3), min_size=1, max_size=3), st.integers(-2, 9))
 @settings(max_examples=100, deadline=None)
 def test_free_exponents_match_brute_force(weights, rest):
-    alg = GradedAlgebra(GF2)
-    for i, w in enumerate(weights):
-        alg.declare_generator(f"t{i}", 0, w, "polynomial")
+    alg = GradedAlgebra(GF2, [(f"t{i}", 0, w, "polynomial") for i, w in enumerate(weights)])
     free = alg.free_generators()
     blocks = _free_exponents(free, rest)
     box = itertools.product(*(range(max(rest, 0) + 1) for _ in free))
@@ -613,8 +675,7 @@ def test_free_exponents_match_brute_force(weights, rest):
 
 @given(st.sampled_from([-3, -2, -1, 1, 2, 3]), st.integers(-12, -1))
 def test_free_exponents_solve_a_laurent_generator_at_a_negative_rest(weight, rest):
-    alg = GradedAlgebra(GF2)
-    alg.declare_generator("s", 0, weight, "laurent")
+    alg = GradedAlgebra(GF2, [("s", 0, weight, "laurent")])
     want = [((0, e),) for e in range(-12, 13) if e * weight == rest]
     assert _free_exponents(alg.free_generators(), rest) == want
 
@@ -643,41 +704,43 @@ def test_degree_reach_bounds_every_monomial(alg):
 
 
 def test_degree_reach_follows_declarations():
-    alg = GradedAlgebra(RATIONALS)
-    assert alg.degree_reach() == (0, 0)
-    alg.declare_generator("c", -2, 0, "truncated", truncation=3)
-    assert alg.degree_reach() == (-6, 0)
-    alg.declare_generator("u", 5, 1, "exterior")
-    assert alg.degree_reach() == (-6, 5)
-    alg.declare_generator("iota", 0, 1, "laurent")
-    assert alg.degree_reach() == (-6, 5)
-    alg.declare_generator("x", 2, 1, "polynomial")
-    assert alg.degree_reach() == (-6, math.inf)
+    # one algebra built whole per generator set, each set one row longer
+    rows = [
+        ("c", -2, 0, "truncated", 3), ("u", 5, 1, "exterior"), ("iota", 0, 1, "laurent"),
+        ("x", 2, 1, "polynomial"),
+    ]
+    reach = lambda k: GradedAlgebra(RATIONALS, rows[:k]).degree_reach()
+    assert reach(0) == (0, 0)
+    assert reach(1) == (-6, 0)
+    assert reach(2) == (-6, 5)
+    assert reach(3) == (-6, 5)
+    assert reach(4) == (-6, math.inf)
 
 
 def test_enumerate_sees_later_declarations():
-    alg = GradedAlgebra(GF2)
-    alg.declare_generator("u", 1, 1, "polynomial")
-    assert [m.format(alg) for m in alg.enumerate_basis(2, 2)] == ["u^2"]
-    alg.declare_generator("v", 2, 2, "polynomial")
-    assert [m.format(alg) for m in alg.enumerate_basis(2, 2)] == ["v", "u^2"]
-    alg.declare_generator("s", 0, 1, "laurent")
-    assert [m.format(alg) for m in alg.enumerate_basis(2, 1)] == [
-        "v*s^-1", "u^2*s^-1",
+    # one algebra built whole per generator set, each set one row longer
+    rows = [
+        ("u", 1, 1, "polynomial"), ("v", 2, 2, "polynomial"), ("s", 0, 1, "laurent"),
+        ("t", 0, 2, "laurent"),
     ]
-    # the certificate is checked again for the grown generator set
-    alg.declare_generator("t", 0, 2, "laurent")
+
+    def names(k, degree, weight):
+        alg = GradedAlgebra(GF2, rows[:k])
+        return [m.format(alg) for m in alg.enumerate_basis(degree, weight)]
+
+    assert names(1, 2, 2) == ["u^2"]
+    assert names(2, 2, 2) == ["v", "u^2"]
+    assert names(3, 2, 1) == ["v*s^-1", "u^2*s^-1"]
+    # the certificate is checked for the grown generator set
     with pytest.raises(InfiniteBasis):
-        alg.enumerate_basis(2, 2)
+        names(4, 2, 2)
 
 
 @pytest.mark.parametrize("with_laurent", [True, False])
 def test_enumerate_returns_fresh_lists(with_laurent):
     alg = loop_like_algebra()
     if not with_laurent:
-        alg = GradedAlgebra(GF2)
-        alg.declare_generator("u", 1, 1, "polynomial")
-        alg.declare_generator("c", -2, 0, "truncated", truncation=1)
+        alg = GradedAlgebra(GF2, [("u", 1, 1, "polynomial"), ("c", -2, 0, "truncated", 1)])
     first = alg.enumerate_basis(3, 3)
     expected = list(first)
     first.clear()
@@ -693,10 +756,11 @@ def test_enumerate_negative_weight_through_laurent():
 
 
 def test_enumerate_exterior_and_truncated_bounds():
-    alg = GradedAlgebra(RATIONALS)
-    alg.declare_generator("e", 3, 1, "exterior")
-    alg.declare_generator("c", -2, 0, "truncated", truncation=2)
-    alg.declare_generator("x", 2, 1, "polynomial")
+    alg = GradedAlgebra(RATIONALS, [
+        ("e", 3, 1, "exterior"),
+        ("c", -2, 0, "truncated", 2),
+        ("x", 2, 1, "polynomial"),
+    ])
     # degree 3 - 4 + 2k, exhaustive by hand
     assert len(alg.enumerate_basis(3, 1)) == 1  # e
     assert len(alg.enumerate_basis(-1, 1)) == 1  # e c^2
@@ -708,12 +772,8 @@ def test_enumerate_exterior_and_truncated_bounds():
 
 def test_convolution_over_tensor_factor():
     # adding a truncated c of bidegree (-2, 0) convolves the counts
-    plain = GradedAlgebra(GF2)
-    plain.declare_generator("iota", 0, 1, "laurent")
-    plain.declare_generator("u", 1, 1, "polynomial")
-    plain.declare_generator("Q1u", 3, 2, "polynomial")
-    full = loop_like_algebra()  # same four gens plus Q2u and c
-    plain.declare_generator("Q2u", 7, 4, "polynomial")
+    plain = GradedAlgebra(GF2, LOOP_LIKE[:4])
+    full = loop_like_algebra()  # the same four gens plus c
     n_trunc = full.generator("c").truncation
     for d, w in [(0, 0), (3, 2), (2, 1), (-1, 2), (5, 3)]:
         direct = len(full.enumerate_basis(d, w))
@@ -727,51 +787,42 @@ def test_convolution_over_tensor_factor():
 
 
 def test_infinite_basis_two_laurents():
-    alg = GradedAlgebra(GF2)
-    alg.declare_generator("s", 0, 1, "laurent")
-    alg.declare_generator("t", 0, 2, "laurent")
+    alg = GradedAlgebra(GF2, [("s", 0, 1, "laurent"), ("t", 0, 2, "laurent")])
     with pytest.raises(InfiniteBasis):
         alg.enumerate_basis(0, 0)
 
 
 def test_infinite_basis_weightless_laurent():
-    alg = GradedAlgebra(GF2)
-    alg.declare_generator("s", 0, 0, "laurent")
+    alg = GradedAlgebra(GF2, [("s", 0, 0, "laurent")])
     with pytest.raises(InfiniteBasis):
         alg.enumerate_basis(0, 0)
 
 
 def test_infinite_basis_bidegree_zero_generator():
-    alg = GradedAlgebra(GF2)
-    alg.declare_generator("x", 0, 0, "polynomial")
+    alg = GradedAlgebra(GF2, [("x", 0, 0, "polynomial")])
     with pytest.raises(InfiniteBasis):
         alg.enumerate_basis(0, 0)
 
 
 def test_infinite_basis_negative_degree_polynomial():
-    alg = GradedAlgebra(GF2)
-    alg.declare_generator("x", -2, 0, "polynomial")
+    alg = GradedAlgebra(GF2, [("x", -2, 0, "polynomial")])
     with pytest.raises(InfiniteBasis):
         alg.enumerate_basis(-4, 0)
 
 
 def test_infinite_basis_negative_weight_polynomial():
-    alg = GradedAlgebra(GF2)
-    alg.declare_generator("x", 2, -1, "polynomial")
+    alg = GradedAlgebra(GF2, [("x", 2, -1, "polynomial")])
     with pytest.raises(InfiniteBasis):
         alg.enumerate_basis(2, -1)
 
 
 def test_infinite_basis_degree_zero_beside_laurent():
-    alg = GradedAlgebra(GF2)
-    alg.declare_generator("iota", 0, 1, "laurent")
-    alg.declare_generator("t", 0, 2, "polynomial")
+    alg = GradedAlgebra(GF2, [("iota", 0, 1, "laurent"), ("t", 0, 2, "polynomial")])
     with pytest.raises(InfiniteBasis):
         alg.enumerate_basis(0, 2)
 
 
 def test_exterior_negative_degree_is_fine():
     # bounded kinds may sit in negative degree
-    alg = GradedAlgebra(GF2)
-    alg.declare_generator("c", -2, 0, "truncated", truncation=3)
+    alg = GradedAlgebra(GF2, [("c", -2, 0, "truncated", 3)])
     assert len(alg.enumerate_basis(-4, 0)) == 1

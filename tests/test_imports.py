@@ -2,7 +2,7 @@
 somewhere no local of a function (a parameter, an assignment or loop
 target, a nested def) shadows it.
 
-The package's `__init__` is exempt: its imports are its exports. Four
+The package's `__init__` is exempt: its imports are its exports. Five
 imports have no caller in their module and are kept on purpose, because
 `bench/tracing.py` wraps them by their module-level names to count calls.
 
@@ -34,6 +34,7 @@ KEPT_FOR_TRACER = {
     ("dga", "rank_of_columns"),
     ("analysis", "differential_matrix"),
     ("analysis", "rank_of_columns"),
+    ("spaces", "induced_map_on_homology"),
 }
 
 

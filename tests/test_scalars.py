@@ -242,7 +242,7 @@ def test_rational_matches_fraction(a, b):
     "build",
     [
         lambda: SpaceSpec("loop", 2, 3),
-        lambda: GradedAlgebra("q"),
+        lambda: GradedAlgebra("q", []),
         lambda: Matrix(3, 1, 1),
         lambda: e2_page(2, "f3", "loop", 10),
         lambda: generator_schedule(1, 2, "loop", 10),

@@ -1,10 +1,14 @@
 """Space builders: generator schedules, starting pages, closed forms."""
 
+import copy
+import pickle
+
 import pytest
 
-from loophom import analysis, spaces
+from loophom import analysis, dga, spaces
 from loophom.dga import Derivation, DgaPage, homology_dimensions
 from loophom.errors import CutoffTooTight, InvalidCutoff, NegativeCutoff, NotAChainMap
+from loophom.errors import ReadOnlyValue
 from loophom.scalars import GF2, RATIONALS, Field
 from loophom.spaces import (
     HOL,
@@ -189,6 +193,23 @@ def test_e2_horizon_shifted_by_projective_dimension():
     assert e2_page(2, RATIONALS, LOOP, cutoff=8).algebra.complete_through_degree is None
 
 
+def test_a_built_page_keeps_its_horizon_and_its_generators():
+    # widening the horizon let a pass read past it: 9 of these 20 spots
+    # came out wrong, degree 27 at Betti number 4 where it is 5
+    page = e2_page(2, GF2, LOOP, 30)
+    with pytest.raises(ReadOnlyValue):
+        page.algebra.complete_through_degree = 200
+    assert page.algebra.complete_through_degree == 26
+    with pytest.raises(CutoffTooTight):
+        homology_dimensions(page, range(20, 40), [1])
+    assert homology_dimensions(e2_page(2, GF2, LOOP, 80), [27], [1])[(27, 1)].betti == 5
+    # no generator can be added to the algebra a page has checked
+    assert not hasattr(page.algebra, "declare_generator")
+    with pytest.raises(ReadOnlyValue):
+        page.algebra.generators = page.algebra.generators + page.algebra.generators[:1]
+    assert [g.name for g in page.algebra.generators] == ["iota", "u", "Q1u", "Q2u", "c"]
+
+
 # -- closed form ---------------------------------------------------------------------
 
 
@@ -251,6 +272,31 @@ def test_inclusion_induced_homology_injective():
     report = incl.induced_homology(range(0, 5), [1, 2, 3])
     assert report.injective
     assert all(cell.rank == cell.betti_sub for cell in report.cells.values())
+
+
+def test_inclusion_checks_the_chain_map_once(monkeypatch):
+    checks = []
+
+    def counting(sub, big):
+        checks.append((sub, big))
+        return real(sub, big)
+
+    real = dga._inclusion
+    monkeypatch.setattr(dga, "_inclusion", counting)
+    monkeypatch.setattr(spaces, "_inclusion", counting)
+    incl = hol_to_loop_inclusion(1, GF2, cutoff=14)
+    first = incl.induced_homology(range(0, 5), [1, 2, 3])
+    assert incl.induced_homology(range(0, 5), [1, 2, 3]) == first and len(checks) == 1
+    # the standalone routine keeps its own check
+    again = dga.induced_map_on_homology(incl.sub_page, incl.big_page, range(0, 5), [1, 2, 3])
+    assert again == first
+    assert len(checks) == 2
+    # in_sub is kept on construction, read-only and no field
+    with pytest.raises(ReadOnlyValue):
+        incl.in_sub = None
+    assert "in_sub" not in repr(incl)
+    for clone in (copy.deepcopy(incl), pickle.loads(pickle.dumps(incl))):
+        assert clone.induced_homology(range(0, 5), [1, 2, 3]) == first
 
 
 def test_inclusion_respects_horizon():
