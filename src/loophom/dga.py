@@ -87,11 +87,12 @@ class Derivation(Record):
         A block whose exponent the characteristic divides is skipped before
         any product is built; a term whose product passes an exterior or
         truncated bound is skipped on the None `multiply_monomials` gives.
+        An empty expansion is the algebra's one zero element.
         """
         alg = self.algebra
         out: dict = {}
         if not self.images:
-            return Element(alg, out)
+            return alg.zero()
         p = alg.field.characteristic
         char2 = p == 2
         prefix_degree = 0
@@ -125,7 +126,7 @@ class Derivation(Record):
                     else:
                         out.pop(target, None)
             prefix_degree += block_degree
-        return Element(alg, out)
+        return Element(alg, out) if out else alg.zero()
 
     def __call__(self, x: Element) -> Element:
         if x.algebra is not self.algebra:
@@ -476,12 +477,13 @@ def induced_map_on_homology(
 
 def _induced_ranks(sub_page, big_page, in_sub, degrees, weights) -> InducedMapReport:
     """`induced_map_on_homology` past its check, with the `in_sub` that
-    `_inclusion` gave for these pages."""
+    `_inclusion` gave for these pages. Cells with equal numbers share one."""
     degrees, weights = list(degrees), list(weights)  # read by both passes
     passes = zip(_passes(sub_page, degrees, weights), _passes(big_page, degrees, weights))
-    report = {}
+    report, cells = {}, {}  # (rank, betti_sub, betti_big) -> its one cell
     for (w, sub_spots, _), (_, big_spots, meet) in passes:
         for d, sub in sub_spots.items():
             rank = sub.dim - sub.rank_d_here - meet(d, in_sub) if sub.betti else 0
-            report[(d, w)] = InducedCell(rank, sub.betti, big_spots[d].betti)
+            t = (rank, sub.betti, big_spots[d].betti)
+            report[(d, w)] = cells.get(t) or cells.setdefault(t, InducedCell(*t))
     return InducedMapReport(report)

@@ -149,9 +149,10 @@ class GradedAlgebra(ReadOnly):
     refuse to read past it.
     """
 
-    # the attributes, then the enumeration memo, which nothing can make stale
+    # the attributes, then the enumeration memo, which nothing can make
+    # stale, then the one zero element
     __slots__ = _fields = ("field", "generators", "complete_through_degree",
-                           "_by_name", "_plan", "_by_degree")
+                           "_by_name", "_plan", "_by_degree", "_zero")
 
     def __init__(self, field: Field, generators, complete_through_degree: Optional[int] = None):
         check_field(field)
@@ -173,6 +174,7 @@ class GradedAlgebra(ReadOnly):
                     raise ParityViolation(f"odd {gen.kind} generator {gen.name!r} over {field}")
             by_name[gen.name] = gen
         _fill(self, field, tuple(by_name.values()), complete_through_degree, by_name, None, {})
+        _set(self, "_zero", Element(self, {}))  # once `field` is set: Element reads it
 
     def __reduce__(self):  # copy and pickle rebuild from the rows, with a fresh memo
         rows = tuple((g.name, g.degree, g.weight, g.kind, g.truncation) for g in self.generators)
@@ -214,21 +216,20 @@ class GradedAlgebra(ReadOnly):
                 raise InvalidExponent(f"negative exponent on {g.kind} generator {g.name!r}")
             degree += e * g.degree
             weight += e * g.weight
-        return self._canonical(merged, degree, weight)
+        return self._canonical({}, merged.items(), degree, weight)
 
-    def _canonical(self, merged: dict, degree: int, weight: int) -> Optional[Monomial]:
-        """The monomial of the exponents `merged` ({gid: e}) and the given
-        bidegree: gids sorted, zero exponents dropped, None when an
-        exponent passes its generator's `top`."""
-        exps = []
-        for gid in sorted(merged):
-            e = merged[gid]
-            if e:
-                top = self.generators[gid].top
-                if top is not None and e > top:
-                    return None
-                exps.append((gid, e))
-        return Monomial(exps, degree, weight)
+    def _canonical(self, merged: dict, added, degree: int, weight: int) -> Optional[Monomial]:
+        """The monomial of the given bidegree with the exponents `merged`
+        ({gid: e}, within bounds, filled in place) plus the pairs `added`:
+        None at the first sum past its generator's `top`, before any sort;
+        else gids sorted, zero exponents dropped. Bounds apply only here."""
+        for gid, e in added:
+            e += merged.get(gid, 0)
+            top = self.generators[gid].top
+            if top is not None and e > top:
+                return None
+            merged[gid] = e
+        return Monomial(sorted((gid, e) for gid, e in merged.items() if e), degree, weight)
 
     @property
     def unit_monomial(self) -> Monomial:
@@ -242,13 +243,11 @@ class GradedAlgebra(ReadOnly):
 
     def multiply_monomials(self, a: Monomial, b: Monomial):
         """Product of two monomials: (sign, monomial), or (1, None) when an
-        exterior square or truncation bound kills the product. This is the
-        one place the bounds are applied to a product, and a killed product
-        costs no sign work."""
-        merged = dict(a.exps)
-        for gid, e in b.exps:
-            merged[gid] = merged.get(gid, 0) + e
-        product = self._canonical(merged, a.degree + b.degree, a.weight + b.weight)
+        exterior square or truncation bound kills the product. `_canonical`
+        applies the bounds as it adds b's exponents into a's, so a killed
+        product is dropped at the first overflow, before any sort or sign
+        work."""
+        product = self._canonical(dict(a.exps), b.exps, a.degree + b.degree, a.weight + b.weight)
         if product is None or self.field.characteristic == 2:
             return 1, product
         # gids of odd-total-degree blocks, ascending; only odd*odd flips
@@ -263,7 +262,8 @@ class GradedAlgebra(ReadOnly):
     # -- elements ----------------------------------------------------------
 
     def zero(self) -> "Element":
-        return Element(self, {})
+        """The algebra's one zero element: no element can change, so all share it."""
+        return self._zero
 
     def one(self) -> "Element":
         return Element(self, {self.unit_monomial: self.field.one})

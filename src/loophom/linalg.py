@@ -1,15 +1,16 @@
 """Exact sparse linear algebra over Q and F_p.
 
-One elimination, `_eliminate`, serves both the rank and the kernel: one
-pass over the rows, reducing each against the pivots found so far. It is
-exact on any matrix and fits the engine's: d sends each monomial to at
-most one monomial and no two to the same one, so each row and column has
-at most one entry, every row is a pivot at once and the pass is O(nnz).
-It is fraction-free for every field: rows hold ints, primitive over Q,
-and the one update r*pv - f*piv (Bareiss, Math. Comp. 22, 1968) is
-reduced mod p over F_p and divided by its content over Q. `kernel_basis`
-back-substitutes over its pivot rows. The tests compare both against a
-dense textbook reduction kept in `tests/dense_reference.py`.
+The rank of a matrix no two of whose entries share a row or a column is
+its number of entries, and every matrix of the engine is one: d sends
+each monomial to at most one monomial and no two to the same one.
+`rank_sparse` counts there. One elimination, `_eliminate`, serves every
+other rank and the kernel: one pass over the rows, reducing each against
+the pivots found so far, exact on any matrix. It is fraction-free for
+every field: rows hold ints, primitive over Q, and the one update
+r*pv - f*piv (Bareiss, Math. Comp. 22, 1968) is reduced mod p over F_p
+and divided by its content over Q. `kernel_basis` back-substitutes over
+its pivot rows. The tests compare both against a dense textbook
+reduction kept in `tests/dense_reference.py`.
 
 Matrices are stored sparsely as {(row, col): value} with explicit shape,
 each value raw, as `Field.reduce` gives it; only `kernel_basis` boxes.
@@ -117,7 +118,11 @@ def _eliminate(matrix: Matrix) -> list:
 
 
 def rank_sparse(matrix: Matrix) -> int:
-    """Rank: the number of pivots `_eliminate` finds."""
+    """Rank: the number of entries when no two share a row or a column (a
+    scaled partial permutation), else the number of pivots `_eliminate` finds."""
+    n = len(matrix.entries)
+    if len({i for i, _ in matrix.entries}) == n == len({j for _, j in matrix.entries}):
+        return n
     return len(_eliminate(matrix))
 
 

@@ -1,5 +1,7 @@
 """Betti tables, series, and the theorem checkers."""
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -42,6 +44,32 @@ F7 = Field(7)
 
 
 # -- tables ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "n, p, variant, components, nonzero, rank_sum, digest",
+    [
+        (2, 2, LOOP, range(-4, 5), 1650, 64061,
+         "5405827bc0adf3eaa09cb1bf93b518da97b7b2d5899be534231924b5717884df"),
+        (1, 3, LOOP, range(-6, 7), 1400, 26448,
+         "e770567df95158ff5f6de75c6fa358ae04da5ae63ebf9cd632eabcaea91245b0"),
+        (2, 2, HOL, range(0, 9), 46, 48,
+         "b334d1787952414dd742f7d808503e0b236d199e8b92c38aa9da4d5a326eec9b"),
+    ],
+    ids=["loop-f2", "loop-f3", "hol-f2"],
+)
+def test_deep_rank_profiles_keep_their_digests(
+    monkeypatch, n, p, variant, components, nonzero, rank_sum, digest
+):
+    # every spot's numbers at cutoff 200, pinned spot by spot: the number
+    # of spots where d is nonzero, the sum of its ranks, and a sha256 of
+    # the sorted (degree, weight, dim, rank of d out, rank of d in)
+    monkeypatch.setattr(analysis, "_PAGE_CACHE", {})  # the deep pages go with the test
+    profiles = analysis._profiles(n, Field(p), variant, 200, list(components))
+    ranks = [r.rank_d_here for r in profiles.values() if r.rank_d_here]
+    assert (len(ranks), sum(ranks)) == (nonzero, rank_sum)
+    rows = sorted((d, w, r.dim, r.rank_d_here, r.rank_d_above) for (d, w), r in profiles.items())
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == digest
 
 
 def test_betti_table_frozen_rational_loop():

@@ -193,6 +193,26 @@ def test_induced_cell_refuses_a_rank_past_a_betti_number():
     assert InducedCell(1, 1, 1).injective and not InducedCell(0, 1, 2).injective
 
 
+def test_induced_cells_with_the_same_numbers_are_one_cell():
+    cells = hol_to_loop_inclusion(1, F3, 12).induced_homology(range(-2, 10), range(0, 4)).cells
+    one = {}
+    for cell in cells.values():
+        assert one.setdefault((cell.rank, cell.betti_sub, cell.betti_big), cell) is cell
+    assert len({id(c) for c in cells.values()}) == len(one) < len(cells)
+    _refused(lambda: InducedCell(2, 1, 1))  # each triple's first cell is still checked
+
+
+def test_an_empty_expansion_is_the_algebras_zero():
+    page = e2_page(1, F3, LOOP, 8)
+    alg, d = page.algebra, page.differential
+    # no generator with an image; iota^3, whose exponent 3 kills its block;
+    # iota*c, whose one term u*c^2 passes c's truncation
+    for exps in ({"u": 1}, {"c": 1}, {"iota": 3}, {"iota": 1, "c": 1}):
+        assert d.apply_monomial(alg.monomial(exps)) is alg.zero()
+    assert Derivation(alg, {}).apply_monomial(alg.monomial({"iota": 1})) is alg.zero()
+    assert d.apply_monomial(alg.monomial({"iota": 1})) == alg.gen("u") * alg.gen("c") * 2
+
+
 # -- Leibniz and square zero on real pages -------------------------------------
 
 

@@ -394,6 +394,22 @@ def test_element_refuses_a_coefficient_that_is_not_exact(coefficient):
     assert x * F3(2) == F3(2) * x == x.scale(-1) == -x
 
 
+def test_an_algebra_has_one_zero_element():
+    alg = loop_like_algebra()
+    zero = alg.zero()
+    assert zero is alg.zero() is alg.monomial_element(None)
+    assert zero == Element(alg, {}) and not zero
+    for write in (
+        lambda: zero.terms.__setitem__(alg.monomial({"u": 1}), 1), zero.terms.clear,
+        lambda: setattr(zero, "terms", {}), lambda: setattr(alg, "_zero", alg.one()),
+    ):
+        with pytest.raises(ReadOnlyValue):
+            write()
+    assert zero.terms == {} and alg.zero() is zero
+    twin = copy.deepcopy(alg)  # a copy is a new algebra, with its own zero
+    assert twin.zero() is twin.zero() is not zero and twin.zero().algebra is twin
+
+
 def test_element_takes_only_its_fields_scalars_and_drops_zeros():
     alg = signed_algebra()
     m = alg.monomial({"x": 1})

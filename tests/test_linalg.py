@@ -58,6 +58,10 @@ def test_rank_mod_p_differs_from_rational():
     assert Matrix(F5, 2, 2, entries(F5)).rank() == 2
 
 
+def unit(rng, p):
+    return rng.randrange(1, p) if p else rng.choice([-1, 1]) * rng.randint(1, 9)
+
+
 @pytest.mark.parametrize("field", FIELDS)
 def test_sparse_agrees_with_dense(field):
     rng = random.Random(1729)
@@ -66,6 +70,23 @@ def test_sparse_agrees_with_dense(field):
         ncols = rng.randint(0, 9)
         m = random_matrix(rng, field, nrows, ncols, density=rng.choice([0.2, 0.5, 0.9]))
         assert rank_sparse(m) == rank_dense(m)
+    # both sides of the count: partial permutations, some of whose raw
+    # values are multiples of p (0 over Q) that `Matrix` drops, and the
+    # same with one entry more in a used row or in a used column
+    p = field.characteristic
+    for extra in (None, "row", "col"):
+        for trial in range(30):
+            size = rng.randint(2, 8)
+            cells = list(zip(rng.sample(range(size), size), rng.sample(range(size), size)))
+            cells = cells[: rng.randint(1, size)]
+            entries = {ij: rng.choice([1, 1, p]) * unit(rng, p) for ij in cells}
+            i, j = rng.choice(cells)
+            if extra == "row":
+                entries[(i, rng.choice([c for c in range(size) if c != j]))] = unit(rng, p)
+            elif extra == "col":
+                entries[(rng.choice([r for r in range(size) if r != i]), j)] = unit(rng, p)
+            m = Matrix(field, size, size, entries)
+            assert rank_sparse(m) == rank_dense(m)
 
 
 def test_rank_bounds_and_rank_factorization():
