@@ -13,15 +13,17 @@ so d(y*m) = y*d(m) + sum over free g of e_g*(y/g)*(d(g)*m). The skeleton
 expands d(m) and each d(g)*m once per degree, and each block y with its
 quotients y/g once. One sweep of it per weight gives that weight's
 columns, grouped by degree, and only the degrees with a column: `_passes`
-builds and ranks a matrix only there. The walk also counts the monomials
-by weight, so a dimension is a sum of counts times free blocks. No basis
-is enumerated, and `_passes` shares one profile among the spots of a
-call with the same numbers.
+builds and ranks a matrix only there, and keeps only its rank. The walk
+also counts the monomials by weight, so a dimension is a sum of counts
+times free blocks. No basis is enumerated. Within a call, `_passes`
+shares one profile among the spots with the same numbers, and one map of
+spots among the weights with the same free-block counts and ranks, so
+the dimensions of each distinct answer are summed once.
 
 Maps on homology need one more number per spot, dim(S meet B) for S a
 span of basis monomials and B the boundaries: `_passes` answers it from
-the matrix of d it holds (`meet`), and `_inclusion` gives the S of an
-inclusion of pages.
+the weight's sweep, which the skeleton keeps (`meet`), and `_inclusion`
+gives the S of an inclusion of pages.
 """
 
 from __future__ import annotations
@@ -207,11 +209,13 @@ class _Skeleton:
         alg, der = page.algebra, page.differential
         self.p, self.free = alg.field.characteristic, alg.free_generators()
         self.entries, self.counts, self._blocks, self.swept = {}, {}, {}, (None, {})
-        raw = {gid: [(t, c.value) for t, c in im.terms.items()] for gid, im in der.images.items()}
-        images = [(g.gid, raw[g.gid]) for g in self.free if g.gid in raw]
+        images = [
+            (g.gid, [(t, c.value) for t, c in der.images[g.gid].terms.items()])
+            for g in self.free
+            if g.gid in der.images
+        ]
         reach = self.reach = {}  # m.weight -> whether a requested weight is reachable
-        if degrees:
-            alg.graded_monomials(max(degrees))  # one walk lists every degree below it
+        alg.graded_monomials(max(degrees))  # one walk lists every degree below it
         for d in degrees:
             count = self.counts[d] = {}
             for m in alg.graded_monomials(d):
@@ -247,7 +251,8 @@ class _Skeleton:
         over the entries: a column for each free multiple y*m that d does
         not kill by its shape, with terms y*d(m) and e_g*(y/g)*(d(g)*m)
         for each quotient whose g moves m. Only a degree with a column
-        appears. The last weight's sweep is kept, and only that one."""
+        appears. The last weight's sweep is kept, and only that one: a
+        pass's `meet` reads it there."""
         if self.swept[0] != weight:
             self.swept = (weight, {})  # the previous weight's go first
             for d, found in self.entries.items():
@@ -260,7 +265,7 @@ class _Skeleton:
                                 terms += [(_times(t, lowered), e * c) for t, c in moves[g]]
                         for t, c in terms:
                             ij = (rows.setdefault(t, len(rows)), j)
-                            entries[ij] = entries[ij] + c if ij in entries else c
+                            entries[ij] = entries.get(ij, 0) + c
                         j += bool(terms)
                 if j:
                     self.swept[1][d] = (rows, entries, j)
@@ -268,10 +273,13 @@ class _Skeleton:
 
 
 def _times(a: tuple, b: tuple) -> tuple:
-    """Exponents of a product with a free block, which no bound can kill:
-    exponents add, and zeros drop."""
-    if not b:
-        return a
+    """Exponents of a product with a free block, which no bound can kill.
+    Where no generator is in both, they are the sorted concatenation of
+    the two tuples; only where one is does a merge add the exponents and
+    drop the zeros."""
+    joined = sorted(a + b)
+    if len(dict(joined)) == len(joined):
+        return tuple(joined)
     merged = dict(a)
     for g, e in b:
         e += merged.get(g, 0)
@@ -305,19 +313,24 @@ def _passes(page: DgaPage, degrees: Iterable[int], weights: Iterable[int]):
     """Yield (weight, {degree: RankProfile}, meet) for each requested
     weight, over the requested degrees, both ascending without repeats.
     Spots of the call with the same (dim, rank of d out, rank of d in)
-    share one profile. `meet(degree, in_s)`, at a requested degree,
-    is dim(S meet B), S spanned by the monomials whose exponent tuples
-    pass `in_s` and B the image of d: rank B - rank(B without S's rows),
-    from the matrix of d in and its row labels, or 0 where no column
-    gave one.
+    share one profile, and weights with the same key share one map of
+    spots: the key is the number of free blocks each monomial weight of
+    the skeleton's `reach` meets, and the ranks at every needed degree,
+    which together fix every dimension and rank. So a dimension is summed
+    once per key. `meet(degree, in_s)`, at a requested degree, is
+    dim(S meet B), S spanned by the monomials whose exponent tuples pass
+    `in_s` and B the image of d: rank B - rank(B without S's rows), from
+    the weight's sweep at degree + 1 and the rank already found there,
+    or 0 where no column gave one.
     d in needs a complete basis one degree above the top; the horizon is
     checked on the call, not on first use.
 
     One `_Skeleton` serves every spot of the call. Each weight sweeps it
     once, and a matrix is built and ranked only at the degrees the sweep
     gives, those with a column; any other spot has rank 0 and no matrix.
-    Dimensions are summed from the skeleton's counts and blocks. A
-    weight's matrices live as long as its `meet`; nothing outlives the call.
+    Only the ranks are kept. The skeleton keeps the last weight's sweep,
+    so `meet` called in order reads it as it is; called after the pass
+    has moved on, it sweeps its weight again. Nothing outlives the call.
     """
     degs = sorted(set(degrees))
     if not degs:
@@ -332,31 +345,28 @@ def _passes(page: DgaPage, degrees: Iterable[int], weights: Iterable[int]):
     needed = sorted(set(degs) | {d + 1 for d in degs})
     ws = sorted(set(weights))
     skeleton = _Skeleton(page, needed, ws)
-    profiles = {}  # (dim, here, above) -> its one RankProfile
+    profiles, maps = {}, {}  # (dim, here, above) -> its one RankProfile; key -> its spot map
 
     def spots(w):
-        rank, inward = dict.fromkeys(needed, 0), {}
-        for d, (labels, _, _) in skeleton.sweep(w).items():
-            matrix = differential_matrix(page, d, w, skeleton=skeleton)
-            inward[d] = (matrix, labels)
-            rank[d] = matrix.rank()
+        rank = dict.fromkeys(needed, 0)
+        for d in skeleton.sweep(w):
+            rank[d] = differential_matrix(page, d, w, skeleton=skeleton).rank()
+        size = {mw: len(skeleton.blocks(w - mw)) for mw in skeleton.reach}
 
         def meet(degree, in_s):
-            if degree + 1 not in inward:
+            labels, entries, ncols = skeleton.sweep(w).get(degree + 1, ({}, {}, 0))
+            if not ncols:
                 return 0
-            matrix, labels = inward[degree + 1]
             rows = {i for exps, i in labels.items() if in_s(exps)}
-            kept = {ij: c for ij, c in matrix.entries.items() if ij[0] not in rows}
-            return rank[degree + 1] - Matrix(matrix.field, matrix.nrows, matrix.ncols, kept).rank()
+            kept = {ij: c for ij, c in entries.items() if ij[0] not in rows}
+            return rank[degree + 1] - Matrix(alg.field, len(labels), ncols, kept).rank()
 
-        found, size = {}, {mw: len(skeleton.blocks(w - mw)) for mw in skeleton.reach}
-        for d in degs:
-            dim = 0
-            for mw, k in skeleton.counts[d].items():
-                dim += k * size[mw]
-            t = (dim, rank[d], rank[d + 1])
-            found[d] = profiles.get(t) or profiles.setdefault(t, RankProfile(*t))
-        return w, found, meet
+        def profile(d):
+            t = (sum(k * size[mw] for mw, k in skeleton.counts[d].items()), rank[d], rank[d + 1])
+            return profiles.get(t) or profiles.setdefault(t, RankProfile(*t))
+
+        key = (*size.values(), *rank.values())
+        return w, maps.get(key) or maps.setdefault(key, {d: profile(d) for d in degs}), meet
 
     return map(spots, ws)
 

@@ -4,7 +4,7 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dense_reference import column, rank_dense, reference_matrix
@@ -41,6 +41,7 @@ from loophom.scalars import GF2, RATIONALS, Field
 from loophom.spaces import HOL, LOOP, e2_page, hol_to_loop_inclusion
 
 F3 = Field(3)
+F5 = Field(5)
 
 
 def circle_like_page(field=RATIONALS):
@@ -944,3 +945,74 @@ def test_matrix_from_handed_skeleton_equals_matrix_built_alone():
                 assert labelled_columns(handed, labels) == reference_columns(page, d, w)
                 built += bool(handed.entries)
     assert built
+
+
+# -- sharing within a pass -------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("field", [RATIONALS, GF2, F3, F5], ids=["q", "f2", "f3", "f5"])
+@pytest.mark.parametrize("variant, weights", [(LOOP, range(-4, 5)), (HOL, range(0, 7))])
+def test_a_shared_spot_map_is_the_map_of_each_weight_alone(variant, weights, field, n):
+    # iota is laurent on a loop page, so every weight meets one free block
+    # of each monomial weight there: the ranks alone tell weights apart
+    page = e2_page(n, field, variant, 24)
+    low, high = page.algebra.degree_reach()
+    horizon = page.algebra.complete_through_degree
+    degrees = range(low, (high if horizon is None else min(high, horizon - 1)) + 1)
+    together = homology_dimensions(page, degrees, weights)
+    alone = {}
+    for w in weights:
+        alone.update(homology_dimensions(page, degrees, [w]))
+    assert together == alone
+    if (variant, field, n) == (LOOP, F3, 1):
+        first = {d: p for (d, w), p in alone.items() if w == 0}
+        assert first != {d: p for (d, w), p in alone.items() if w == 1}
+
+
+def test_weights_with_the_same_answer_share_one_spot_map():
+    # the session's loop page: the components 3 divides share one map, the others a second
+    page = e2_page(3, F3, LOOP, 121)
+    maps = [found for _, found, _ in dga._passes(page, range(-6, 115), range(-9, 10))]
+    assert len({id(found) for found in maps}) == 2
+    assert maps[0] is maps[3] and maps[1] is maps[2] and maps[0] is not maps[1]
+
+
+@pytest.mark.parametrize("field, n", [(RATIONALS, 2), (GF2, 2), (F3, 1)], ids=["q", "f2", "f3"])
+def test_meet_after_the_pass_has_moved_on_equals_meet_in_order(field, n):
+    incl = hol_to_loop_inclusion(n, field, 16)
+    in_sub = _inclusion(incl.sub_page, incl.big_page)
+    degrees, weights = range(-5, 12), range(-1, 5)
+    in_order = {
+        (d, w): meet(d, in_sub)
+        for w, _, meet in dga._passes(incl.big_page, degrees, weights)
+        for d in degrees
+    }
+    passes = list(dga._passes(incl.big_page, degrees, weights))  # swept to the last weight
+    late = {(d, w): meet(d, in_sub) for w, _, meet in reversed(passes) for d in degrees}
+    assert late == in_order
+    assert any(in_order.values())
+
+
+def merged_exponents(a, b):
+    """The product's exponents by a dict merge: exponents add, zeros drop."""
+    merged = dict(a)
+    for g, e in b:
+        merged[g] = merged.get(g, 0) + e
+    return tuple(sorted((g, e) for g, e in merged.items() if e))
+
+
+exponent_tuples = st.dictionaries(
+    st.integers(0, 5), st.integers(-3, 3).filter(bool), max_size=4
+).map(lambda exps: tuple(sorted(exps.items())))
+
+
+@given(exponent_tuples, exponent_tuples)
+@example(((0, 2), (3, 1)), ((0, -2), (1, 1)))  # a shared generator cancels
+@example(((2, 1),), ((0, -1), (4, 3)))  # none shared, interleaved
+@example(((1, 1),), ())
+@settings(max_examples=300, deadline=None)
+def test_row_key_equals_the_merge(a, b):
+    assert dga._times(a, b) == merged_exponents(a, b)
+    if not {g for g, _ in a} & {g for g, _ in b}:
+        assert dga._times(a, b) == tuple(sorted(a + b))
