@@ -132,10 +132,7 @@ def betti_table(
     shift = _grading_shift(grading, space.n)
     comps = _check_components(space.variant, components)
     profiles = _profiles(space.n, space.field, space.variant, cutoff, comps)
-    entries = {}
-    for (d, w), prof in profiles.items():
-        if prof.betti:
-            entries[(w, d + shift)] = prof.betti
+    entries = {(w, d + shift): prof.betti for (d, w), prof in profiles.items() if prof.betti}
     return BettiTable(space, grading, cutoff, entries)
 
 
@@ -161,12 +158,7 @@ class PoincareSeries(Record):
         for d in sorted(self.coefficients):
             c = self.coefficients[d]
             head = "" if c == 1 and d != 0 else str(c)
-            if d == 0:
-                parts.append(str(c))
-            elif d == 1:
-                parts.append(f"{head}t" if head else "t")
-            else:
-                parts.append(f"{head}t^{d}" if head else f"t^{d}")
+            parts.append(head + ("" if d == 0 else "t" if d == 1 else f"t^{d}"))
         return " + ".join(parts)
 
 
@@ -255,13 +247,7 @@ def collapse_predicted(n: int, p: int, k: int, variant: str) -> bool:
     degree-0 holomorphic component is constants only, where the
     differential has nothing to act on, so it collapses unconditionally.
     """
-    if (n + 1) % p == 0:
-        return True
-    if p % 2 == 1 and k % p == 0:
-        return True
-    if variant == HOL and k == 0:
-        return True
-    return False
+    return (n + 1) % p == 0 or p % 2 == 1 and k % p == 0 or variant == HOL and k == 0
 
 
 def _noncollapse_visible_from(n: int, p: int, components: Iterable[int]) -> int:
@@ -409,20 +395,16 @@ def _unit(n, field, _, cutoff, k) -> tuple:
     classes = {pos.exps, neg.exps, alg.unit_monomial.exps}
     passes = _passes(page, [0], [k, -k, 0])
     bounds = {w for w, _, meet in passes if meet(0, classes.__contains__)}
-    problems = []
-    if d(alg.monomial_element(pos)):
-        problems.append("d(iota^k) != 0")
-    if d(alg.monomial_element(neg)):
-        problems.append("d(iota^-k) != 0")
-    if k in bounds:
-        problems.append("iota^k is a boundary")
-    if -k in bounds:
-        problems.append("iota^-k is a boundary")
     product = alg.monomial_element(pos) * alg.monomial_element(neg)
-    if product != alg.one():
-        problems.append("iota^k * iota^-k != 1")
-    if 0 in bounds:
-        problems.append("1 is a boundary")
+    found = (
+        (d(alg.monomial_element(pos)), "d(iota^k) != 0"),
+        (d(alg.monomial_element(neg)), "d(iota^-k) != 0"),
+        (k in bounds, "iota^k is a boundary"),
+        (-k in bounds, "iota^-k is a boundary"),
+        (product != alg.one(), "iota^k * iota^-k != 1"),
+        (0 in bounds, "1 is a boundary"),
+    )
+    problems = [problem for failed, problem in found if failed]
     if problems:
         return "Fail", problems
     return "Pass", {"classes": [f"iota^{k}", f"iota^-{k}", "1"]}

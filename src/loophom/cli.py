@@ -55,20 +55,14 @@ def _parse_components(single: Optional[int], ranged: Optional[str]) -> list:
         return [single]
     if ranged is None:
         raise ConfigError("a component selection is required")
-    text = ranged.strip()
-    if ".." in text:
-        lo_s, _, hi_s = text.partition("..")
-        try:
-            lo, hi = int(lo_s), int(hi_s)
-        except ValueError:
-            raise ConfigError(f"bad component range {ranged!r}") from None
-        if lo > hi:
-            raise ConfigError(f"empty component range {ranged!r}")
-        return list(range(lo, hi + 1))
+    lo_s, dots, hi_s = ranged.strip().partition("..")
     try:
-        return [int(text)]
+        lo, hi = int(lo_s), int(hi_s if dots else lo_s)
     except ValueError:
-        raise ConfigError(f"bad component selection {ranged!r}") from None
+        raise ConfigError(f"bad component {'range' if dots else 'selection'} {ranged!r}") from None
+    if lo > hi:
+        raise ConfigError(f"empty component range {ranged!r}")
+    return list(range(lo, hi + 1))
 
 
 def _render_text(space, cutoff, grading, columns) -> str:
@@ -189,15 +183,11 @@ _SIGNED_VALUE_FLAGS = ("--component", "--components", "--k")
 def _glue_negative_values(argv: list) -> list:
     # argparse mistakes "-2..2" after --components for an option; fuse them.
     out = []
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        if tok in _SIGNED_VALUE_FLAGS and i + 1 < len(argv) and argv[i + 1].startswith("-"):
-            out.append(tok + "=" + argv[i + 1])
-            i += 2
+    for tok in argv:
+        if out and out[-1] in _SIGNED_VALUE_FLAGS and tok.startswith("-"):
+            out[-1] += "=" + tok
         else:
             out.append(tok)
-            i += 1
     return out
 
 

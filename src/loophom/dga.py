@@ -17,8 +17,8 @@ builds and ranks a matrix only there, and keeps only its rank. The walk
 also counts the monomials by weight, so a dimension is a sum of counts
 times free blocks. No basis is enumerated. Within a call, `_passes`
 shares one profile among the spots with the same numbers, and one map of
-spots among the weights with the same free-block counts and ranks, so
-the dimensions of each distinct answer are summed once.
+spots among the weights with the same free-block counts and nonzero
+ranks; the dimensions are summed once per vector of block counts.
 
 Maps on homology need one more number per spot, dim(S meet B) for S a
 span of basis monomials and B the boundaries: `_passes` answers it from
@@ -81,7 +81,8 @@ class Derivation(Record):
 
         For a block g^e the derivation contributes e * g^(e-1) * d(g),
         valid for negative (laurent) e as well; the sign is the parity of
-        the degree of everything to the left of the block. Each term
+        the degree of everything to the left of the block, summed only at
+        a block whose generator has an image. Each term
         L * d(g) * R equals (-1)^(|d(g)| |R|) (L R) * d(g), one product of
         monomials. On a page d has bidegree (-1, 0), so every term lands
         in degree m.degree - 1 and weight m.weight.
@@ -93,41 +94,38 @@ class Derivation(Record):
         """
         alg = self.algebra
         out: dict = {}
-        if not self.images:
-            return alg.zero()
         p = alg.field.characteristic
         char2 = p == 2
-        prefix_degree = 0
         blocks = m.exps
         for idx, (gid, e) in enumerate(blocks):
-            g = alg.generators[gid]
-            block_degree = g.degree * e
             image = self.images.get(gid)
-            if image is not None and not (p and e % p == 0):
-                coeff = alg.field.scalar(e)
-                if not char2 and (prefix_degree & 1):
-                    coeff = -coeff
-                lowered = ((gid, e - 1),) if e != 1 else ()
-                rest = Monomial(
-                    blocks[:idx] + lowered + blocks[idx + 1 :],
-                    m.degree - g.degree,
-                    m.weight - g.weight,
-                )
-                right_odd = not char2 and (m.degree - prefix_degree - block_degree) & 1
-                for im, c in image.terms.items():
-                    sign, target = alg.multiply_monomials(rest, im)
-                    if target is None:
-                        continue
-                    if right_odd and im.degree & 1:
-                        sign = -sign
-                    c = coeff * c if sign > 0 else -(coeff * c)
-                    s = out.get(target)
-                    s = c if s is None else s + c
-                    if s:
-                        out[target] = s
-                    else:
-                        out.pop(target, None)
-            prefix_degree += block_degree
+            if image is None or p and e % p == 0:
+                continue
+            g = alg.generators[gid]
+            prefix_degree = sum(alg.generators[h].degree * f for h, f in blocks[:idx])
+            coeff = alg.field.scalar(e)
+            if not char2 and (prefix_degree & 1):
+                coeff = -coeff
+            lowered = ((gid, e - 1),) if e != 1 else ()
+            rest = Monomial(
+                blocks[:idx] + lowered + blocks[idx + 1 :],
+                m.degree - g.degree,
+                m.weight - g.weight,
+            )
+            right_odd = not char2 and (m.degree - prefix_degree - g.degree * e) & 1
+            for im, c in image.terms.items():
+                sign, target = alg.multiply_monomials(rest, im)
+                if target is None:
+                    continue
+                if right_odd and im.degree & 1:
+                    sign = -sign
+                c = coeff * c if sign > 0 else -(coeff * c)
+                s = out.get(target)
+                s = c if s is None else s + c
+                if s:
+                    out[target] = s
+                else:
+                    out.pop(target, None)
         return Element(alg, out) if out else alg.zero()
 
     def __call__(self, x: Element) -> Element:
@@ -198,50 +196,71 @@ class RankProfile(Record):
 class _Skeleton:
     """d on the free multiples y*m of each degree's monomials m, for one
     call. Each m of `graded_monomials` that a requested weight reaches
-    keeps the terms (exponents, raw value) of d(m), by `apply_monomial`,
-    and of d(g)*m for each free g with an image, by `multiply_monomials`,
-    which drops a term a bound kills; an m where all are 0 is dropped.
-    Each Element read gives up its coefficients as `.value`, once a term.
-    The same walk counts each degree's monomials by weight (`counts`;
-    `reach` has every weight met), so a dimension needs no basis."""
+    has its `moves`: {g: [(exponents, raw value)]}, the terms of d(g)*m
+    for each free g with an image, by `multiply_monomials`, which drops a
+    term a bound kills, and under None the terms of d(m) itself, by
+    `apply_monomial`. An m with no term keeps no entry. Each Element read
+    gives up its coefficients as `.value`, once a term. The same walk
+    counts each degree's monomials by weight (`counts`; `reach` has every
+    weight met), so a dimension needs no basis. A degree past the
+    algebra's horizon, where the list may be incomplete, is refused
+    first (CutoffTooTight)."""
 
     def __init__(self, page: DgaPage, degrees, weights):
         alg, der = page.algebra, page.differential
+        top, horizon = max(degrees), alg.complete_through_degree
+        if horizon is not None and top > horizon:
+            raise CutoffTooTight(
+                f"d at degree {top} needs a complete basis there, past the "
+                f"algebra's horizon {horizon}"
+            )
         self.p, self.free = alg.field.characteristic, alg.free_generators()
         self.entries, self.counts, self._blocks, self.swept = {}, {}, {}, (None, {})
         images = [
-            (g.gid, [(t, c.value) for t, c in der.images[g.gid].terms.items()])
+            (g.gid, t, c.value)
             for g in self.free
             if g.gid in der.images
+            for t, c in der.images[g.gid].terms.items()
         ]
         reach = self.reach = {}  # m.weight -> whether a requested weight is reachable
-        alg.graded_monomials(max(degrees))  # one walk lists every degree below it
+        alg.graded_monomials(top)  # one walk lists every degree below it
         for d in degrees:
             count = self.counts[d] = {}
             for m in alg.graded_monomials(d):
-                count[m.weight] = count.get(m.weight, 0) + 1
-                if m.weight not in reach:
-                    reach[m.weight] = any(self.blocks(w - m.weight) for w in weights)
-                if not reach[m.weight]:
+                mw = m.weight
+                count[mw] = count.get(mw, 0) + 1
+                if mw not in reach:
+                    reach[mw] = any(self.blocks(w - mw) for w in weights)
+                if not reach[mw]:
                     continue
-                moves = {}
-                for gid, terms in images:
-                    for im, c in terms:
-                        sign, t = alg.multiply_monomials(im, m)
-                        if t is not None:
-                            moves.setdefault(gid, []).append((t.exps, c if sign > 0 else -c))
-                here = [(t.exps, c.value) for t, c in der.apply_monomial(m).terms.items()]
-                if here or moves:
-                    self.entries.setdefault(d, []).append((m.weight, here, moves))
+                here = der.apply_monomial(m).terms
+                moves = here and {None: [(t.exps, c.value) for t, c in here.items()]}
+                for gid, im, c in images:
+                    # m * d(g) meets a bound within d(g)'s few blocks; d(g) * m is
+                    # the same up to the Koszul sign
+                    sign, t = alg.multiply_monomials(m, im)
+                    if t is not None:
+                        if im.degree * m.degree & 1:
+                            sign = -sign
+                        moves = moves or {}
+                        moves.setdefault(gid, []).append((t.exps, c if sign > 0 else -c))
+                if moves:
+                    self.entries.setdefault(d, []).append((mw, moves))
 
     def blocks(self, rest: int) -> list:
-        """The free exponent blocks y of total weight `rest`, each with its
-        quotients (g, e_g, y/g), one for each free g in y whose exponent
-        e_g the characteristic does not divide; kept for the call."""
+        """(y, quotients) for each free exponent block y of total weight
+        `rest`: first (None, 1, None), which the sweep reads as y*d(m),
+        then (g, e_g, y/g) for each free g in y whose exponent e_g the
+        characteristic does not divide; kept for the call. The first is
+        one shared constant, so a block costs no more than its quotients."""
         found = self._blocks.get(rest)
         if found is None:
             found = self._blocks[rest] = [
-                (y, [(g, e, _times(y, ((g, -1),))) for g, e in y if not self.p or e % self.p])
+                (
+                    y,
+                    [(None, 1, None)]
+                    + [(g, e, _times(y, ((g, -1),))) for g, e in y if not self.p or e % self.p],
+                )
                 for y in _free_exponents(self.free, rest)
             ]
         return found
@@ -249,24 +268,23 @@ class _Skeleton:
     def sweep(self, weight: int) -> dict:
         """{degree: (rows, entries, ncols)} of the weight, from one pass
         over the entries: a column for each free multiple y*m that d does
-        not kill by its shape, with terms y*d(m) and e_g*(y/g)*(d(g)*m)
-        for each quotient whose g moves m. Only a degree with a column
-        appears. The last weight's sweep is kept, and only that one: a
-        pass's `meet` reads it there."""
+        not kill by its shape, with the terms e*(y/g)*(d(g)*m) for each
+        quotient whose g moves m, y*d(m) first. Only a degree with a
+        column appears. The last weight's sweep is kept, and only that
+        one: a pass's `meet` reads it there."""
         if self.swept[0] != weight:
             self.swept = (weight, {})  # the previous weight's go first
             for d, found in self.entries.items():
                 rows, entries, j = {}, {}, 0
-                for mw, here, moves in found:
+                for mw, moves in found:
                     for y, quotients in self.blocks(weight - mw):
-                        terms = [(_times(t, y), c) for t, c in here]
+                        filled = len(entries)  # a column's first term adds an entry
                         for g, e, lowered in quotients:
-                            if g in moves:
-                                terms += [(_times(t, lowered), e * c) for t, c in moves[g]]
-                        for t, c in terms:
-                            ij = (rows.setdefault(t, len(rows)), j)
-                            entries[ij] = entries.get(ij, 0) + c
-                        j += bool(terms)
+                            for t, c in moves.get(g, ()):
+                                key = _times(t, y if g is None else lowered)
+                                ij = (rows.setdefault(key, len(rows)), j)
+                                entries[ij] = entries.get(ij, 0) + e * c
+                        j += len(entries) > filled
                 if j:
                     self.swept[1][d] = (rows, entries, j)
         return self.swept[1]
@@ -274,12 +292,11 @@ class _Skeleton:
 
 def _times(a: tuple, b: tuple) -> tuple:
     """Exponents of a product with a free block, which no bound can kill.
-    Where no generator is in both, they are the sorted concatenation of
-    the two tuples; only where one is does a merge add the exponents and
-    drop the zeros."""
-    joined = sorted(a + b)
-    if len(dict(joined)) == len(joined):
-        return tuple(joined)
+    Where every generator of b comes before those of a, as a page's one
+    free generator iota comes first, they are b + a; anywhere else a
+    merge adds the exponents and drops the zeros."""
+    if not (a and b) or b[-1][0] < a[0][0]:
+        return b + a
     merged = dict(a)
     for g, e in b:
         e += merged.get(g, 0)
@@ -300,12 +317,13 @@ def differential_matrix(page: DgaPage, degree: int, weight: int, *, skeleton=Non
     they first appear, and the sweep's `rows` label them.
     The columns left out are zero, so the rank is that of d at the spot
     (an empty matrix where none is left); `Matrix` reduces the summed raw
-    values and drops zeros. `skeleton` hands over a pass's `_Skeleton`;
-    omitted, one is built for this spot alone.
+    values and drops zeros. `skeleton` hands over a pass's `_Skeleton`,
+    whose building checked the horizon; omitted, one is built for this
+    spot alone, and refuses a degree past the page's horizon.
     """
     if skeleton is None:
         skeleton = _Skeleton(page, [degree], [weight])
-    rows, entries, ncols = skeleton.sweep(weight).get(degree, ({}, {}, 0))
+    rows, entries, ncols = skeleton.sweep(weight).get(degree) or ({}, {}, 0)
     return Matrix(page.algebra.field, len(rows), ncols, entries)
 
 
@@ -315,58 +333,66 @@ def _passes(page: DgaPage, degrees: Iterable[int], weights: Iterable[int]):
     Spots of the call with the same (dim, rank of d out, rank of d in)
     share one profile, and weights with the same key share one map of
     spots: the key is the number of free blocks each monomial weight of
-    the skeleton's `reach` meets, and the ranks at every needed degree,
-    which together fix every dimension and rank. So a dimension is summed
+    the skeleton's `reach` meets, and the nonzero ranks, by degree, at
+    every needed degree, which together fix every dimension and rank.
+    The dimensions are summed once per block-count vector, and the map
     once per key. `meet(degree, in_s)`, at a requested degree, is
     dim(S meet B), S spanned by the monomials whose exponent tuples pass
     `in_s` and B the image of d: rank B - rank(B without S's rows), from
     the weight's sweep at degree + 1 and the rank already found there,
     or 0 where no column gave one.
-    d in needs a complete basis one degree above the top; the horizon is
-    checked on the call, not on first use.
+    d in needs a complete basis one degree above the top; the skeleton,
+    built on the call, not on first use, checks the horizon there.
 
     One `_Skeleton` serves every spot of the call. Each weight sweeps it
     once, and a matrix is built and ranked only at the degrees the sweep
     gives, those with a column; any other spot has rank 0 and no matrix.
-    Only the ranks are kept. The skeleton keeps the last weight's sweep,
-    so `meet` called in order reads it as it is; called after the pass
-    has moved on, it sweeps its weight again. Nothing outlives the call.
+    Only the nonzero ranks are kept. The skeleton keeps the last weight's
+    sweep, so `meet` called in order reads it as it is; called after the
+    pass has moved on, it sweeps its weight again. Nothing outlives the
+    call.
     """
     degs = sorted(set(degrees))
     if not degs:
         return iter(())
     alg = page.algebra
-    top, horizon = degs[-1], alg.complete_through_degree
-    if horizon is not None and top + 1 > horizon:
-        raise CutoffTooTight(
-            f"homology at degree {top} needs a complete basis at degree "
-            f"{top + 1}, past the algebra's horizon {horizon}"
-        )
     needed = sorted(set(degs) | {d + 1 for d in degs})
     ws = sorted(set(weights))
     skeleton = _Skeleton(page, needed, ws)
-    profiles, maps = {}, {}  # (dim, here, above) -> its one RankProfile; key -> its spot map
+    # (dim, here, above) -> its one RankProfile; block counts -> dimensions by degs; key -> map
+    profiles, dims, maps = {}, {}, {}
+
+    def profile(*t):
+        return profiles.get(t) or profiles.setdefault(t, RankProfile(*t))
 
     def spots(w):
-        rank = dict.fromkeys(needed, 0)
-        for d in skeleton.sweep(w):
-            rank[d] = differential_matrix(page, d, w, skeleton=skeleton).rank()
-        size = {mw: len(skeleton.blocks(w - mw)) for mw in skeleton.reach}
+        rank = {
+            d: r
+            for d in skeleton.sweep(w)
+            if (r := differential_matrix(page, d, w, skeleton=skeleton).rank())
+        }
+        size = tuple(len(skeleton.blocks(w - mw)) for mw in skeleton.reach)
 
         def meet(degree, in_s):
-            labels, entries, ncols = skeleton.sweep(w).get(degree + 1, ({}, {}, 0))
+            labels, entries, ncols = skeleton.sweep(w).get(degree + 1) or ({}, {}, 0)
             if not ncols:
                 return 0
             rows = {i for exps, i in labels.items() if in_s(exps)}
             kept = {ij: c for ij, c in entries.items() if ij[0] not in rows}
-            return rank[degree + 1] - Matrix(alg.field, len(labels), ncols, kept).rank()
+            return rank.get(degree + 1, 0) - Matrix(alg.field, len(labels), ncols, kept).rank()
 
-        def profile(d):
-            t = (sum(k * size[mw] for mw, k in skeleton.counts[d].items()), rank[d], rank[d + 1])
-            return profiles.get(t) or profiles.setdefault(t, RankProfile(*t))
-
-        key = (*size.values(), *rank.values())
-        return w, maps.get(key) or maps.setdefault(key, {d: profile(d) for d in degs}), meet
+        key = (size, *rank.items())
+        if key not in maps:
+            if size not in dims:
+                blocks = dict(zip(skeleton.reach, size))
+                dims[size] = [
+                    sum(k * blocks[mw] for mw, k in skeleton.counts[d].items()) for d in degs
+                ]
+            maps[key] = {
+                d: profile(dim, rank.get(d, 0), rank.get(d + 1, 0))
+                for d, dim in zip(degs, dims[size])
+            }
+        return w, maps[key], meet
 
     return map(spots, ws)
 

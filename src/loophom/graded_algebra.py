@@ -55,9 +55,12 @@ class Generator(Record):
     """The types of name, degree, weight and truncation, the kind, the
     truncation and a laurent generator's degree 0 are checked on
     construction; the `GradedAlgebra` constructor adds a new name and
-    parity."""
+    parity. `top`, kept on construction, is the largest exponent of a
+    nonzero power, None when unbounded: 1 for exterior, the truncation
+    for truncated generators."""
 
-    __slots__ = _fields = ("gid", "name", "degree", "weight", "kind", "truncation")
+    _fields = ("gid", "name", "degree", "weight", "kind", "truncation")
+    __slots__ = _fields + ("top",)
 
     def __init__(
         self, gid: int, name: str, degree: int, weight: int, kind: str,
@@ -78,12 +81,7 @@ class Generator(Record):
         elif truncation is not None:
             raise InvalidGenerator("truncation only applies to truncated generators")
         _fill(self, gid, name, degree, weight, kind, truncation)
-
-    @property
-    def top(self) -> Optional[int]:
-        """Largest exponent of a nonzero power, None when unbounded: 1 for
-        exterior, the truncation for truncated generators."""
-        return 1 if self.kind == "exterior" else self.truncation
+        _set(self, "top", 1 if kind == "exterior" else truncation)
 
 
 class Monomial(Record):

@@ -27,27 +27,33 @@ from .scalars import Field, check_field, is_int
 
 
 class Matrix:
-    """Each given entry is checked and reduced once by `Field.reduce`, to
-    an int in [0, p) over F_p or a Fraction over Q, and kept if nonzero.
-    An index that is not a pair of ints inside the shape is InvalidShape."""
+    """Each given entry is checked and reduced once, to an int in [0, p)
+    over F_p or a Fraction over Q, and kept if nonzero. An index that is
+    not a pair of ints inside the shape is InvalidShape. Exact ints
+    (`type(x) is int`) take one fast path: a shape or an index is checked
+    inline, and a value over F_p is `v % p`. Anything else goes through
+    `is_int` and `Field.reduce`, which store the same values and raise
+    the same errors."""
 
     __slots__ = ("field", "nrows", "ncols", "entries")
 
     def __init__(self, field: Field, nrows: int, ncols: int, entries: Optional[dict] = None):
         check_field(field)
-        if not (is_int(nrows) and is_int(ncols)) or nrows < 0 or ncols < 0:
+        ints = type(nrows) is type(ncols) is int or is_int(nrows) and is_int(ncols)
+        if not ints or min(nrows, ncols) < 0:
             raise InvalidShape(f"shape must be two nonnegative ints, got {nrows!r}x{ncols!r}")
         self.field = field
         self.nrows = nrows
         self.ncols = ncols
         self.entries: dict[tuple[int, int], object] = {}
         if entries:
+            p = field.characteristic
             for (i, j), v in entries.items():
-                if not (is_int(i) and is_int(j)):
+                if not (type(i) is type(j) is int or is_int(i) and is_int(j)):
                     raise InvalidShape(f"entry index {(i, j)!r} is not a pair of ints")
                 if not (0 <= i < nrows and 0 <= j < ncols):
                     raise InvalidShape(f"entry index {(i, j)} is outside {nrows}x{ncols}")
-                v = field.reduce(v)
+                v = v % p if p and type(v) is int else field.reduce(v)
                 if v:
                     self.entries[(i, j)] = v
 
@@ -121,7 +127,7 @@ def rank_sparse(matrix: Matrix) -> int:
     """Rank: the number of entries when no two share a row or a column (a
     scaled partial permutation), else the number of pivots `_eliminate` finds."""
     n = len(matrix.entries)
-    if len({i for i, _ in matrix.entries}) == n == len({j for _, j in matrix.entries}):
+    if n < 2 or len({i for i, _ in matrix.entries}) == n == len({j for _, j in matrix.entries}):
         return n
     return len(_eliminate(matrix))
 

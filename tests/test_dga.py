@@ -406,6 +406,21 @@ def test_horizon_refused_eagerly_without_weights():
             induced_map_on_homology(sub, big, [3], [])
 
 
+@pytest.mark.parametrize("degree, weight", [(15, 5), (18, 4)])
+def test_a_matrix_built_alone_past_the_horizon_is_refused(degree, weight):
+    # horizon 6 at cutoff 10; at cutoff 30 the spot's basis has Q2u (degree
+    # 15, weight 4), so d there is 1x1 of rank 1, not the 0x0 of the
+    # incomplete basis
+    shallow, deep = e2_page(2, GF2, LOOP, 10), e2_page(2, GF2, LOOP, 30)
+    assert shallow.algebra.complete_through_degree == 6
+    with pytest.raises(CutoffTooTight, match="horizon 6"):
+        differential_matrix(shallow, degree, weight)
+    full = differential_matrix(deep, degree, weight)
+    assert (full.nrows, full.ncols, full.rank()) == (1, 1, 1)
+    at_horizon = (differential_matrix(page, 6, weight).rank() for page in (shallow, deep))
+    assert len(set(at_horizon)) == 1
+
+
 def test_rational_page_has_no_horizon():
     page = e2_page(1, RATIONALS, LOOP, cutoff=4)
     assert page.algebra.complete_through_degree is None
@@ -955,19 +970,23 @@ def test_matrix_from_handed_skeleton_equals_matrix_built_alone():
 @pytest.mark.parametrize("variant, weights", [(LOOP, range(-4, 5)), (HOL, range(0, 7))])
 def test_a_shared_spot_map_is_the_map_of_each_weight_alone(variant, weights, field, n):
     # iota is laurent on a loop page, so every weight meets one free block
-    # of each monomial weight there: the ranks alone tell weights apart
+    # of each monomial weight there: the ranks alone tell weights apart. On
+    # a hol page the block counts change with the weight. The window below
+    # degree 0 stops where the first rank of d appears, at its extra degree
+    # 0: d(iota^k) there tells weights apart by the incoming rank alone
     page = e2_page(n, field, variant, 24)
     low, high = page.algebra.degree_reach()
     horizon = page.algebra.complete_through_degree
-    degrees = range(low, (high if horizon is None else min(high, horizon - 1)) + 1)
-    together = homology_dimensions(page, degrees, weights)
-    alone = {}
-    for w in weights:
-        alone.update(homology_dimensions(page, degrees, [w]))
-    assert together == alone
-    if (variant, field, n) == (LOOP, F3, 1):
-        first = {d: p for (d, w), p in alone.items() if w == 0}
-        assert first != {d: p for (d, w), p in alone.items() if w == 1}
+    for degrees in (range(low, (high if horizon is None else min(high, horizon - 1)) + 1),
+                    range(low, 0)):
+        together = homology_dimensions(page, degrees, weights)
+        alone = {}
+        for w in weights:
+            alone.update(homology_dimensions(page, degrees, [w]))
+        assert together == alone
+        if (variant, field, n) == (LOOP, F3, 1):
+            first = {d: p for (d, w), p in alone.items() if w == 0}
+            assert first != {d: p for (d, w), p in alone.items() if w == 1}
 
 
 def test_weights_with_the_same_answer_share_one_spot_map():

@@ -1,6 +1,7 @@
 """Exact rank computations: the sparse route against the dense oracle."""
 
 import random
+from enum import IntEnum
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dense_reference import column, from_columns, rank_dense
-from loophom.errors import InvalidShape
+from loophom.errors import InvalidScalar, InvalidShape
 from loophom.linalg import Matrix, _eliminate, _integer_rows, kernel_basis, rank_of_columns
 from loophom.linalg import rank_sparse
 from loophom.scalars import GF2, RATIONALS, Field
@@ -248,3 +249,49 @@ def test_matrix_stores_raw_reduced_values():
 def test_matrix_refuses_a_non_field(field):
     with pytest.raises(TypeError, match="expected a Field"):
         Matrix(field, 1, 1)
+
+
+class Small(IntEnum):
+    ONE = 1
+    TWO = 2
+
+
+@given(st.sampled_from([RATIONALS, GF2, Field(3), F5]), st.data())
+@settings(max_examples=300, deadline=None)
+def test_matrix_stores_and_refuses_what_field_reduce_does(field, data):
+    # exact ints take a fast path through `Matrix`; every other index and
+    # value must come out as `Field.reduce` and the index checks make them
+    p = field.characteristic
+    value = st.one_of(
+        st.integers(-50, 50),
+        st.integers(-9, 9).map(lambda k: k * p),  # 0 over Q
+        st.fractions(-5, 5, max_denominator=7).filter(lambda f: not p or f.denominator % p),
+        st.integers(-9, 9).map(field),
+        st.sampled_from(Small),
+    )
+    index = st.one_of(st.integers(0, 2), st.sampled_from(Small))
+    entries = data.draw(st.dictionaries(st.tuples(index, index), value, max_size=6))
+    reduced = {ij: field.reduce(v) for ij, v in entries.items()}
+    kept = {ij: v for ij, v in reduced.items() if v}
+    m = Matrix(field, 3, 3, entries)
+    assert m.entries == kept
+    assert [type(v) for v in m.entries.values()] == [type(v) for v in kept.values()]
+    # one entry more is refused: a bool, float or str in the index, an
+    # exact int outside the shape, or a bool value
+    spoil = data.draw(st.sampled_from(["index", "outside", "value"]))
+    if spoil == "index":
+        bad = data.draw(st.one_of(st.booleans(), st.floats(allow_nan=False), st.text(max_size=2)))
+        error, match = InvalidShape, "not a pair of ints"
+    elif spoil == "outside":
+        bad = data.draw(st.one_of(st.integers(max_value=-1), st.integers(min_value=3)))
+        error, match = InvalidShape, "outside 3x3"
+    else:
+        bad = data.draw(st.booleans())
+        error, match = InvalidScalar, "is not an int"
+    if spoil == "value":
+        spoiled = {**entries, (0, 0): bad}  # last, so it keeps the bool
+    else:
+        ij = data.draw(st.sampled_from([(bad, 0), (0, bad)]))
+        spoiled = {ij: 1, **entries}  # first, so it keeps its key
+    with pytest.raises(error, match=match):
+        Matrix(field, 3, 3, spoiled)
