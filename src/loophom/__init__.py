@@ -68,7 +68,7 @@ from .errors import (
 )
 from .graded_algebra import Element, GradedAlgebra, Generator
 from .linalg import Matrix, kernel_basis, rank_sparse
-from .scalars import GF2, RATIONALS, Field, Scalar, make_field
+from .scalars import GF2, RATIONALS, Field, make_field
 from .spaces import (
     HOL,
     LOOP,

@@ -90,7 +90,8 @@ class Derivation(Record):
         A block whose exponent the characteristic divides is skipped before
         any product is built; a term whose product passes an exterior or
         truncated bound is skipped on the None `multiply_monomials` gives.
-        An empty expansion is the algebra's one zero element.
+        The raw terms are summed into one dict; where none is left, the
+        expansion is the algebra's one zero element.
         """
         alg = self.algebra
         out: dict = {}
@@ -103,9 +104,7 @@ class Derivation(Record):
                 continue
             g = alg.generators[gid]
             prefix_degree = sum(alg.generators[h].degree * f for h, f in blocks[:idx])
-            coeff = alg.field.scalar(e)
-            if not char2 and (prefix_degree & 1):
-                coeff = -coeff
+            coeff = -e if not char2 and (prefix_degree & 1) else e
             lowered = ((gid, e - 1),) if e != 1 else ()
             rest = Monomial(
                 blocks[:idx] + lowered + blocks[idx + 1 :],
@@ -119,22 +118,23 @@ class Derivation(Record):
                     continue
                 if right_odd and im.degree & 1:
                     sign = -sign
-                c = coeff * c if sign > 0 else -(coeff * c)
-                s = out.get(target)
-                s = c if s is None else s + c
-                if s:
-                    out[target] = s
-                else:
-                    out.pop(target, None)
-        return Element(alg, out) if out else alg.zero()
+                out[target] = out.get(target, 0) + sign * coeff * c
+        return _element(alg, out)
 
     def __call__(self, x: Element) -> Element:
         if x.algebra is not self.algebra:
             raise AlgebraMismatch("element of a different algebra")
-        out = self.algebra.zero()
+        out: dict = {}
         for m, c in x.terms.items():
-            out = out + self.apply_monomial(m).scale(c)
-        return out
+            for t, v in self.apply_monomial(m).terms.items():
+                out[t] = out.get(t, 0) + c * v
+        return _element(self.algebra, out)
+
+
+def _element(alg: GradedAlgebra, terms: dict) -> Element:
+    """The element of summed raw `terms`: the algebra's one zero element
+    where every term cancels."""
+    return terms and Element(alg, terms) or alg.zero()
 
 
 class DgaPage(Record):
@@ -199,8 +199,7 @@ class _Skeleton:
     has its `moves`: {g: [(exponents, raw value)]}, the terms of d(g)*m
     for each free g with an image, by `multiply_monomials`, which drops a
     term a bound kills, and under None the terms of d(m) itself, by
-    `apply_monomial`. An m with no term keeps no entry. Each Element read
-    gives up its coefficients as `.value`, once a term. The same walk
+    `apply_monomial`. An m with no term keeps no entry. The same walk
     counts each degree's monomials by weight (`counts`; `reach` has every
     weight met), so a dimension needs no basis. A degree past the
     algebra's horizon, where the list may be incomplete, is refused
@@ -217,10 +216,10 @@ class _Skeleton:
         self.p, self.free = alg.field.characteristic, alg.free_generators()
         self.entries, self.counts, self._blocks, self.swept = {}, {}, {}, (None, {})
         images = [
-            (g.gid, t, c.value)
+            (g.gid, *term)
             for g in self.free
             if g.gid in der.images
-            for t, c in der.images[g.gid].terms.items()
+            for term in der.images[g.gid].terms.items()
         ]
         reach = self.reach = {}  # m.weight -> whether a requested weight is reachable
         alg.graded_monomials(top)  # one walk lists every degree below it
@@ -234,7 +233,7 @@ class _Skeleton:
                 if not reach[mw]:
                     continue
                 here = der.apply_monomial(m).terms
-                moves = here and {None: [(t.exps, c.value) for t, c in here.items()]}
+                moves = here and {None: [(t.exps, c) for t, c in here.items()]}
                 for gid, im, c in images:
                     # m * d(g) meets a bound within d(g)'s few blocks; d(g) * m is
                     # the same up to the Koszul sign

@@ -21,11 +21,13 @@ class CompositeCharacteristic(InvalidCharacteristic):
 
 
 class DivisionByZero(LoophomError, ZeroDivisionError):
-    """Multiplicative inverse of zero was requested."""
+    """Multiplicative inverse of zero was requested: a Fraction whose
+    denominator the characteristic divides is no element of F_p."""
 
 
 class FieldMismatch(LoophomError, TypeError):
-    """Arithmetic attempted between scalars over different fields."""
+    """An inclusion of pages was asked for between two algebras over
+    different fields."""
 
 
 class ReadOnlyValue(LoophomError, AttributeError):
@@ -35,8 +37,8 @@ class ReadOnlyValue(LoophomError, AttributeError):
 
 class InvalidScalar(LoophomError, TypeError):
     """A value given as a field element is not an int (a bool is not
-    one), a Fraction or a Scalar: floats and strings are refused, since
-    every coefficient is exact."""
+    one) or a Fraction: floats and strings are refused, since every
+    coefficient is exact."""
 
 
 class ParityViolation(LoophomError, ValueError):
@@ -68,7 +70,8 @@ class UnknownGenerator(LoophomError, KeyError):
 
 
 class AlgebraMismatch(LoophomError, TypeError):
-    """Operation mixed elements of two different algebras."""
+    """Operation mixed elements of two different algebras, or an
+    element was given a key that is no monomial of its algebra."""
 
 
 class InvalidHorizon(LoophomError, ValueError):

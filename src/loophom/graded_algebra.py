@@ -46,7 +46,7 @@ from .errors import (
     ParityViolation,
     UnknownGenerator,
 )
-from .scalars import Field, Scalar, check_field, is_int
+from .scalars import Field, check_field, is_int
 
 KINDS = ("polynomial", "laurent", "exterior", "truncated")
 
@@ -264,7 +264,7 @@ class GradedAlgebra(ReadOnly):
         return self._zero
 
     def one(self) -> "Element":
-        return Element(self, {self.unit_monomial: self.field.one})
+        return Element(self, {self.unit_monomial: 1})
 
     def monomial_element(self, m: Optional[Monomial], coeff=1) -> "Element":
         if m is None:
@@ -445,21 +445,25 @@ def _free_exponents(free: list, weight: int) -> list:
 
 class Element(Record):
     """A finite field-linear combination of monomials in one algebra:
-    `terms` maps each monomial to its coefficient, in a `ReadOnlyMap`.
-    Every coefficient goes through the algebra's `Field.scalar`, which
-    refuses a value that is no scalar of the field (`InvalidScalar`,
-    `FieldMismatch`), and a zero one is dropped, so equal elements have
-    equal terms. Elements compare by the identity of their algebra and
-    by their terms."""
+    `terms` maps each monomial to its raw coefficient, in a `ReadOnlyMap`.
+    A key that is not a `Monomial`, or whose gids leave the algebra's
+    generators, raises AlgebraMismatch. Every coefficient goes through
+    the algebra's `Field.reduce`, which refuses a value that is no
+    element of the field (`InvalidScalar`, `DivisionByZero`), and a zero
+    one is dropped, so equal elements have equal terms. Elements compare
+    by the identity of their algebra and by their terms."""
 
     __slots__ = _fields = ("algebra", "terms")
 
     def __init__(self, algebra: GradedAlgebra, terms: Mapping[Monomial, object]):
-        scalar, kept = algebra.field.scalar, {}
+        reduce, top, kept = algebra.field.reduce, len(algebra.generators) - 1, {}
         for m, c in terms.items():
-            s = scalar(c)
-            if s:
-                kept[m] = s
+            exps = m.exps if isinstance(m, Monomial) else None
+            if exps is None or exps and not 0 <= exps[0][0] <= exps[-1][0] <= top:
+                raise AlgebraMismatch(f"{m!r} is no monomial of {algebra}")
+            c = reduce(c)
+            if c:
+                kept[m] = c
         _set(self, "algebra", algebra)  # a `_set` per slot, as in `Monomial`
         _set(self, "terms", ReadOnlyMap(kept))
 
@@ -471,7 +475,7 @@ class Element(Record):
         self._check(other)
         terms = dict(self.terms)
         for m, c in other.terms.items():
-            terms[m] = terms[m] + c if m in terms else c
+            terms[m] = terms.get(m, 0) + c
         return Element(self.algebra, terms)
 
     def __neg__(self) -> "Element":
@@ -481,7 +485,7 @@ class Element(Record):
         return self + (-other)
 
     def scale(self, c) -> "Element":
-        s = self.algebra.field.scalar(c)
+        s = self.algebra.field.reduce(c)
         return Element(self.algebra, {m: v * s for m, v in self.terms.items()})
 
     def __mul__(self, other):
@@ -495,8 +499,7 @@ class Element(Record):
                 sign, m = alg.multiply_monomials(m1, m2)
                 if m is None:
                     continue
-                c = c1 * c2 if sign > 0 else -(c1 * c2)
-                acc[m] = acc[m] + c if m in acc else c
+                acc[m] = acc.get(m, 0) + sign * c1 * c2
         return Element(alg, acc)
 
     def __rmul__(self, other):
@@ -527,8 +530,8 @@ class Element(Record):
             raise InhomogeneousElement(f"inhomogeneous element spans {sorted(seen)}")
         return seen.pop()
 
-    def coefficient(self, m: Monomial) -> Scalar:
-        return self.terms.get(m, self.algebra.field.zero)
+    def coefficient(self, m: Monomial):
+        return self.terms.get(m, self.algebra.field.reduce(0))
 
     def __repr__(self):
         if not self.terms:
@@ -539,7 +542,7 @@ class Element(Record):
             c = self.terms[m]
             if m.is_unit:
                 parts.append(str(c))
-            elif c == alg.field.one:
+            elif c == 1:
                 parts.append(m.format(alg))
             else:
                 parts.append(f"{c}*{m.format(alg)}")

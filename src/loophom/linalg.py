@@ -13,7 +13,8 @@ its pivot rows. The tests compare both against a dense textbook
 reduction kept in `tests/dense_reference.py`.
 
 Matrices are stored sparsely as {(row, col): value} with explicit shape,
-each value raw, as `Field.reduce` gives it; only `kernel_basis` boxes.
+each value raw, as `Field.reduce` gives it; `kernel_basis` returns raw
+values too.
 """
 
 from __future__ import annotations
@@ -133,7 +134,8 @@ def rank_sparse(matrix: Matrix) -> int:
 
 
 def kernel_basis(matrix: Matrix) -> list:
-    """A basis of the right kernel, as lists of Scalars of length ncols.
+    """A basis of the right kernel, as lists of length ncols of raw values:
+    ints in [0, p) over F_p, Fractions over Q.
 
     One vector per free column (a column in which `_eliminate` found no
     pivot), in column order: it is 1 there, 0 at the other free columns,
@@ -153,14 +155,11 @@ def kernel_basis(matrix: Matrix) -> list:
             s = sum(v * x[c] for c, v in row.items() if c in x)
             if s:
                 x[col] = -s * pow(row[col], -1, p) % p if p else Fraction(-s, row[col])
-        vec = [field.zero] * matrix.ncols
-        for c, v in x.items():
-            vec[c] = field.scalar(v)
-        basis.append(vec)
+        basis.append([field.reduce(x.get(c, 0)) for c in range(matrix.ncols)])
     return basis
 
 
 def rank_of_columns(field: Field, nrows: int, columns) -> int:
-    """Rank of the span of column vectors given as {row: scalar} dicts."""
+    """Rank of the span of column vectors given as {row: value} dicts."""
     entries = {(i, j): v for j, col in enumerate(columns) for i, v in col.items()}
     return Matrix(field, nrows, len(columns), entries).rank()

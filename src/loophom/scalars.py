@@ -1,19 +1,18 @@
 """Exact coefficient arithmetic: the rationals and prime fields F_p.
 
-All arithmetic is exact. Rational values are `fractions.Fraction` (kept
-normalized by the stdlib), prime-field values are ints reduced into
-[0, p). No floats anywhere.
+All arithmetic is exact. A coefficient is held as its raw value, which
+`Field.reduce` gives: a `fractions.Fraction` over the rationals (kept
+normalized by the stdlib), an int in [0, p) over F_p. No floats anywhere.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from numbers import Number
 from typing import Union
 
 from ._record import Record, _fill
-from .errors import CompositeCharacteristic, DivisionByZero, FieldMismatch
+from .errors import CompositeCharacteristic, DivisionByZero
 from .errors import InvalidCharacteristic, InvalidField, InvalidFieldSpec, InvalidScalar
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -71,43 +70,24 @@ class Field(Record):
         return self.characteristic == 0
 
     def reduce(self, value):
-        """Check a value and reduce it to its raw field value: an int in
-        [0, p) over F_p, a Fraction over Q. It takes an int, a Fraction or
-        a Scalar of this field; a Scalar of another field raises
-        FieldMismatch, and anything else, a bool, float or string
-        included, InvalidScalar."""
+        """Check a value and reduce it to its raw field value, the one
+        coefficient representation: an int in [0, p) over F_p, a Fraction
+        over Q. It takes an int or a Fraction. A Fraction whose denominator
+        p divides raises DivisionByZero, and anything else, a bool, float
+        or string included, InvalidScalar. Calling the field is the same:
+        `Field(3)(5)` is 2."""
         p = self.characteristic
         if is_int(value):
             return value % p if p else Fraction(value)
-        if isinstance(value, Fraction):
-            if p == 0:
-                return value
-            if value.denominator % p == 0:
-                raise DivisionByZero(f"denominator of {value} vanishes mod {p}")
-            return value.numerator * pow(value.denominator, -1, p) % p
-        if not isinstance(value, Scalar):
-            raise InvalidScalar(f"{value!r} is not an int, a Fraction or a Scalar of {self}")
-        if value.field != self:
-            raise FieldMismatch(f"scalar over {value.field} used in {self}")
-        return value.value
-
-    def scalar(self, value) -> "Scalar":
-        """The Scalar of `reduce(value)`, or a Scalar of this field as it is:
-        the box users hold coefficients in. The engine carries raw values."""
-        if isinstance(value, Scalar) and value.field == self:
+        if not isinstance(value, Fraction):
+            raise InvalidScalar(f"{value!r} is not an int or a Fraction")
+        if p == 0:
             return value
-        return Scalar(self, value)
+        if value.denominator % p == 0:
+            raise DivisionByZero(f"denominator of {value} vanishes mod {p}")
+        return value.numerator * pow(value.denominator, -1, p) % p
 
-    def __call__(self, value) -> "Scalar":
-        return self.scalar(value)
-
-    @property
-    def zero(self) -> "Scalar":
-        return self.scalar(0)
-
-    @property
-    def one(self) -> "Scalar":
-        return self.scalar(1)
+    __call__ = reduce
 
     def __repr__(self) -> str:
         return "Q" if self.characteristic == 0 else f"F{self.characteristic}"
@@ -141,74 +121,3 @@ def check_field(field) -> None:
 
 RATIONALS = Field(0)
 GF2 = Field(2)
-
-
-class Scalar(Record):
-    """A field element: a Fraction over Q, an int in [0, p) over F_p. The
-    constructor checks the field and stores `field.reduce(value)`."""
-
-    __slots__ = _fields = ("field", "value")
-
-    def __init__(self, field: Field, value):
-        check_field(field)
-        _fill(self, field, field.reduce(value))
-
-    def __add__(self, other):
-        if not isinstance(other, _OPERANDS):
-            return NotImplemented
-        f = self.field
-        return Scalar(f, self.value + f.reduce(other))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Scalar(self.field, -self.value)
-
-    def __sub__(self, other):
-        if not isinstance(other, _OPERANDS):
-            return NotImplemented
-        f = self.field
-        return Scalar(f, self.value - f.reduce(other))
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if not isinstance(other, _OPERANDS):
-            return NotImplemented
-        f = self.field
-        return Scalar(f, self.value * f.reduce(other))
-
-    __rmul__ = __mul__
-
-    def inverse(self) -> "Scalar":
-        if not self:
-            raise DivisionByZero("inverse of zero")
-        return Scalar(self.field, Fraction(1, self.value))
-
-    def __truediv__(self, other):
-        if not isinstance(other, _OPERANDS):
-            return NotImplemented
-        return self * self.field.scalar(other).inverse()
-
-    def __bool__(self) -> bool:
-        return self.value != 0
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, Scalar):
-            return self.field == other.field and self.value == other.value
-        if is_int(other) or isinstance(other, Fraction):
-            p, q = self.field.characteristic, other.denominator  # p | q: no element of F_p
-            return (self.value * q - other.numerator) % p == 0 if p else self.value == other
-        return NotImplemented  # a bool or float is no scalar, so never equal
-
-    def __hash__(self):
-        return hash((self.field, self.value))
-
-    def __repr__(self) -> str:
-        return str(self.value)
-
-
-# an operand that `Field.reduce` takes or refuses with a typed error; any
-# other (an Element, say) gets NotImplemented, so its reflected method runs
-_OPERANDS = (Scalar, Number, str)

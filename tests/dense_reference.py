@@ -1,11 +1,14 @@
 """Naive references the tests compare the library with.
 
-`rref` and `rank_dense` are a dense row reduction, sharing no code with
-`loophom.linalg` beyond the `Matrix` container and the field arithmetic;
+`rref` and `rank_dense` are a dense row reduction on raw values, sharing
+no code with `loophom.linalg` beyond the `Matrix` container and
+`Field.reduce`;
 `from_columns` and `column` move between a matrix and its columns.
 `reference_matrix` builds a matrix of d over whole bases, sharing no code
 with `loophom.dga`'s matrix builder: it uses only `enumerate_basis` and
 `Derivation.apply_monomial`."""
+
+from fractions import Fraction
 
 from loophom.linalg import Matrix
 
@@ -25,7 +28,7 @@ def reference_matrix(page, degree: int, weight: int) -> Matrix:
 
 
 def from_columns(field, nrows: int, columns) -> Matrix:
-    """A matrix assembled from column vectors given as {row: scalar} dicts."""
+    """A matrix assembled from column vectors given as {row: value} dicts."""
     entries = {(i, j): v for j, col in enumerate(columns) for i, v in col.items()}
     return Matrix(field, nrows, len(columns), entries)
 
@@ -36,13 +39,14 @@ def column(matrix: Matrix, j: int) -> dict:
 
 
 def rref(matrix: Matrix) -> tuple:
-    """Dense reduced row echelon form: the rows as lists of Scalars and
-    the (row, column) of every pivot, in column order."""
-    field = matrix.field
+    """Dense reduced row echelon form: the rows as lists of raw values and
+    the (row, column) of every pivot, in column order. An inverse is
+    `reduce(Fraction(1, v))`, and every update is reduced."""
+    reduce = matrix.field.reduce
     m, n = matrix.nrows, matrix.ncols
-    rows = [[field.zero] * n for _ in range(m)]
+    rows = [[reduce(0)] * n for _ in range(m)]
     for (i, j), v in matrix.entries.items():
-        rows[i][j] = field.scalar(v)
+        rows[i][j] = v
     pivots: list[tuple[int, int]] = []
     r = 0
     for col in range(n):
@@ -50,12 +54,12 @@ def rref(matrix: Matrix) -> tuple:
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = rows[r][col].inverse()
-        rows[r] = [v * inv for v in rows[r]]
+        inv = reduce(Fraction(1, rows[r][col]))
+        rows[r] = [reduce(v * inv) for v in rows[r]]
         for i in range(m):
             if i != r and rows[i][col]:
                 f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+                rows[i] = [reduce(a - f * b) for a, b in zip(rows[i], rows[r])]
         pivots.append((r, col))
         r += 1
         if r == m:

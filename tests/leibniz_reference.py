@@ -4,7 +4,7 @@ the tests compare `Derivation.apply_monomial` and
 `loophom.dga` and do not use the algebra's monomial product: they write
 each term out as a sequence of generator powers, count the Koszul swaps
 that sort it, and add up exponents themselves. Only the generator table,
-the `Monomial` container and the field arithmetic are the library's."""
+the `Monomial` container and `Field.reduce` are the library's."""
 
 from loophom.graded_algebra import Monomial
 
@@ -51,12 +51,13 @@ def leibniz(algebra, images: dict, m: Monomial) -> list:
 
     Block g^e of m contributes (-1)^|L| e L g^(e-1) d(g) R, with L and R
     the blocks left and right of it. Terms are summed in block order and,
-    within a block, in the order of d(g)'s terms; a sum that cancels is
-    removed, and a later term for it is inserted afresh.
+    within a block, in the order of d(g)'s terms, each sum reduced; a
+    monomial keeps the place of its first term, and one whose sum is 0 at
+    the end is left out.
     """
     gens = algebra.generators
-    field = algebra.field
-    signed = field.characteristic != 2
+    reduce = algebra.field.reduce
+    signed = algebra.field.characteristic != 2
     blocks = list(m.exps)
     out: dict = {}
     for idx, (gid, e) in enumerate(blocks):
@@ -71,13 +72,7 @@ def leibniz(algebra, images: dict, m: Monomial) -> list:
                 continue
             if signed and left_degree % 2:
                 sign = -sign
-            coefficient = field.scalar(sign * e) * c
-            if not coefficient:
-                continue
-            total = out.get(key)
-            total = coefficient if total is None else total + coefficient
-            if total:
-                out[key] = total
-            else:
-                out.pop(key, None)
-    return list(out.items())
+            coefficient = reduce(sign * e * c)
+            if coefficient:
+                out[key] = reduce(out.get(key, 0) + coefficient)
+    return [(key, total) for key, total in out.items() if total]

@@ -2,6 +2,7 @@
 
 import random
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -36,7 +37,7 @@ from loophom.errors import (
     WrongBidegree,
 )
 from loophom.graded_algebra import Element, GradedAlgebra
-from loophom.linalg import kernel_basis, rank_of_columns
+from loophom.linalg import Matrix, kernel_basis, rank_of_columns
 from loophom.scalars import GF2, RATIONALS, Field
 from loophom.spaces import HOL, LOOP, e2_page, hol_to_loop_inclusion
 
@@ -212,6 +213,50 @@ def test_an_empty_expansion_is_the_algebras_zero():
         assert d.apply_monomial(alg.monomial(exps)) is alg.zero()
     assert Derivation(alg, {}).apply_monomial(alg.monomial({"iota": 1})) is alg.zero()
     assert d.apply_monomial(alg.monomial({"iota": 1})) == alg.gen("u") * alg.gen("c") * 2
+
+
+@pytest.mark.parametrize("field", [RATIONALS, F3])
+def test_a_sum_that_cancels_is_the_algebras_zero(field):
+    # d(a*b) = a*s*b - a*b*s cancels within one expansion, and
+    # d(a + c) = a*s - a*s across the terms of an element
+    alg = GradedAlgebra(field, [("a", 2, 1, "polynomial"), ("b", 2, 1, "polynomial"),
+                                ("c", 2, 1, "polynomial"), ("s", -1, 0, "exterior")])
+    a, b, c, s = (alg.gen(name) for name in "abcs")
+    d = Derivation(alg, {"a": a * s, "b": -(b * s), "c": -(a * s)})
+    assert d.apply_monomial(alg.monomial({"a": 1, "b": 1})) is alg.zero()
+    assert d(a * b) is alg.zero() and d(a + c) is alg.zero()
+    assert d(a + b) == (a - b) * s  # nothing cancels
+
+
+@pytest.mark.parametrize("field, n", [(RATIONALS, 1), (GF2, 2), (F3, 1), (Field(5), 1)])
+def test_every_coefficient_is_a_raw_field_value(field, n):
+    # an int in [0, p) over F_p, a Fraction over Q: in elements, in
+    # matrices of d and of raw input, and in kernel vectors
+    p = field.characteristic
+
+    def raw(values):
+        values = list(values)
+        if p:
+            return all(type(v) is int and 0 <= v < p for v in values)
+        return all(type(v) is Fraction for v in values)
+
+    page = e2_page(n, field, LOOP, 24)
+    alg, d = page.algebra, page.differential
+    iota, u, c = (alg.gen(name) for name in ("iota", "u", "c"))
+    inverse = alg.monomial_element(alg.monomial({"iota": -1}))
+    elements = [iota, d(iota), (iota * c).scale(-7), iota**3 - u * c, -7 * d(inverse)]
+    assert all(x and raw(x.terms.values()) for x in elements)
+    assert raw([elements[2].coefficient(m) for m in (*elements[2].terms, alg.unit_monomial)])
+    matrices = [differential_matrix(page, deg, w) for deg in range(-4, 8) for w in (-2, -1)]
+    assert sum(len(m.entries) for m in matrices) > 0
+    rng = random.Random(p)
+    dense = {(i, j): Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.choice([1, 7, 11]))
+             for i in range(3) for j in range(5)}
+    matrices.append(Matrix(field, 3, 5, dense))
+    for matrix in matrices:
+        assert raw(matrix.entries.values())
+        assert all(raw(vec) for vec in kernel_basis(matrix))
+    assert len(kernel_basis(matrices[-1])) >= 2
 
 
 # -- Leibniz and square zero on real pages -------------------------------------

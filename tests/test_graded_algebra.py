@@ -12,8 +12,9 @@ from hypothesis import strategies as st
 
 from leibniz_reference import product
 from loophom.errors import (
+    AlgebraMismatch,
+    DivisionByZero,
     DuplicateName,
-    FieldMismatch,
     InfiniteBasis,
     InhomogeneousElement,
     InvalidExponent,
@@ -27,7 +28,8 @@ from loophom.errors import (
     UnknownGenerator,
 )
 from loophom.dga import DgaPage, Derivation, homology_dimensions
-from loophom.graded_algebra import KINDS, Element, GradedAlgebra, Generator, _free_exponents
+from loophom.graded_algebra import KINDS, Element, GradedAlgebra, Generator, Monomial
+from loophom.graded_algebra import _free_exponents
 from loophom.scalars import GF2, RATIONALS, Field
 
 F3 = Field(3)
@@ -413,10 +415,34 @@ def test_an_algebra_has_one_zero_element():
 def test_element_takes_only_its_fields_scalars_and_drops_zeros():
     alg = signed_algebra()
     m = alg.monomial({"x": 1})
-    with pytest.raises(FieldMismatch):
-        Element(alg, {m: Field(5)(1)})
+    with pytest.raises(DivisionByZero):
+        Element(alg, {m: Fraction(1, 3)})  # 1/3 is no element of F3
     assert Element(alg, {m: F3(3)}) == alg.zero()
     assert Element(alg, {m: 4}).terms == {m: F3(1)} == alg.gen("x").terms
+
+
+@pytest.mark.parametrize(
+    "key",
+    [
+        "junk",
+        ((0, 1),),
+        None,
+        Monomial(((5, 1),), 2, 1),
+        Monomial(((-1, 1),), 2, 1),
+        Monomial(((0, 1), (2, 1)), 6, 2),
+    ],
+    ids=["str", "exponent-tuple", "None", "gid-past-the-end", "negative-gid", "last-gid-past"],
+)
+def test_element_refuses_a_key_that_is_no_monomial_of_its_algebra(key):
+    # {"junk": 1} used to build, and its repr raised a bare AttributeError;
+    # gid 5 in a two-generator algebra raised a bare IndexError there
+    alg = GradedAlgebra(F3, [("x", 2, 1, "polynomial"), ("y", 4, 1, "polynomial")])
+    for coefficient in (1, 0):  # a zero coefficient does not excuse the key
+        with pytest.raises(AlgebraMismatch, match="no monomial") as refused:
+            Element(alg, {key: coefficient})
+        assert isinstance(refused.value, LoophomError)
+    # a monomial on the algebra's gids is taken, whoever built it
+    assert Element(alg, {Monomial(((1, 1),), 4, 1): 1}) == alg.gen("y")
 
 
 def test_element_bidegree():

@@ -1,5 +1,7 @@
-"""Field and scalar arithmetic."""
+"""Fields and their one coefficient representation: the raw value
+`Field.reduce` gives, which calling a field also gives."""
 
+import operator
 from fractions import Fraction
 
 import pytest
@@ -7,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from loophom.errors import (
+    AlgebraMismatch,
     CompositeCharacteristic,
     DivisionByZero,
-    FieldMismatch,
     InvalidCharacteristic,
     InvalidField,
     InvalidFieldSpec,
@@ -17,9 +19,9 @@ from loophom.errors import (
     LoophomError,
 )
 from loophom.analysis import SpaceSpec
-from loophom.graded_algebra import GradedAlgebra
+from loophom.graded_algebra import Element, GradedAlgebra
 from loophom.linalg import Matrix
-from loophom.scalars import GF2, MAX_CHARACTERISTIC, RATIONALS, Field, Scalar, make_field
+from loophom.scalars import GF2, MAX_CHARACTERISTIC, RATIONALS, Field, make_field
 from loophom.spaces import e2_page, generator_schedule
 
 F3 = Field(3)
@@ -75,9 +77,10 @@ def test_field_repr():
 
 
 def test_known_inverses():
-    assert F3(2).inverse() == F3(2)  # 2*2 = 4 = 1 mod 3
-    assert F7(3).inverse() == F7(5)  # 3*5 = 15 = 1 mod 7
-    assert RATIONALS(Fraction(3, 4)).inverse() == RATIONALS(Fraction(4, 3))
+    # an inverse is the reduced Fraction 1/v
+    assert F3(Fraction(1, 2)) == 2  # 2*2 = 4 = 1 mod 3
+    assert F7(Fraction(1, 3)) == 5  # 3*5 = 15 = 1 mod 7
+    assert RATIONALS(1 / Fraction(3, 4)) == Fraction(4, 3)
 
 
 def test_fraction_coercion_mod_p():
@@ -89,20 +92,38 @@ def test_fraction_coercion_mod_p():
 
 
 def test_zero_has_no_inverse():
-    with pytest.raises(DivisionByZero):
-        F3(0).inverse()
-    with pytest.raises(DivisionByZero):
-        RATIONALS(1) / RATIONALS(0)
+    # p is 0 in F_p, so a Fraction with p in its denominator names no element
+    for field, value in ((F3, Fraction(1, 3)), (F7, Fraction(5, 14)), (GF2, Fraction(1, 4))):
+        with pytest.raises(DivisionByZero, match="vanishes mod") as exc:
+            field.reduce(value)
+        assert isinstance(exc.value, LoophomError) and isinstance(exc.value, ZeroDivisionError)
 
 
 def test_mixed_field_arithmetic_rejected():
-    with pytest.raises(FieldMismatch):
-        F3(1) + F7(1)
-    with pytest.raises(FieldMismatch):
-        GF2.scalar(F3(1))
-    with pytest.raises(FieldMismatch):
-        GF2.reduce(F3(1))
-    assert F3(1) != F7(1) and GF2(0) != RATIONALS(0)  # compared, not refused
+    # a raw value carries no field, so fields meet only where two algebras
+    # do (two pages: tests/test_dga.py), and there they are refused
+    x3 = GradedAlgebra(F3, [("x", 2, 1, "polynomial")]).gen("x")
+    x7 = GradedAlgebra(F7, [("x", 2, 1, "polynomial")]).gen("x")
+    for mixed in (lambda: x3 + x7, lambda: x3 * x7, lambda: x3 - x7):
+        with pytest.raises(AlgebraMismatch):
+            mixed()
+
+
+def _refusers(field, value):
+    """Every way a coefficient enters: calling the field, `reduce`, an
+    element's terms, its scaling from either side, and a matrix entry."""
+    alg = GradedAlgebra(field, [("x", 2, 1, "polynomial")])
+    x = alg.gen("x")
+    (m,) = x.terms
+    return [
+        lambda: field(value),
+        lambda: field.reduce(value),
+        lambda: Element(alg, {m: value}),
+        lambda: x.scale(value),
+        lambda: x * value,
+        lambda: value * x,
+        lambda: Matrix(field, 1, 1, {(0, 0): value}),
+    ]
 
 
 @pytest.mark.parametrize(
@@ -122,67 +143,57 @@ def test_mixed_field_arithmetic_rejected():
 def test_scalar_refuses_what_is_not_an_int_fraction_or_scalar(field, value):
     # these used to truncate (2.7 -> 2 in F3), round (0.1 -> a binary
     # fraction in Q) or parse ("2"), so no coefficient is ever inexact
-    with pytest.raises(InvalidScalar, match="not an int, a Fraction or a Scalar") as exc:
-        field.scalar(value)
-    assert isinstance(exc.value, LoophomError) and isinstance(exc.value, TypeError)
-    with pytest.raises(InvalidScalar):
-        field(value)
-    with pytest.raises(InvalidScalar):
+    with pytest.raises(InvalidScalar, match="not an int or a Fraction") as exc:
         field.reduce(value)
-    with pytest.raises(InvalidScalar):
-        Scalar(field, value)
-    # arithmetic refuses the same values, but leaves None to Python
-    refused = TypeError if value is None else InvalidScalar
-    with pytest.raises(refused):
-        field(1) + value
-    with pytest.raises(refused):
-        value * field(1)
-    with pytest.raises(refused):
-        field(1) / value
-    assert field(1) != value and field(0) != value  # compared, not coerced
+    assert isinstance(exc.value, LoophomError) and isinstance(exc.value, TypeError)
+    for refuser in _refusers(field, value):
+        with pytest.raises(InvalidScalar):
+            refuser()
+
+
+@pytest.mark.parametrize(
+    "field, value", [(F3, Fraction(1, 3)), (F7, Fraction(-5, 14)), (GF2, Fraction(3, 8))]
+)
+def test_a_fraction_with_p_in_its_denominator_is_refused_everywhere(field, value):
+    for refuser in _refusers(field, value):
+        with pytest.raises(DivisionByZero):
+            refuser()
 
 
 def test_scalar_still_takes_ints_fractions_and_its_own_scalars():
-    assert F3.scalar(-1) == F3(2) and F3.scalar(Fraction(1, 2)) == F3(2)
-    assert RATIONALS.scalar(3).value == Fraction(3)
-    assert RATIONALS.scalar(Fraction(1, 10)).value == Fraction(1, 10)
-    assert F7.scalar(F7(4)) == F7(4)
-    four = F7(4)
-    assert F7.scalar(four) is four
-    # reduce gives the raw value a Scalar boxes: an int in [0, p), a Fraction over Q
+    # reduce gives the raw value: an int in [0, p), a Fraction over Q; a
+    # raw value reduces to itself
     for field, value, raw in [
         (F3, -1, 2),
         (F3, Fraction(1, 2), 2),
-        (F7, F7(4), 4),
+        (F7, 4, 4),
         (GF2, 5, 1),
         (RATIONALS, -3, Fraction(-3)),
         (RATIONALS, Fraction(1, 10), Fraction(1, 10)),
-        (RATIONALS, RATIONALS(Fraction(2, 3)), Fraction(2, 3)),
     ]:
         got = field.reduce(value)
-        assert got == raw == field.scalar(value).value
-        assert type(got) is (Fraction if field.is_rational else int)
+        assert got == raw and field.reduce(got) == got
+        assert type(got) is type(field.reduce(got)) is (Fraction if field.is_rational else int)
 
 
 def test_scalar_constructor_checks_and_reduces():
-    assert Scalar(F3, 7) == F3(1) and Scalar(F3, 7).value == 1
-    assert Scalar(F3, Fraction(1, 2)).value == 2 and Scalar(F3, F3(2)).value == 2
-    assert type(Scalar(RATIONALS, 2).value) is Fraction
-    with pytest.raises(FieldMismatch):
-        Scalar(F3, F7(1))
-    with pytest.raises(TypeError, match="expected a Field"):
-        Scalar(3, 1)
-    # a Scalar entry is reduced like any other, so 3 in F3 is no entry
-    m = Matrix(F3, 1, 1, {(0, 0): Scalar(F3, 3)})
+    # calling a field is `reduce`: no box is built around the value
+    assert Field.__call__ is Field.reduce
+    assert F3(7) == 1 and type(F3(7)) is int
+    assert F3(Fraction(1, 2)) == 2 and F3(F3(2)) == 2
+    assert type(RATIONALS(2)) is Fraction and RATIONALS(1) == Fraction(1)
+    # a reduced entry is stored like any other, so 3 in F3 is no entry
+    m = Matrix(F3, 1, 1, {(0, 0): F3(3)})
     assert m.entries == {} and m.rank() == 0
 
 
 def test_int_coercion_in_ops():
-    assert F3(2) + 2 == F3(1)
-    assert 2 * F3(2) == F3(1)
-    assert F3(1) - 2 == F3(2)
-    assert 1 - F3(2) == F3(2)
-    assert F7(3) / 5 == F7(2)  # 3 * 5^{-1} = 3*3 = 9 = 2
+    # raw values add and multiply as ints; reducing brings the sum back
+    assert F3(F3(2) + 2) == F3(1)
+    assert F3(2 * F3(2)) == F3(1)
+    assert F3(F3(1) - 2) == F3(2)
+    assert F3(1 - F3(2)) == F3(2)
+    assert F7(F7(3) * F7(Fraction(1, 5))) == F7(2)  # 3 * 5^{-1} = 3*3 = 9 = 2
 
 
 def test_bool_and_eq():
@@ -192,14 +203,6 @@ def test_bool_and_eq():
     assert RATIONALS(2) == RATIONALS(Fraction(4, 2))
 
 
-def test_a_fraction_with_p_in_its_denominator_is_unequal_not_refused():
-    # 1/3 is no element of F3, so it equals none of them
-    assert (F3(1) == Fraction(1, 3)) is False
-    assert (Fraction(1, 3) == F3(1)) is False
-    assert Fraction(1, 3) not in [F3(1)] and F3(1) not in [Fraction(1, 3)]
-    assert F3(2) == Fraction(1, 2)  # 2 * 2 = 1 mod 3
-
-
 fields = st.sampled_from([RATIONALS, GF2, F3, F7, Field(13)])
 ints = st.integers(min_value=-50, max_value=50)
 
@@ -207,35 +210,57 @@ ints = st.integers(min_value=-50, max_value=50)
 @given(fields, ints, ints, ints)
 @settings(max_examples=200, deadline=None)
 def test_ring_axioms(field, a, b, c):
-    x, y, z = field(a), field(b), field(c)
-    assert (x + y) + z == x + (y + z)
-    assert x + y == y + x
-    assert (x * y) * z == x * (y * z)
-    assert x * y == y * x
-    assert x * (y + z) == x * y + x * z
-    assert x + field.zero == x
-    assert x * field.one == x
-    assert x + (-x) == field.zero
-    assert x - y == x + (-y)
+    r = field.reduce
+    x, y, z = r(a), r(b), r(c)
+    assert r(r(x + y) + z) == r(x + r(y + z))
+    assert r(x + y) == r(y + x)
+    assert r(r(x * y) * z) == r(x * r(y * z))
+    assert r(x * y) == r(y * x)
+    assert r(x * r(y + z)) == r(r(x * y) + r(x * z))
+    assert r(x + r(0)) == x
+    assert r(x * r(1)) == x
+    assert r(x + r(-x)) == r(0)
+    assert r(x - y) == r(x + r(-y))
 
 
 @given(fields, ints)
 @settings(max_examples=200, deadline=None)
 def test_inverse_axiom(field, a):
-    x = field(a)
+    x = field.reduce(a)
     if x:
-        assert x * x.inverse() == field.one
-        assert x / x == field.one
-    else:
-        with pytest.raises(DivisionByZero):
-            x.inverse()
+        assert field.reduce(x * field.reduce(Fraction(1, x))) == field.reduce(1)
+    else:  # a is a multiple of p, or 0
+        with pytest.raises(ZeroDivisionError):
+            field.reduce(Fraction(1, a))
+
+
+@given(fields, st.data())
+@settings(max_examples=300, deadline=None)
+def test_reduce_commutes_with_the_ring_operations(field, data):
+    # reduce(a o b) == reduce(reduce(a) o reduce(b)), and over Q it is
+    # Fraction arithmetic
+    p = field.characteristic
+    value = st.one_of(
+        st.integers(-10**20, 10**20),
+        st.fractions(max_denominator=60).filter(lambda f: not p or f.denominator % p),
+    )
+    a, b = data.draw(value), data.draw(value)
+    r = field.reduce
+    for op in (operator.add, operator.sub, operator.mul):
+        got = r(op(a, b))
+        assert got == r(op(r(a), r(b)))
+        assert type(got) is (Fraction if p == 0 else int)
+        if p == 0:
+            assert got == op(Fraction(a), Fraction(b))
+        else:
+            assert 0 <= got < p
 
 
 @given(ints, ints)
 @settings(max_examples=100, deadline=None)
 def test_rational_matches_fraction(a, b):
-    x = RATIONALS(a) * RATIONALS(b) + RATIONALS(a)
-    assert Fraction(x.value) == Fraction(a) * Fraction(b) + Fraction(a)
+    x = RATIONALS(RATIONALS(a) * RATIONALS(b) + RATIONALS(a))
+    assert type(x) is Fraction and x == Fraction(a) * Fraction(b) + Fraction(a)
 
 
 @pytest.mark.parametrize(
@@ -246,9 +271,8 @@ def test_rational_matches_fraction(a, b):
         lambda: Matrix(3, 1, 1),
         lambda: e2_page(2, "f3", "loop", 10),
         lambda: generator_schedule(1, 2, "loop", 10),
-        lambda: Scalar(None, 1),
     ],
-    ids=["SpaceSpec", "GradedAlgebra", "Matrix", "e2_page", "generator_schedule", "Scalar"],
+    ids=["SpaceSpec", "GradedAlgebra", "Matrix", "e2_page", "generator_schedule"],
 )
 def test_what_is_not_a_field_is_refused_with_a_typed_error(build):
     with pytest.raises(InvalidField, match="expected a Field") as refused:

@@ -1,9 +1,9 @@
-"""The package's twelve value classes keep one contract: construction by
+"""The package's eleven value classes keep one contract: construction by
 position and by keyword with the same defaults, the same refusals (each a
 LoophomError), field-wise ==, a hash of the fields (TypeError where a
-field is a dict), a repr of the form Class(field=value, ...) (Field and
-Scalar print as a field and a value), AttributeError when any field is
-assigned or deleted, and copy, deepcopy and pickle round trips."""
+field is a dict), a repr of the form Class(field=value, ...) (Field
+prints as a field), AttributeError when any field is assigned or
+deleted, and copy, deepcopy and pickle round trips."""
 
 import copy
 import pickle
@@ -32,14 +32,13 @@ from loophom.errors import (
     InvalidDimension,
     InvalidGenerator,
     InvalidGrading,
-    InvalidScalar,
     InvalidVariant,
     InvalidVerdict,
     LoophomError,
     NegativeCutoff,
     NotAChainMap,
 )
-from loophom.scalars import Field, Scalar
+from loophom.scalars import Field
 
 F3 = Field(3)
 SUB = e2_page(1, F3, "hol", 4)
@@ -68,10 +67,6 @@ CASES = {
     "Field": (
         Field, (3,), (5,), "F3", True,
         [((4,), CompositeCharacteristic), ((2.5,), InvalidCharacteristic)],
-    ),
-    "Scalar": (
-        Scalar, (F3, 2), (F3, 1), "2", True,
-        [(("F3", 1), TypeError), ((F3, 2.5), InvalidScalar)],
     ),
     "Generator": (
         Generator, (0, "x", 2, 1, "truncated", 3), (0, "x", 2, 1, "truncated", 2),
@@ -145,7 +140,6 @@ CASES = {
 SAME = {"DgaPage": _same_page, "HolLoopInclusion": _same_inclusion}
 FIELDS = {
     Field: ("characteristic",),
-    Scalar: ("field", "value"),
     Generator: ("gid", "name", "degree", "weight", "kind", "truncation"),
     DgaPage: ("algebra", "differential"),
     RankProfile: ("dim", "rank_d_here", "rank_d_above"),
