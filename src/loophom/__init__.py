@@ -43,6 +43,7 @@ from .errors import (
     InvalidCharacteristic,
     InvalidComponent,
     InvalidCutoff,
+    InvalidDegree,
     InvalidDimension,
     InvalidExponent,
     InvalidField,

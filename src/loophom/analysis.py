@@ -392,7 +392,7 @@ def _unit(n, field, _, cutoff, k) -> tuple:
     alg, d = page.algebra, page.differential
     pos, neg = alg.monomial({"iota": k}), alg.monomial({"iota": -k})
     # a monomial bounds iff its line meets the boundaries; weights k, -k, 0 hold one each
-    classes = {pos.exps, neg.exps, alg.unit_monomial.exps}
+    classes = {pos, neg, ()}
     passes = _passes(page, [0], [k, -k, 0])
     bounds = {w for w, _, meet in passes if meet(0, classes.__contains__)}
     product = alg.monomial_element(pos) * alg.monomial_element(neg)

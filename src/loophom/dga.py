@@ -6,19 +6,20 @@ rule. It is determined by its values on generators, and d(d(g)) = 0 on
 generators already forces d*d = 0 everywhere, because d*d is itself a
 derivation. `DgaPage` checks all of this when it is built.
 
-Matrices of d come from one Leibniz skeleton per call (`_Skeleton`).
-Every basis monomial of a spot is y*m, with m in the degree's
+Monomials are the algebra's exponent tuples. Matrices of d come from
+one Leibniz skeleton per call (`_Skeleton`). Every basis monomial of a
+spot is y*m, with m in a weight bucket of the degree's
 `graded_monomials` and y a block of the free (degree-0, even) generators,
 so d(y*m) = y*d(m) + sum over free g of e_g*(y/g)*(d(g)*m). The skeleton
 expands d(m) and each d(g)*m once per degree, and each block y with its
 quotients y/g once. One sweep of it per weight gives that weight's
 columns, grouped by degree, and only the degrees with a column: `_passes`
-builds and ranks a matrix only there, and keeps only its rank. The walk
-also counts the monomials by weight, so a dimension is a sum of counts
-times free blocks. No basis is enumerated. Within a call, `_passes`
-shares one profile among the spots with the same numbers, and one map of
-spots among the weights with the same free-block counts and nonzero
-ranks; the dimensions are summed once per vector of block counts.
+builds and ranks a matrix only there, and keeps only its rank. A
+dimension is a sum of bucket lengths times free blocks. No basis is
+enumerated. Within a call, `_passes` shares one profile among the spots
+with the same numbers, and one map of spots among the weights with the
+same free-block counts and nonzero ranks; the dimensions are summed once
+per vector of block counts.
 
 Maps on homology need one more number per spot, dim(S meet B) for S a
 span of basis monomials and B the boundaries: `_passes` answers it from
@@ -38,13 +39,15 @@ from .errors import (
     FieldMismatch,
     InhomogeneousElement,
     InhomogeneousImage,
+    InvalidComponent,
+    InvalidDegree,
     InvalidRank,
     NotAChainMap,
     NotSquareZero,
     UnknownGenerator,
     WrongBidegree,
 )
-from .graded_algebra import Element, GradedAlgebra, Monomial, _free_exponents
+from .graded_algebra import Element, GradedAlgebra, _free_exponents
 # kernel_basis and rank_of_columns have no caller here; the bench tracer wraps them by name
 from .linalg import Matrix, kernel_basis, rank_of_columns
 from .scalars import is_int
@@ -76,7 +79,7 @@ class Derivation(Record):
     def is_zero(self) -> bool:
         return not self.images
 
-    def apply_monomial(self, m: Monomial) -> Element:
+    def apply_monomial(self, m: tuple) -> Element:
         """Signed Leibniz expansion over the blocks of one monomial.
 
         For a block g^e the derivation contributes e * g^(e-1) * d(g),
@@ -85,7 +88,7 @@ class Derivation(Record):
         a block whose generator has an image. Each term
         L * d(g) * R equals (-1)^(|d(g)| |R|) (L R) * d(g), one product of
         monomials. On a page d has bidegree (-1, 0), so every term lands
-        in degree m.degree - 1 and weight m.weight.
+        one degree below m, in m's weight.
 
         A block whose exponent the characteristic divides is skipped before
         any product is built; a term whose product passes an exterior or
@@ -96,27 +99,20 @@ class Derivation(Record):
         alg = self.algebra
         out: dict = {}
         p = alg.field.characteristic
-        char2 = p == 2
-        blocks = m.exps
-        for idx, (gid, e) in enumerate(blocks):
+        signed = p != 2
+        for idx, (gid, e) in enumerate(m):
             image = self.images.get(gid)
             if image is None or p and e % p == 0:
                 continue
-            g = alg.generators[gid]
-            prefix_degree = sum(alg.generators[h].degree * f for h, f in blocks[:idx])
-            coeff = -e if not char2 and (prefix_degree & 1) else e
-            lowered = ((gid, e - 1),) if e != 1 else ()
-            rest = Monomial(
-                blocks[:idx] + lowered + blocks[idx + 1 :],
-                m.degree - g.degree,
-                m.weight - g.weight,
-            )
-            right_odd = not char2 and (m.degree - prefix_degree - g.degree * e) & 1
+            left, right = m[:idx], m[idx + 1 :]
+            rest = left + (((gid, e - 1),) if e != 1 else ()) + right
+            coeff = -e if signed and alg.bidegree(left)[0] & 1 else e
+            right_odd = signed and alg.bidegree(right)[0] & 1
             for im, c in image.terms.items():
                 sign, target = alg.multiply_monomials(rest, im)
                 if target is None:
                     continue
-                if right_odd and im.degree & 1:
+                if right_odd and alg.bidegree(im)[0] & 1:
                     sign = -sign
                 out[target] = out.get(target, 0) + sign * coeff * c
         return _element(alg, out)
@@ -195,17 +191,24 @@ class RankProfile(Record):
 
 class _Skeleton:
     """d on the free multiples y*m of each degree's monomials m, for one
-    call. Each m of `graded_monomials` that a requested weight reaches
-    has its `moves`: {g: [(exponents, raw value)]}, the terms of d(g)*m
-    for each free g with an image, by `multiply_monomials`, which drops a
-    term a bound kills, and under None the terms of d(m) itself, by
-    `apply_monomial`. An m with no term keeps no entry. The same walk
-    counts each degree's monomials by weight (`counts`; `reach` has every
-    weight met), so a dimension needs no basis. A degree past the
-    algebra's horizon, where the list may be incomplete, is refused
-    first (CutoffTooTight)."""
+    call. Each m of a weight bucket of `graded_monomials` that a
+    requested weight reaches has its `moves`: {g: [(monomial, raw
+    value)]}, the terms of d(g)*m for each free g with an image, by
+    `multiply_monomials`, which drops a term a bound kills, and under
+    None the terms of d(m) itself, by `apply_monomial`. An m with no term
+    keeps no entry. `reach` has every bucket weight met, and whether a
+    requested weight is reachable from it. A degree or weight that is
+    not an int is refused first (InvalidDegree, InvalidComponent), then
+    a degree past the algebra's horizon, where the list may be
+    incomplete (CutoffTooTight)."""
 
     def __init__(self, page: DgaPage, degrees, weights):
+        for d in degrees:
+            if not is_int(d):
+                raise InvalidDegree(f"a degree must be an int, got {d!r}")
+        for w in weights:
+            if not is_int(w):
+                raise InvalidComponent(f"a weight must be an int, got {w!r}")
         alg, der = page.algebra, page.differential
         top, horizon = max(degrees), alg.complete_through_degree
         if horizon is not None and top > horizon:
@@ -213,38 +216,36 @@ class _Skeleton:
                 f"d at degree {top} needs a complete basis there, past the "
                 f"algebra's horizon {horizon}"
             )
-        self.p, self.free = alg.field.characteristic, alg.free_generators()
-        self.entries, self.counts, self._blocks, self.swept = {}, {}, {}, (None, {})
+        self.p, self.free, self.times = alg.field.characteristic, alg.free_generators(), alg._times
+        self.entries, self._blocks, self.swept = {}, {}, (None, {})
         images = [
             (g.gid, *term)
             for g in self.free
             if g.gid in der.images
             for term in der.images[g.gid].terms.items()
         ]
-        reach = self.reach = {}  # m.weight -> whether a requested weight is reachable
+        reach = self.reach = {}  # bucket weight -> whether a requested weight is reachable
         alg.graded_monomials(top)  # one walk lists every degree below it
         for d in degrees:
-            count = self.counts[d] = {}
-            for m in alg.graded_monomials(d):
-                mw = m.weight
-                count[mw] = count.get(mw, 0) + 1
+            for mw, listed in alg.graded_monomials(d).items():
                 if mw not in reach:
                     reach[mw] = any(self.blocks(w - mw) for w in weights)
                 if not reach[mw]:
                     continue
-                here = der.apply_monomial(m).terms
-                moves = here and {None: [(t.exps, c) for t, c in here.items()]}
-                for gid, im, c in images:
-                    # m * d(g) meets a bound within d(g)'s few blocks; d(g) * m is
-                    # the same up to the Koszul sign
-                    sign, t = alg.multiply_monomials(m, im)
-                    if t is not None:
-                        if im.degree * m.degree & 1:
-                            sign = -sign
-                        moves = moves or {}
-                        moves.setdefault(gid, []).append((t.exps, c if sign > 0 else -c))
-                if moves:
-                    self.entries.setdefault(d, []).append((mw, moves))
+                for m in listed:
+                    here = der.apply_monomial(m).terms
+                    moves = here and {None: list(here.items())}
+                    for gid, im, c in images:
+                        # m * d(g) meets a bound within d(g)'s few blocks; d(g), of
+                        # degree -1 as g is free, times m is the same up to (-1)^d
+                        sign, t = alg.multiply_monomials(m, im)
+                        if t is not None:
+                            if d & 1:
+                                sign = -sign
+                            moves = moves or {}
+                            moves.setdefault(gid, []).append((t, c if sign > 0 else -c))
+                    if moves:
+                        self.entries.setdefault(d, []).append((mw, moves))
 
     def blocks(self, rest: int) -> list:
         """(y, quotients) for each free exponent block y of total weight
@@ -258,7 +259,11 @@ class _Skeleton:
                 (
                     y,
                     [(None, 1, None)]
-                    + [(g, e, _times(y, ((g, -1),))) for g, e in y if not self.p or e % self.p],
+                    + [
+                        (g, e, self.times(y, ((g, -1),)))
+                        for g, e in y
+                        if not self.p or e % self.p
+                    ],
                 )
                 for y in _free_exponents(self.free, rest)
             ]
@@ -273,6 +278,7 @@ class _Skeleton:
         one: a pass's `meet` reads it there."""
         if self.swept[0] != weight:
             self.swept = (weight, {})  # the previous weight's go first
+            times = self.times
             for d, found in self.entries.items():
                 rows, entries, j = {}, {}, 0
                 for mw, moves in found:
@@ -280,30 +286,13 @@ class _Skeleton:
                         filled = len(entries)  # a column's first term adds an entry
                         for g, e, lowered in quotients:
                             for t, c in moves.get(g, ()):
-                                key = _times(t, y if g is None else lowered)
+                                key = times(t, y if g is None else lowered)
                                 ij = (rows.setdefault(key, len(rows)), j)
                                 entries[ij] = entries.get(ij, 0) + e * c
                         j += len(entries) > filled
                 if j:
                     self.swept[1][d] = (rows, entries, j)
         return self.swept[1]
-
-
-def _times(a: tuple, b: tuple) -> tuple:
-    """Exponents of a product with a free block, which no bound can kill.
-    Where every generator of b comes before those of a, as a page's one
-    free generator iota comes first, they are b + a; anywhere else a
-    merge adds the exponents and drops the zeros."""
-    if not (a and b) or b[-1][0] < a[0][0]:
-        return b + a
-    merged = dict(a)
-    for g, e in b:
-        e += merged.get(g, 0)
-        if e:
-            merged[g] = e
-        else:
-            del merged[g]
-    return tuple(sorted(merged.items()))
 
 
 def differential_matrix(page: DgaPage, degree: int, weight: int, *, skeleton=None) -> Matrix:
@@ -385,7 +374,8 @@ def _passes(page: DgaPage, degrees: Iterable[int], weights: Iterable[int]):
             if size not in dims:
                 blocks = dict(zip(skeleton.reach, size))
                 dims[size] = [
-                    sum(k * blocks[mw] for mw, k in skeleton.counts[d].items()) for d in degs
+                    sum(len(ms) * blocks[mw] for mw, ms in alg.graded_monomials(d).items())
+                    for d in degs
                 ]
             maps[key] = {
                 d: profile(dim, rank.get(d, 0), rank.get(d + 1, 0))
@@ -459,16 +449,14 @@ def _generator_translation(sub: GradedAlgebra, big: GradedAlgebra) -> dict:
     return mapping
 
 
-def _translate_monomial(m: Monomial, mapping: dict, big: GradedAlgebra) -> tuple:
+def _translate_monomial(m: tuple, mapping: dict, big: GradedAlgebra) -> tuple:
     """(sign, monomial) of the sub monomial m in big: the product of its
     blocks in sub's order, taken by `big.multiply_monomials`, which gives
     the Koszul sign of moving odd blocks into big's gid order. The blocks
     sit on distinct generators within their bounds, so it is never zero."""
-    sign, out = 1, big.unit_monomial
-    for gid, e in m.exps:
-        g = big.generators[mapping[gid]]
-        block = Monomial(((g.gid, e),), e * g.degree, e * g.weight)
-        flip, out = big.multiply_monomials(out, block)
+    sign, out = 1, ()
+    for gid, e in m:
+        flip, out = big.multiply_monomials(out, ((mapping[gid], e),))
         sign *= flip
     return sign, out
 

@@ -134,8 +134,13 @@ class NegativeCutoff(InvalidCutoff):
 
 
 class InvalidComponent(LoophomError, ValueError):
-    """A component, the topological degree of a map, is not an int (a bool
-    is not one), or is negative for the holomorphic variant."""
+    """A component, the topological degree of a map and the weight of a
+    page, is not an int (a bool is not one), or is negative for the
+    holomorphic variant."""
+
+
+class InvalidDegree(LoophomError, ValueError):
+    """A degree asked of a page is not an int (a bool is not one)."""
 
 
 class NotAChainMap(LoophomError, ValueError):

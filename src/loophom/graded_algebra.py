@@ -16,14 +16,17 @@ Elements are finite sums of monomials with exact field coefficients.
 Multiplication carries the Koszul sign: commuting odd-degree factors past
 each other costs a minus sign (no signs in characteristic 2).
 
-A monomial's degree is the exponent-weighted sum of generator degrees and
-its weight the same sum over generator weights, so the algebra is graded
-by (degree, weight) pairs. The engine lists monomials with
-`graded_monomials`: those of one degree, over every weight, in the
-generators that are not free; a finiteness certificate checks first that
-every such list, and every (degree, weight) piece, is finite.
-`enumerate_basis`, which only the tests and the bench's tracer call,
-lists the whole basis of one (degree, weight) pair from them.
+A monomial is its canonical exponent tuple, ((gid, e), ...), gids
+strictly increasing and every exponent nonzero; the empty tuple is the
+unit. Its degree is the exponent-weighted sum of generator degrees and
+its weight the same sum over generator weights (`bidegree`), computed
+when asked, never stored, so the algebra is graded by (degree, weight)
+pairs. The engine lists monomials with `graded_monomials`: those of one
+degree in the generators that are not free, bucketed by weight; a
+finiteness certificate checks first that every such list, and every
+(degree, weight) piece, is finite. `enumerate_basis`, which only the
+tests and the bench's tracer call, lists the whole basis of one
+(degree, weight) pair from them.
 """
 
 from __future__ import annotations
@@ -82,55 +85,6 @@ class Generator(Record):
             raise InvalidGenerator("truncation only applies to truncated generators")
         _fill(self, gid, name, degree, weight, kind, truncation)
         _set(self, "top", 1 if kind == "exterior" else truncation)
-
-
-class Monomial(Record):
-    """A product of generator powers, stored as a sorted exponent tuple.
-
-    `exps` is a tuple of (gid, exponent) pairs, strictly increasing in gid,
-    with all exponents nonzero. The empty tuple is the unit monomial.
-    Degree and weight are cached at construction and read-only, like
-    `exps`; the algebra's methods build every monomial, and nothing checks
-    one built by hand.
-    """
-
-    _fields = ("exps", "degree", "weight")
-    __slots__ = _fields + ("_hash",)
-
-    def __init__(self, exps, degree: int, weight: int):
-        exps = tuple(exps)  # a `_set` per slot, not `_fill`: monomials are built on the hot path
-        _set(self, "exps", exps)
-        _set(self, "degree", degree)
-        _set(self, "weight", weight)
-        _set(self, "_hash", hash(exps))
-
-    def exponent(self, gid: int) -> int:
-        for g, e in self.exps:
-            if g == gid:
-                return e
-        return 0
-
-    @property
-    def is_unit(self) -> bool:
-        return not self.exps
-
-    def __eq__(self, other):
-        return isinstance(other, Monomial) and self.exps == other.exps
-
-    def __hash__(self):
-        return self._hash
-
-    def format(self, algebra: "GradedAlgebra") -> str:
-        if not self.exps:
-            return "1"
-        parts = []
-        for gid, e in self.exps:
-            name = algebra.generators[gid].name
-            parts.append(name if e == 1 else f"{name}^{e}")
-        return "*".join(parts)
-
-    def __repr__(self):
-        return f"Monomial{self.exps}"
 
 
 class GradedAlgebra(ReadOnly):
@@ -192,8 +146,9 @@ class GradedAlgebra(ReadOnly):
 
     # -- monomials ---------------------------------------------------------
 
-    def monomial(self, exponents: Mapping[Union[int, str], int]) -> Optional[Monomial]:
-        """Canonical monomial for an exponent assignment, or None for zero.
+    def monomial(self, exponents: Mapping[Union[int, str], int]) -> Optional[tuple]:
+        """Canonical exponent tuple for an exponent assignment, or None for
+        zero.
 
         Exponents past an exterior or truncated bound make the monomial
         zero in the quotient, hence the None. A negative exponent on a
@@ -207,52 +162,92 @@ class GradedAlgebra(ReadOnly):
             if not is_int(e):
                 raise InvalidExponent(f"exponent of {g.name!r} must be an int, got {e!r}")
             merged[g.gid] = merged.get(g.gid, 0) + e
-        degree = weight = 0
         for gid, e in merged.items():
             g = self.generators[gid]
             if e < 0 and g.kind != "laurent":
                 raise InvalidExponent(f"negative exponent on {g.kind} generator {g.name!r}")
-            degree += e * g.degree
-            weight += e * g.weight
-        return self._canonical({}, merged.items(), degree, weight)
+        return self._canonical({}, merged.items())
 
-    def _canonical(self, merged: dict, added, degree: int, weight: int) -> Optional[Monomial]:
-        """The monomial of the given bidegree with the exponents `merged`
-        ({gid: e}, within bounds, filled in place) plus the pairs `added`:
-        None at the first sum past its generator's `top`, before any sort;
-        else gids sorted, zero exponents dropped. Bounds apply only here."""
+    def _canonical(self, merged: dict, added) -> Optional[tuple]:
+        """The exponent tuple of `merged` ({gid: e}, within bounds, filled
+        in place) plus the pairs `added`: None at the first sum past its
+        generator's `top`, before any sort; else gids sorted, zero
+        exponents dropped. Bounds apply only here."""
         for gid, e in added:
             e += merged.get(gid, 0)
             top = self.generators[gid].top
             if top is not None and e > top:
                 return None
             merged[gid] = e
-        return Monomial(sorted((gid, e) for gid, e in merged.items() if e), degree, weight)
+        return tuple(sorted((gid, e) for gid, e in merged.items() if e))
 
-    @property
-    def unit_monomial(self) -> Monomial:
-        return Monomial((), 0, 0)
+    def _times(self, a: tuple, b: tuple) -> tuple:
+        """a*b for b a block of free generators, which have degree 0 and no
+        bound, so the product has no sign and is never zero. Where every
+        generator of b comes before those of a, as a page's one free
+        generator iota comes first, it is b + a; anywhere else
+        `_canonical` merges them."""
+        if not (a and b) or b[-1][0] < a[0][0]:
+            return b + a
+        return self._canonical(dict(a), b)
 
-    def exponent_vector(self, m: Monomial) -> tuple:
+    def bidegree(self, m: tuple) -> tuple:
+        """(degree, weight) of the monomial m, summed over its blocks."""
+        degree = weight = 0
+        for gid, e in m:
+            g = self.generators[gid]
+            degree += e * g.degree
+            weight += e * g.weight
+        return degree, weight
+
+    def _is_canonical(self, m) -> bool:
+        """Whether m is a canonical exponent tuple of this algebra: (gid, e)
+        pairs of ints, gids strictly increasing within the generators, each
+        e nonzero, negative only on a laurent generator and at most the
+        generator's `top`."""
+        if not isinstance(m, tuple):
+            return False
+        last = -1
+        for pair in m:
+            if not (isinstance(pair, tuple) and len(pair) == 2):
+                return False
+            gid, e = pair
+            if not (is_int(gid) and last < gid < len(self.generators) and is_int(e) and e):
+                return False
+            g = self.generators[gid]
+            if e < 0 and g.kind != "laurent" or g.top is not None and e > g.top:
+                return False
+            last = gid
+        return True
+
+    def format(self, m: tuple) -> str:
+        """The monomial m as name^e factors joined by `*`, "1" for the unit."""
+        parts = []
+        for gid, e in m:
+            name = self.generators[gid].name
+            parts.append(name if e == 1 else f"{name}^{e}")
+        return "*".join(parts) or "1"
+
+    def exponent_vector(self, m: tuple) -> tuple:
         v = [0] * len(self.generators)
-        for gid, e in m.exps:
+        for gid, e in m:
             v[gid] = e
         return tuple(v)
 
-    def multiply_monomials(self, a: Monomial, b: Monomial):
+    def multiply_monomials(self, a: tuple, b: tuple):
         """Product of two monomials: (sign, monomial), or (1, None) when an
         exterior square or truncation bound kills the product. `_canonical`
         applies the bounds as it adds b's exponents into a's, so a killed
         product is dropped at the first overflow, before any sort or sign
         work."""
-        product = self._canonical(dict(a.exps), b.exps, a.degree + b.degree, a.weight + b.weight)
+        product = self._canonical(dict(a), b)
         if product is None or self.field.characteristic == 2:
             return 1, product
         # gids of odd-total-degree blocks, ascending; only odd*odd flips
-        odd_a = [gid for gid, e in a.exps if (self.generators[gid].degree * e) & 1]
+        odd_a = [gid for gid, e in a if (self.generators[gid].degree * e) & 1]
         flips = 0
         if odd_a:
-            for gid, e in b.exps:
+            for gid, e in b:
                 if (self.generators[gid].degree * e) & 1:
                     flips += len(odd_a) - bisect_right(odd_a, gid)
         return -1 if flips & 1 else 1, product
@@ -264,17 +259,15 @@ class GradedAlgebra(ReadOnly):
         return self._zero
 
     def one(self) -> "Element":
-        return Element(self, {self.unit_monomial: 1})
+        return Element(self, {(): 1})
 
-    def monomial_element(self, m: Optional[Monomial], coeff=1) -> "Element":
+    def monomial_element(self, m: Optional[tuple], coeff=1) -> "Element":
         if m is None:
             return self.zero()
         return Element(self, {m: coeff})
 
     def gen(self, key: Union[int, str]) -> "Element":
-        g = self.generator(key)
-        m = Monomial(((g.gid, 1),), g.degree, g.weight)
-        return self.monomial_element(m)
+        return Element(self, {((self.generator(key).gid, 1),): 1})
 
     # -- basis enumeration ---------------------------------------------------
 
@@ -350,10 +343,11 @@ class GradedAlgebra(ReadOnly):
         the only ones unbounded within one degree."""
         return self._enumeration_plan()[0]
 
-    def graded_monomials(self, degree: int) -> tuple:
-        """Monomials of the given degree, over every weight, in the
-        generators that are not free, in lexicographic order of their
-        exponent vectors: a tuple, kept on the algebra.
+    def graded_monomials(self, degree: int) -> ReadOnlyMap:
+        """The monomials of the given degree in the generators that are not
+        free, bucketed by weight: {weight: tuple of monomials in
+        lexicographic order of their exponent vectors}, weights ascending,
+        kept on the algebra in a `ReadOnlyMap`.
 
         A request past every degree listed so far walks (`_walk`) on from
         the last one through the requested degree, so one walk lists every
@@ -366,29 +360,30 @@ class GradedAlgebra(ReadOnly):
         low, high = self.degree_reach()
         walked = low - 1 + len(self._by_degree)  # it holds every degree from low on
         if degree <= walked or degree > high:
-            return ()
+            return ReadOnlyMap()
         self._walk(walked, degree)
         return self._by_degree[degree]
 
     def _walk(self, floor: int, top: int) -> None:
-        """Keep the tuple of monomials of every degree floor + 1..top, empty
-        or not, in `_by_degree`, from one depth-first walk over the steps
-        with exponents ascending, so each comes out in lexicographic
-        order. A prefix is entered only when the range of degrees the
-        remaining steps can add (the plan's `least`..`most`) overlaps
-        floor + 1..top. The range may have gaps, so a node can still lead
-        to no monomial; the last step adds nothing, so every leaf lies in
-        the window.
+        """Keep the weight buckets of every degree floor + 1..top, empty or
+        not, in `_by_degree`, from one depth-first walk over the steps
+        with exponents ascending, so each bucket comes out in
+        lexicographic order. A prefix is entered only when the range of
+        degrees the remaining steps can add (the plan's `least`..`most`)
+        overlaps floor + 1..top. The range may have gaps, so a node can
+        still lead to no monomial; the last step adds nothing, so every
+        leaf lies in the window.
         """
         _, steps, least, most = self._enumeration_plan()
-        by_degree, last = {}, len(steps)
+        by_degree, last = {degree: {} for degree in range(floor + 1, top + 1)}, len(steps)
 
         def rec(i, degree, weight, acc):
             if i == last:
-                found = by_degree.get(degree)
+                buckets = by_degree[degree]
+                found = buckets.get(weight)
                 if found is None:
-                    found = by_degree[degree] = []
-                found.append(Monomial(acc, degree, weight))
+                    found = buckets[weight] = []
+                found.append(acc)
                 return
             (g, bound), low, high = steps[i], least[i + 1], most[i + 1]
             for e in range(bound + 1) if bound is not None else itertools.count():
@@ -400,24 +395,23 @@ class GradedAlgebra(ReadOnly):
                     rec(i + 1, d, weight + e * g.weight, acc + ((g.gid, e),) if e else acc)
 
         rec(0, 0, 0, ())
-        for degree in range(floor + 1, top + 1):
-            self._by_degree[degree] = tuple(by_degree.get(degree, ()))
+        for degree, buckets in by_degree.items():
+            buckets = sorted((weight, tuple(found)) for weight, found in buckets.items())
+            self._by_degree[degree] = ReadOnlyMap(buckets)
 
-    def enumerate_basis(self, degree: int, weight: int) -> list[Monomial]:
+    def enumerate_basis(self, degree: int, weight: int) -> list[tuple]:
         """All basis monomials of the given (degree, weight), sorted
         lexicographically on full exponent vectors, in a fresh list: the
-        products y*m, with m in the degree's `graded_monomials` and y a
-        block of free generators that makes up the rest of the weight. The
-        certificate in `_certificate`, checked at the first enumeration,
-        guarantees the lists are finite and complete.
+        products y*m, with m in a weight bucket of the degree's
+        `graded_monomials` and y a block of free generators that makes up
+        the rest of the weight. The certificate in `_certificate`, checked
+        at the first enumeration, guarantees the lists are finite and
+        complete.
         """
-        free, blocks = self.free_generators(), {}
-        found = []
-        for m in self.graded_monomials(degree):
-            rest = weight - m.weight
-            if rest not in blocks:
-                blocks[rest] = _free_exponents(free, rest)
-            found += [Monomial(tuple(sorted(m.exps + y)), degree, weight) for y in blocks[rest]]
+        free, found = self.free_generators(), []
+        for mw, listed in self.graded_monomials(degree).items():
+            blocks = _free_exponents(free, weight - mw)
+            found += [tuple(sorted(m + y)) for m in listed for y in blocks]
         return sorted(found, key=self.exponent_vector)
 
     def __repr__(self):
@@ -446,26 +440,25 @@ def _free_exponents(free: list, weight: int) -> list:
 class Element(Record):
     """A finite field-linear combination of monomials in one algebra:
     `terms` maps each monomial to its raw coefficient, in a `ReadOnlyMap`.
-    A key that is not a `Monomial`, or whose gids leave the algebra's
-    generators, raises AlgebraMismatch. Every coefficient goes through
-    the algebra's `Field.reduce`, which refuses a value that is no
-    element of the field (`InvalidScalar`, `DivisionByZero`), and a zero
-    one is dropped, so equal elements have equal terms. Elements compare
-    by the identity of their algebra and by their terms."""
+    A key that is not a canonical exponent tuple of the algebra (see
+    `GradedAlgebra._is_canonical`) raises AlgebraMismatch. Every
+    coefficient goes through the algebra's `Field.reduce`, which refuses
+    a value that is no element of the field (`InvalidScalar`,
+    `DivisionByZero`), and a zero one is dropped, so equal elements have
+    equal terms. Elements compare by the identity of their algebra and
+    by their terms."""
 
     __slots__ = _fields = ("algebra", "terms")
 
-    def __init__(self, algebra: GradedAlgebra, terms: Mapping[Monomial, object]):
-        reduce, top, kept = algebra.field.reduce, len(algebra.generators) - 1, {}
+    def __init__(self, algebra: GradedAlgebra, terms: Mapping[tuple, object]):
+        reduce, kept = algebra.field.reduce, {}
         for m, c in terms.items():
-            exps = m.exps if isinstance(m, Monomial) else None
-            if exps is None or exps and not 0 <= exps[0][0] <= exps[-1][0] <= top:
+            if not algebra._is_canonical(m):
                 raise AlgebraMismatch(f"{m!r} is no monomial of {algebra}")
             c = reduce(c)
             if c:
                 kept[m] = c
-        _set(self, "algebra", algebra)  # a `_set` per slot, as in `Monomial`
-        _set(self, "terms", ReadOnlyMap(kept))
+        _fill(self, algebra, ReadOnlyMap(kept))
 
     def _check(self, other: "Element"):
         if self.algebra is not other.algebra:
@@ -518,19 +511,18 @@ class Element(Record):
 
     @property
     def is_homogeneous(self) -> bool:
-        seen = {(m.degree, m.weight) for m in self.terms}
-        return len(seen) <= 1
+        return len({self.algebra.bidegree(m) for m in self.terms}) <= 1
 
     def bidegree(self) -> Optional[tuple]:
         """(degree, weight) of a homogeneous element, None for zero."""
-        seen = {(m.degree, m.weight) for m in self.terms}
+        seen = {self.algebra.bidegree(m) for m in self.terms}
         if not seen:
             return None
         if len(seen) > 1:
             raise InhomogeneousElement(f"inhomogeneous element spans {sorted(seen)}")
         return seen.pop()
 
-    def coefficient(self, m: Monomial):
+    def coefficient(self, m: tuple):
         return self.terms.get(m, self.algebra.field.reduce(0))
 
     def __repr__(self):
@@ -540,10 +532,10 @@ class Element(Record):
         parts = []
         for m in sorted(self.terms, key=alg.exponent_vector):
             c = self.terms[m]
-            if m.is_unit:
+            if not m:
                 parts.append(str(c))
             elif c == 1:
-                parts.append(m.format(alg))
+                parts.append(alg.format(m))
             else:
-                parts.append(f"{c}*{m.format(alg)}")
+                parts.append(f"{c}*{alg.format(m)}")
         return " + ".join(parts)

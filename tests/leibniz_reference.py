@@ -1,12 +1,11 @@
 """A naive signed Leibniz expansion and monomial product: the references
 the tests compare `Derivation.apply_monomial` and
 `GradedAlgebra.multiply_monomials` with. They share no code with
-`loophom.dga` and do not use the algebra's monomial product: they write
-each term out as a sequence of generator powers, count the Koszul swaps
-that sort it, and add up exponents themselves. Only the generator table,
-the `Monomial` container and `Field.reduce` are the library's."""
-
-from loophom.graded_algebra import Monomial
+`loophom.dga` and do not use the algebra's monomial product or
+`_canonical`: they write each term out as a sequence of generator powers,
+count the Koszul swaps that sort it, and add up exponents themselves.
+Monomials are plain exponent tuples; only the generator table and
+`Field.reduce` are the library's."""
 
 
 def _bound(generator):
@@ -17,8 +16,8 @@ def _bound(generator):
 
 def write_out(algebra, written: list) -> tuple:
     """The product of the generator powers `written`, (gid, exponent)
-    pairs in the order written: (sign, Monomial), the sign (-1) to the
-    number of swaps of odd blocks that sort them by gid (always 1 in
+    pairs in the order written: (sign, exponent tuple), the sign (-1) to
+    the number of swaps of odd blocks that sort them by gid (always 1 in
     characteristic 2), or (1, None) when a summed exponent passes its
     generator's bound."""
     gens = algebra.generators
@@ -34,18 +33,15 @@ def write_out(algebra, written: list) -> tuple:
             1 for i in range(len(odd)) for j in range(i + 1, len(odd)) if odd[i] > odd[j]
         )
         sign = -1 if swaps % 2 else 1
-    kept = tuple(sorted((h, f) for h, f in exps.items() if f))
-    degree = sum(gens[h].degree * f for h, f in kept)
-    weight = sum(gens[h].weight * f for h, f in kept)
-    return sign, Monomial(kept, degree, weight)
+    return sign, tuple(sorted((h, f) for h, f in exps.items() if f))
 
 
-def product(algebra, a: Monomial, b: Monomial) -> tuple:
+def product(algebra, a: tuple, b: tuple) -> tuple:
     """a*b as `write_out` gives it: a's blocks, then b's."""
-    return write_out(algebra, list(a.exps) + list(b.exps))
+    return write_out(algebra, list(a) + list(b))
 
 
-def leibniz(algebra, images: dict, m: Monomial) -> list:
+def leibniz(algebra, images: dict, m: tuple) -> list:
     """d(m) as (monomial, coefficient) pairs in insertion order, for the
     derivation with the given generator images (gid -> Element).
 
@@ -58,7 +54,7 @@ def leibniz(algebra, images: dict, m: Monomial) -> list:
     gens = algebra.generators
     reduce = algebra.field.reduce
     signed = algebra.field.characteristic != 2
-    blocks = list(m.exps)
+    blocks = list(m)
     out: dict = {}
     for idx, (gid, e) in enumerate(blocks):
         image = images.get(gid)
@@ -66,7 +62,7 @@ def leibniz(algebra, images: dict, m: Monomial) -> list:
             continue
         left_degree = sum(gens[h].degree * f for h, f in blocks[:idx])
         for term, c in image.terms.items():
-            written = blocks[:idx] + [(gid, e - 1)] + list(term.exps) + blocks[idx + 1 :]
+            written = blocks[:idx] + [(gid, e - 1)] + list(term) + blocks[idx + 1 :]
             sign, key = write_out(algebra, written)
             if key is None:
                 continue
